@@ -127,14 +127,20 @@ func (m *Dense) MulVec(x []float64) []float64 {
 	return y
 }
 
-// TMulVec computes y = Aᵀ·x without materializing the transpose; x must have
-// length Rows. The result has length Cols. This is the power-method kernel:
-// x^{q+1} = Aᵀ x^q (eq. 5 of the paper).
+// TMulVec computes y = Aᵀ·x without materializing the transpose into a
+// freshly allocated y of length Cols; x must have length Rows. See
+// TMulVecTo, the power-method kernel x^{q+1} = Aᵀ x^q (eq. 5 of the paper).
 func (m *Dense) TMulVec(x []float64) []float64 {
-	if len(x) != m.rows {
-		panic(fmt.Sprintf("matrix: TMulVec with len(x)=%d, want %d", len(x), m.rows))
-	}
 	y := make([]float64, m.cols)
+	m.TMulVecTo(y, x)
+	return y
+}
+
+// TMulVecTo computes dst = Aᵀ·x, overwriting dst; dst must have length
+// Cols, x length Rows, and the two must not share memory.
+func (m *Dense) TMulVecTo(dst, x []float64) {
+	checkTMulVecTo(m.rows, m.cols, dst, x)
+	clear(dst)
 	for i := 0; i < m.rows; i++ {
 		xi := x[i]
 		if xi == 0 {
@@ -142,10 +148,9 @@ func (m *Dense) TMulVec(x []float64) []float64 {
 		}
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		for j, a := range row {
-			y[j] += a * xi
+			dst[j] += a * xi
 		}
 	}
-	return y
 }
 
 // Mul returns the matrix product A·B. It panics on dimension mismatch.

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -29,8 +30,13 @@ type Matrix interface {
 	// MulVec computes y = A·x; x must have length Cols.
 	MulVec(x []float64) []float64
 	// TMulVec computes y = Aᵀ·x without materializing the transpose; x must
-	// have length Rows. This is the power-method kernel (eq. 5).
+	// have length Rows. It allocates y; see TMulVecTo.
 	TMulVec(x []float64) []float64
+	// TMulVecTo computes dst = Aᵀ·x into a caller-owned dst of length
+	// Cols, overwriting its contents; x must have length Rows and must not
+	// share memory with dst. This is the power-method kernel (eq. 5), and
+	// it is bitwise identical to TMulVec.
+	TMulVecTo(dst, x []float64)
 	// RowSums returns the vector of per-row sums.
 	RowSums() []float64
 	// NormalizeRows scales each row in place to sum 1, patching zero rows
@@ -56,10 +62,15 @@ var (
 // it makes every accumulation visit entries in the same order a dense
 // row-major traversal would, which keeps CSR results bitwise identical to
 // Dense (see the Matrix contract).
+//
+// Column indices are int32, so an entry costs 12 bytes (4 + 8) and the
+// kernels, which are memory-bound, stream a third less than with int
+// indices. Every constructor therefore rejects more than MaxCSRCols
+// columns. rowPtr stays int, so the entry count is not capped.
 type CSR struct {
 	rows, cols int
-	rowPtr     []int // len rows+1
-	colIdx     []int // len nnz
+	rowPtr     []int   // len rows+1
+	colIdx     []int32 // len nnz
 	val        []float64
 
 	// tmu guards tcache, the lazily built transposed row-banded layout
@@ -71,12 +82,25 @@ type CSR struct {
 	tcache *cscBands
 }
 
-// NewCSR returns an empty (all-zero) rows×cols CSR matrix. It panics if
-// either dimension is negative.
-func NewCSR(rows, cols int) *CSR {
+// MaxCSRCols is the largest column count a CSR can hold: column indices
+// are stored as int32.
+const MaxCSRCols = math.MaxInt32
+
+// checkCSRDims panics, naming the constructor, when rows or cols is
+// negative or cols exceeds MaxCSRCols.
+func checkCSRDims(ctor string, rows, cols int) {
 	if rows < 0 || cols < 0 {
-		panic("matrix: NewCSR with negative dimension")
+		panic(fmt.Sprintf("matrix: %s with negative dimension", ctor))
 	}
+	if cols > MaxCSRCols {
+		panic(fmt.Sprintf("matrix: %s with %d columns, above the int32 column-index bound %d", ctor, cols, MaxCSRCols))
+	}
+}
+
+// NewCSR returns an empty (all-zero) rows×cols CSR matrix. It panics if
+// either dimension is negative or cols exceeds MaxCSRCols.
+func NewCSR(rows, cols int) *CSR {
+	checkCSRDims("NewCSR", rows, cols)
 	return &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
 }
 
@@ -85,20 +109,16 @@ func NewCSR(rows, cols int) *CSR {
 // must be strictly ascending within each row with in-range columns; colIdx
 // and val must have equal length. The caller relinquishes ownership of the
 // slices. Validation is O(nnz) and panics on violation, since a malformed
-// structure would silently break the bitwise-identity contract.
-func NewCSRRaw(rows, cols int, rowPtr, colIdx []int, val []float64) *CSR {
-	if rows < 0 || cols < 0 {
-		panic("matrix: NewCSRRaw with negative dimension")
-	}
-	if len(rowPtr) != rows+1 || rowPtr[0] != 0 || rowPtr[rows] != len(val) || len(colIdx) != len(val) {
-		panic("matrix: NewCSRRaw with inconsistent structure")
-	}
+// structure would silently break the bitwise-identity contract. It also
+// panics if cols exceeds MaxCSRCols.
+func NewCSRRaw(rows, cols int, rowPtr []int, colIdx []int32, val []float64) *CSR {
+	checkCSRShape("NewCSRRaw", rows, cols, rowPtr, colIdx, val)
 	for i := 0; i < rows; i++ {
 		if rowPtr[i+1] < rowPtr[i] {
 			panic("matrix: NewCSRRaw with decreasing rowPtr")
 		}
 		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			if colIdx[k] < 0 || colIdx[k] >= cols {
+			if colIdx[k] < 0 || int(colIdx[k]) >= cols {
 				panic(fmt.Sprintf("matrix: NewCSRRaw column %d out of range [0,%d)", colIdx[k], cols))
 			}
 			if k > rowPtr[i] && colIdx[k] <= colIdx[k-1] {
@@ -107,6 +127,28 @@ func NewCSRRaw(rows, cols int, rowPtr, colIdx []int, val []float64) *CSR {
 		}
 	}
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
+}
+
+// NewCSRUnchecked wraps pre-built CSR slices like NewCSRRaw but checks only
+// the O(1) shape (dimensions, slice lengths, first and last row pointer),
+// not the O(nnz) ordering and range of every column. The caller must
+// guarantee NewCSRRaw's preconditions; a malformed structure silently
+// breaks the bitwise-identity contract. It exists for callers whose own
+// invariants already guarantee the structure and whose output tests pin
+// against NewCSRRaw, such as trust.Graph's one-pass normalization, where a
+// second O(nnz) pass over the columns would be pure overhead.
+func NewCSRUnchecked(rows, cols int, rowPtr []int, colIdx []int32, val []float64) *CSR {
+	checkCSRShape("NewCSRUnchecked", rows, cols, rowPtr, colIdx, val)
+	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
+}
+
+// checkCSRShape panics, naming the constructor, unless the dimensions are
+// valid and the slice lengths and end pointers fit a rows×cols CSR.
+func checkCSRShape(ctor string, rows, cols int, rowPtr []int, colIdx []int32, val []float64) {
+	checkCSRDims(ctor, rows, cols)
+	if len(rowPtr) != rows+1 || rowPtr[0] != 0 || rowPtr[rows] != len(val) || len(colIdx) != len(val) {
+		panic(fmt.Sprintf("matrix: %s with inconsistent structure", ctor))
+	}
 }
 
 // Rows returns the number of rows.
@@ -124,9 +166,11 @@ func (m *CSR) At(i, j int) float64 {
 		panic(fmt.Sprintf("matrix: index (%d,%d) out of bounds for %dx%d matrix", i, j, m.rows, m.cols))
 	}
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	k := lo + sort.SearchInts(m.colIdx[lo:hi], j)
-	if k < hi && m.colIdx[k] == j {
-		return m.val[k]
+	row := m.colIdx[lo:hi]
+	c := int32(j)
+	k := sort.Search(len(row), func(p int) bool { return row[p] >= c })
+	if k < len(row) && row[k] == c {
+		return m.val[lo+k]
 	}
 	return 0
 }
@@ -137,7 +181,7 @@ func (m *CSR) Clone() *CSR {
 		rows:   m.rows,
 		cols:   m.cols,
 		rowPtr: append([]int(nil), m.rowPtr...),
-		colIdx: append([]int(nil), m.colIdx...),
+		colIdx: append([]int32(nil), m.colIdx...),
 		val:    append([]float64(nil), m.val...),
 	}
 	return out
@@ -159,10 +203,6 @@ func (m *CSR) MulVec(x []float64) []float64 {
 	return y
 }
 
-// TMulVec computes y = Aᵀ·x without materializing the transpose; x must have
-// length Rows. Rows are visited in ascending order and entries within a row
-// in ascending column order, matching Dense.TMulVec's accumulation order
-// exactly, so results are bitwise identical on equal inputs.
 // tmulBandRows is the row-band height of the cache-blocked TMulVec path:
 // 1<<15 source slots = 256 KiB of x per band, sized to stay L2-resident.
 // tmulBandThreshold gates the blocked path to matrices whose output
@@ -285,11 +325,22 @@ func (m *CSR) invalidateT() {
 	m.tmu.Unlock()
 }
 
+// TMulVec computes y = Aᵀ·x without materializing the transpose into a
+// freshly allocated y; x must have length Rows. See TMulVecTo.
 func (m *CSR) TMulVec(x []float64) []float64 {
-	if len(x) != m.rows {
-		panic(fmt.Sprintf("matrix: TMulVec with len(x)=%d, want %d", len(x), m.rows))
-	}
 	y := make([]float64, m.cols)
+	m.TMulVecTo(y, x)
+	return y
+}
+
+// TMulVecTo computes dst = Aᵀ·x, overwriting dst; dst must have length
+// Cols, x length Rows, and the two must not share memory. Rows are visited
+// in ascending order and entries within a row in ascending column order,
+// matching Dense.TMulVecTo's accumulation order exactly, so results are
+// bitwise identical on equal inputs.
+func (m *CSR) TMulVecTo(dst, x []float64) {
+	checkTMulVecTo(m.rows, m.cols, dst, x)
+	clear(dst)
 	if m.cols >= tmulBandThreshold {
 		t := m.tBands()
 		for b := 0; b+1 < len(t.bandPtr); b++ {
@@ -300,21 +351,38 @@ func (m *CSR) TMulVec(x []float64) []float64 {
 				if xi == 0 {
 					continue
 				}
-				y[k>>16] += t.val[p] * xi
+				dst[k>>16] += t.val[p] * xi
 			}
 		}
-		return y
+		return
 	}
 	for i := 0; i < m.rows; i++ {
 		xi := x[i]
 		if xi == 0 {
 			continue
 		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			y[m.colIdx[k]] += m.val[k] * xi
+		// Slicing the row first lets the compiler drop the bounds checks on
+		// colIdx and val; only the scattered dst[j] keeps one.
+		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+		cols, vals := m.colIdx[lo:hi], m.val[lo:hi]
+		for k, j := range cols {
+			dst[j] += vals[k] * xi
 		}
 	}
-	return y
+}
+
+// checkTMulVecTo panics unless dst and x fit a rows×cols TMulVecTo and
+// do not start at the same element (dst is cleared before x is read).
+func checkTMulVecTo(rows, cols int, dst, x []float64) {
+	if len(x) != rows {
+		panic(fmt.Sprintf("matrix: TMulVec with len(x)=%d, want %d", len(x), rows))
+	}
+	if len(dst) != cols {
+		panic(fmt.Sprintf("matrix: TMulVecTo with len(dst)=%d, want %d", len(dst), cols))
+	}
+	if len(dst) > 0 && len(x) > 0 && &dst[0] == &x[0] {
+		panic("matrix: TMulVecTo with dst aliasing x")
+	}
 }
 
 // RowSums returns the vector of per-row sums.
@@ -377,12 +445,12 @@ func (m *CSR) NormalizeRows(uniform bool) []int {
 	}
 	nnz := kept + len(zeroRows)*m.cols
 	rowPtr := make([]int, m.rows+1)
-	colIdx := make([]int, 0, nnz)
+	colIdx := make([]int32, 0, nnz)
 	val := make([]float64, 0, nnz)
 	for i := 0; i < m.rows; i++ {
 		if zeroSet[i] {
 			for j := 0; j < m.cols; j++ {
-				colIdx = append(colIdx, j)
+				colIdx = append(colIdx, int32(j))
 				val = append(val, u)
 			}
 		} else {
@@ -399,6 +467,7 @@ func (m *CSR) NormalizeRows(uniform bool) []int {
 // indices, in the given order. It panics if idx contains an out-of-range or
 // duplicate index. The receiver must be square (trust matrices always are).
 func (m *CSR) Submatrix(idx []int) Matrix {
+	checkCSRDims("Submatrix", m.rows, m.cols)
 	if m.rows != m.cols {
 		panic("matrix: Submatrix requires a square matrix")
 	}
@@ -417,7 +486,7 @@ func (m *CSR) Submatrix(idx []int) Matrix {
 	}
 	out := NewCSR(len(idx), len(idx))
 	type entry struct {
-		col int
+		col int32
 		v   float64
 	}
 	var scratch []entry
@@ -425,7 +494,7 @@ func (m *CSR) Submatrix(idx []int) Matrix {
 		scratch = scratch[:0]
 		for k := m.rowPtr[ri]; k < m.rowPtr[ri+1]; k++ {
 			if nj := pos[m.colIdx[k]]; nj >= 0 {
-				scratch = append(scratch, entry{col: nj, v: m.val[k]})
+				scratch = append(scratch, entry{col: int32(nj), v: m.val[k]})
 			}
 		}
 		// idx may reorder columns, so re-sort to restore the ascending
@@ -445,7 +514,7 @@ func (m *CSR) Dense() *Dense {
 	out := NewDense(m.rows, m.cols)
 	for i := 0; i < m.rows; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			out.Set(i, m.colIdx[k], m.val[k])
+			out.Set(i, int(m.colIdx[k]), m.val[k])
 		}
 	}
 	return out
@@ -457,12 +526,13 @@ func (m *CSR) Dense() *Dense {
 // bit-identical — trust weights are never negative, so this cannot occur in
 // the pipeline.
 func CSRFromDense(d *Dense) *CSR {
-	out := NewCSR(d.Rows(), d.Cols())
+	checkCSRDims("CSRFromDense", d.rows, d.cols)
+	out := &CSR{rows: d.rows, cols: d.cols, rowPtr: make([]int, d.rows+1)}
 	for i := 0; i < d.rows; i++ {
 		row := d.data[i*d.cols : (i+1)*d.cols]
 		for j, v := range row {
 			if v != 0 {
-				out.colIdx = append(out.colIdx, j)
+				out.colIdx = append(out.colIdx, int32(j))
 				out.val = append(out.val, v)
 			}
 		}
@@ -487,11 +557,9 @@ type Builder struct {
 }
 
 // NewBuilder returns a Builder for a rows×cols matrix. It panics if either
-// dimension is negative.
+// dimension is negative or cols exceeds MaxCSRCols.
 func NewBuilder(rows, cols int) *Builder {
-	if rows < 0 || cols < 0 {
-		panic("matrix: NewBuilder with negative dimension")
-	}
+	checkCSRDims("NewBuilder", rows, cols)
 	return &Builder{rows: rows, cols: cols}
 }
 
@@ -533,7 +601,7 @@ func (b *Builder) Build() *CSR {
 			out.val[len(out.val)-1] += v
 			continue
 		}
-		out.colIdx = append(out.colIdx, c)
+		out.colIdx = append(out.colIdx, int32(c))
 		out.val = append(out.val, v)
 		prevRow, prevCol = r, c
 		out.rowPtr[r+1]++
@@ -556,7 +624,7 @@ func RowNonZeros(m Matrix, i int, fn func(j int, v float64)) {
 		}
 		for k := t.rowPtr[i]; k < t.rowPtr[i+1]; k++ {
 			if t.val[k] != 0 {
-				fn(t.colIdx[k], t.val[k])
+				fn(int(t.colIdx[k]), t.val[k])
 			}
 		}
 	case *Dense:

@@ -2,6 +2,8 @@ package matrix
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"gridvo/internal/xrand"
@@ -79,6 +81,17 @@ func TestCSRMulVecBitwise(t *testing.T) {
 		}
 		if !bitsEqual(d.TMulVec(xt), c.TMulVec(xt)) {
 			t.Fatalf("trial %d: TMulVec differs", trial)
+		}
+		// TMulVecTo overwrites whatever dst held.
+		for _, m := range []Matrix{d, c} {
+			dst := make([]float64, cols)
+			for j := range dst {
+				dst[j] = math.NaN()
+			}
+			m.TMulVecTo(dst, xt)
+			if !bitsEqual(dst, d.TMulVec(xt)) {
+				t.Fatalf("trial %d: %T.TMulVecTo differs from TMulVec", trial, m)
+			}
 		}
 		if !bitsEqual(d.RowSums(), c.RowSums()) {
 			t.Fatalf("trial %d: RowSums differs", trial)
@@ -262,6 +275,57 @@ func TestRowNonZeros(t *testing.T) {
 			t.Fatalf("%T RowNonZeros on empty row visited %d entries", m, count)
 		}
 	}
+}
+
+func TestTMulVecToPanics(t *testing.T) {
+	d := FromRows([][]float64{{1, 2}, {3, 4}})
+	c := CSRFromDense(d)
+	for _, m := range []Matrix{d, c} {
+		x := []float64{1, 1}
+		for name, dst := range map[string][]float64{"short dst": make([]float64, 1), "aliased dst": x} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%T.TMulVecTo with %s did not panic", m, name)
+					}
+				}()
+				m.TMulVecTo(dst, x)
+			}()
+		}
+	}
+}
+
+// TestCSRColumnBoundPanics pins the int32 column-index bound: every CSR
+// constructor rejects more than MaxCSRCols columns, naming itself, before
+// allocating anything column-sized.
+func TestCSRColumnBoundPanics(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int cannot exceed the int32 bound")
+	}
+	over := int(int64(MaxCSRCols) + 1)
+	for name, build := range map[string]func(){
+		"NewCSR":          func() { NewCSR(1, over) },
+		"NewCSRRaw":       func() { NewCSRRaw(0, over, []int{0}, nil, nil) },
+		"NewCSRUnchecked": func() { NewCSRUnchecked(0, over, []int{0}, nil, nil) },
+		"NewBuilder":      func() { NewBuilder(1, over) },
+		"CSRFromDense":    func() { CSRFromDense(NewDense(0, over)) },
+		"Submatrix":       func() { (&CSR{rows: over, cols: over}).Submatrix([]int{0}) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, name) || !strings.Contains(msg, "int32 column-index bound") {
+					t.Fatalf("%s with %d columns: panic %q, want one naming %s and the int32 bound", name, over, msg, name)
+				}
+			}()
+			build()
+		}()
+	}
+	// The bound itself is accepted.
+	if c := NewCSR(1, MaxCSRCols); c.Cols() != MaxCSRCols {
+		t.Fatalf("NewCSR(1, MaxCSRCols) has %d columns", c.Cols())
+	}
+	NewBuilder(1, MaxCSRCols)
 }
 
 func TestCSRAtPanics(t *testing.T) {

@@ -3,6 +3,7 @@ package reputation
 import (
 	"encoding/binary"
 	"math"
+	"reflect"
 	"testing"
 
 	"gridvo/internal/matrix"
@@ -14,7 +15,9 @@ import (
 // contract under fuzzing: trust.FromMatrix either rejects the matrix with
 // an explicit error or accepts it, and an accepted matrix normalizes to a
 // row-stochastic matrix (eq. 1) and yields a finite, L1-normalized global
-// reputation vector (eq. 6). No input may panic or produce NaN.
+// reputation vector (eq. 6). No input may panic or produce NaN, and
+// trust's one-pass CSR normalization must match the two-pass reference
+// bit for bit.
 func FuzzTrustNormalize(f *testing.F) {
 	f.Add(uint8(3), []byte{})
 	f.Add(uint8(1), []byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -101,6 +104,21 @@ func FuzzTrustNormalize(f *testing.F) {
 				}
 			}
 		}
+		// The one-pass CSR build matches the two-pass reference bit for
+		// bit in both dangling modes, also after growth adds empty rows.
+		grown := gc.Clone()
+		grown.Grow(n + int(nRaw/8)%3)
+		for _, g := range []*trust.Graph{gc, grown} {
+			for _, uniform := range []bool{true, false} {
+				got, gotZ := g.Normalized(trust.NormalizeOptions{DanglingUniform: uniform})
+				want, wantZ := twoPassNormalized(g, uniform)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotZ, wantZ) {
+					t.Fatalf("n=%d uniform=%v: one-pass %v (dangling %v) differs from two-pass %v (dangling %v)",
+						g.N(), uniform, got, gotZ, want, wantZ)
+				}
+			}
+		}
+
 		sd, dd, errD := Global(gd, Options{MaxIter: 500, DanglingUniform: true})
 		sc, dc, errC := Global(gc, Options{MaxIter: 500, DanglingUniform: true})
 		if (errD == nil) != (errC == nil) {
@@ -118,4 +136,23 @@ func FuzzTrustNormalize(f *testing.F) {
 			}
 		}
 	})
+}
+
+// twoPassNormalized is the reference for trust's one-pass CSR
+// normalization: a raw CSR of the weights, validated by NewCSRRaw, then
+// NormalizeRows. The values are non-negative and never NaN, so comparing
+// the results with reflect.DeepEqual compares them bit for bit.
+func twoPassNormalized(g *trust.Graph, uniform bool) (*matrix.CSR, []int) {
+	rowPtr := make([]int, g.N()+1)
+	colIdx := make([]int32, 0, g.NumEdges())
+	val := make([]float64, 0, g.NumEdges())
+	for i := 0; i < g.N(); i++ {
+		g.VisitNeighbors(i, func(j int, w float64) {
+			colIdx = append(colIdx, int32(j))
+			val = append(val, w)
+		})
+		rowPtr[i+1] = len(val)
+	}
+	a := matrix.NewCSRRaw(g.N(), g.N(), rowPtr, colIdx, val)
+	return a, a.NormalizeRows(uniform)
 }

@@ -163,11 +163,14 @@ func PowerIterate(a matrix.Matrix, opts Options) ([]float64, Diagnostics) {
 		}
 	}
 
+	// Two iterate buffers ping-pong: each step writes Aᵀx into next, and
+	// the swap makes it the new x. The buffer not returned is dropped.
 	x, warm := startVector(n, opts.InitialVector)
+	next := make([]float64, n)
 	var diag Diagnostics
 	diag.Warm = warm
 	for q := 0; q < maxIter; q++ {
-		next := a.TMulVec(x)
+		a.TMulVecTo(next, x)
 		if opts.Damping > 0 {
 			d := opts.Damping
 			u := d / float64(n)
@@ -183,7 +186,7 @@ func PowerIterate(a matrix.Matrix, opts Options) ([]float64, Diagnostics) {
 		default:
 			delta = matrix.VecDiffNormL2(next, x)
 		}
-		x = next
+		x, next = next, x
 		diag.Iterations = q + 1
 		diag.Delta = delta
 		if delta < eps {

@@ -53,7 +53,8 @@ func ParseFormat(s string) (Format, error) {
 
 // DenseThreshold is the edge density (NumEdges / n²) at or above which
 // FormatAuto materializes a dense matrix. Below it, CSR wins on both memory
-// (3 words per edge vs n² floats) and per-iteration work (O(nnz) vs O(n²)).
+// (12 bytes per edge, plus one word per row, vs n² floats) and
+// per-iteration work (O(nnz) vs O(n²)).
 // The crossover in microbenchmarks sits near 1/4: a CSR row costs one
 // indirect load per entry vs the dense row's sequential scan.
 const DenseThreshold = 0.25
@@ -75,10 +76,6 @@ type Graph struct {
 	nnz    int      // total stored edges
 	labels []string // optional display names, len n when present
 	format Format   // matrix representation policy
-
-	// weights caches the matrix view handed out by Weights. It is
-	// invalidated by every mutation; see Weights for the aliasing contract.
-	weights matrix.Matrix
 }
 
 // NewGraph returns an edgeless trust graph over n GSPs. It panics if n < 0.
@@ -118,10 +115,7 @@ func FromMatrix(w *matrix.Dense) (*Graph, error) {
 func (g *Graph) N() int { return g.n }
 
 // SetFormat overrides the automatic matrix-format selection; see Format.
-func (g *Graph) SetFormat(f Format) {
-	g.format = f
-	g.weights = nil
-}
+func (g *Graph) SetFormat(f Format) { g.format = f }
 
 // MatrixFormat returns the configured representation policy.
 func (g *Graph) MatrixFormat() Format { return g.format }
@@ -152,7 +146,6 @@ func (g *Graph) SetTrust(i, j int, u float64) {
 	}
 	g.checkNode(i)
 	g.checkNode(j)
-	g.weights = nil
 	row := g.adj[i]
 	// Fast path: generators emit edges in ascending target order, so the
 	// common insertion lands past the current row tail.
@@ -279,7 +272,6 @@ func (g *Graph) Grow(n int) {
 	if n == g.n {
 		return
 	}
-	g.weights = nil
 	adj := make([][]edge, n)
 	copy(adj, g.adj)
 	g.adj = adj
@@ -299,7 +291,6 @@ func (g *Graph) ClearOutgoing(i int) {
 	if i < 0 || i >= g.n {
 		panic(fmt.Sprintf("trust: ClearOutgoing(%d) out of range [0,%d)", i, g.n))
 	}
-	g.weights = nil
 	g.nnz -= len(g.adj[i])
 	g.adj[i] = nil
 }
@@ -318,58 +309,6 @@ func (g *Graph) pickFormat() Format {
 	return FormatCSR
 }
 
-// buildMatrix materializes a fresh weight matrix in the resolved format.
-func (g *Graph) buildMatrix() matrix.Matrix {
-	if g.pickFormat() == FormatDense {
-		//gridvolint:ignore densehot dense is the resolved format for this graph's density
-		w := matrix.NewDense(g.n, g.n)
-		for i, row := range g.adj {
-			for _, e := range row {
-				w.Set(i, e.to, e.w)
-			}
-		}
-		return w
-	}
-	colIdx := make([]int, 0, g.nnz)
-	val := make([]float64, 0, g.nnz)
-	rowPtr := make([]int, g.n+1)
-	for i, row := range g.adj {
-		for _, e := range row {
-			colIdx = append(colIdx, e.to)
-			val = append(val, e.w)
-		}
-		rowPtr[i+1] = len(val)
-	}
-	return matrix.NewCSRRaw(g.n, g.n, rowPtr, colIdx, val)
-}
-
-// Weights returns the raw trust weight matrix (u values, not normalized) in
-// the graph's resolved format. The returned matrix is a cached READ-ONLY
-// view: it is shared between callers and invalidated (not updated) by the
-// next mutation, so callers must not modify it. Use WeightMatrix for a
-// private dense copy or Normalized for the stochastic matrix.
-func (g *Graph) Weights() matrix.Matrix {
-	if g.weights == nil {
-		g.weights = g.buildMatrix()
-	}
-	return g.weights
-}
-
-// WeightMatrix returns a private dense copy of the raw trust weight matrix
-// (u values, not normalized). Prefer Weights, which is copy-free and
-// format-aware; this remains for callers that genuinely need a mutable
-// dense matrix.
-func (g *Graph) WeightMatrix() *matrix.Dense {
-	//gridvolint:ignore densehot explicit dense-copy API for mutable-matrix callers
-	w := matrix.NewDense(g.n, g.n)
-	for i, row := range g.adj {
-		for _, e := range row {
-			w.Set(i, e.to, e.w)
-		}
-	}
-	return w
-}
-
 // NormalizeOptions control how eq. (1) handles GSPs with no outgoing trust
 // (Σ_k u_ik = 0), for which the normalized row is undefined.
 type NormalizeOptions struct {
@@ -385,11 +324,75 @@ type NormalizeOptions struct {
 // each row is divided by its sum. The second return lists the GSPs that had
 // no outgoing trust at all and were patched per opts. The representation
 // (Dense or CSR) follows the graph's Format policy; both produce bitwise-
-// identical values (see the matrix.Matrix contract).
+// identical values (see the matrix.Matrix contract). Every call returns a
+// freshly built matrix that the caller owns and that shares no memory with
+// the graph.
 func (g *Graph) Normalized(opts NormalizeOptions) (matrix.Matrix, []int) {
-	a := g.buildMatrix()
-	dangling := a.NormalizeRows(opts.DanglingUniform)
-	return a, dangling
+	if g.pickFormat() == FormatCSR {
+		return g.normalizedCSR(opts.DanglingUniform)
+	}
+	//gridvolint:ignore densehot dense is the resolved format for this graph's density
+	a := matrix.NewDense(g.n, g.n)
+	for i, row := range g.adj {
+		for _, e := range row {
+			a.Set(i, e.to, e.w)
+		}
+	}
+	return a, a.NormalizeRows(opts.DanglingUniform)
+}
+
+// normalizedCSR builds the row-normalized CSR in one pass over the
+// adjacency, with the arithmetic of matrix.CSR.NormalizeRows: each edge is
+// read once, copied out while the row sum accumulates in ascending column
+// order, and the row's values are then divided by that sum in place
+// (never multiplied by a reciprocal, which overflows for subnormal sums).
+// A row with no outgoing trust is dangling: with uniform it becomes an
+// explicit row of 1/n entries, otherwise it stays empty. The adjacency
+// already holds strictly ascending in-range targets, so the result skips
+// NewCSRRaw's O(nnz) validation pass.
+func (g *Graph) normalizedCSR(uniform bool) (*matrix.CSR, []int) {
+	n := g.n
+	nnz := g.nnz
+	if uniform {
+		for _, row := range g.adj {
+			if len(row) == 0 {
+				nnz += n
+			}
+		}
+	}
+	rowPtr := make([]int, n+1)
+	colIdx := make([]int32, nnz)
+	val := make([]float64, nnz)
+	var dangling []int
+	p := 0
+	for i, row := range g.adj {
+		switch {
+		case len(row) > 0: // stored weights are positive, so s > 0
+			cols, vals := colIdx[p:p+len(row)], val[p:p+len(row)]
+			s := 0.0
+			for k, e := range row {
+				s += e.w
+				cols[k] = int32(e.to)
+				vals[k] = e.w
+			}
+			for k := range vals {
+				vals[k] /= s
+			}
+			p += len(row)
+		case uniform:
+			dangling = append(dangling, i)
+			u := 1 / float64(n)
+			for j := 0; j < n; j++ {
+				colIdx[p] = int32(j)
+				val[p] = u
+				p++
+			}
+		default:
+			dangling = append(dangling, i)
+		}
+		rowPtr[i+1] = p
+	}
+	return matrix.NewCSRUnchecked(n, n, rowPtr, colIdx, val), dangling
 }
 
 // Subgraph returns the trust graph induced by keep: node k of the result is

@@ -1,7 +1,9 @@
 package trust
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"gridvo/internal/matrix"
@@ -92,46 +94,65 @@ func TestSetTrustZeroDeletes(t *testing.T) {
 	}
 }
 
-func TestWeightsCopyFree(t *testing.T) {
-	g := ErdosRenyi(xrand.New(3), 12, 0.3)
-	w1 := g.Weights()
-	w2 := g.Weights()
-	if w1 != w2 {
-		t.Fatal("Weights did not reuse the cached view")
-	}
-	for i := 0; i < 12; i++ {
-		for j := 0; j < 12; j++ {
-			if w1.At(i, j) != g.Trust(i, j) {
-				t.Fatalf("Weights mismatch at (%d,%d)", i, j)
+// TestNormalizedFresh pins the contract Store.Resolve relies on: every
+// Normalized call builds a new matrix from the current edges, and a matrix
+// already handed out is a snapshot that later mutations do not reach.
+func TestNormalizedFresh(t *testing.T) {
+	for _, f := range []Format{FormatCSR, FormatDense} {
+		g := ErdosRenyi(xrand.New(3), 12, 0.3)
+		g.SetFormat(f)
+		opts := NormalizeOptions{DanglingUniform: true}
+		a1, _ := g.Normalized(opts)
+		a2, _ := g.Normalized(opts)
+		if a1 == a2 {
+			t.Fatalf("%v: Normalized returned the same matrix twice", f)
+		}
+		for i := 0; i < 12; i++ {
+			s := 0.0
+			g.VisitNeighbors(i, func(_ int, w float64) { s += w })
+			for j := 0; j < 12; j++ {
+				want := 1.0 / 12
+				if s != 0 {
+					want = g.Trust(i, j) / s
+				}
+				if math.Float64bits(a1.At(i, j)) != math.Float64bits(want) {
+					t.Fatalf("%v: a(%d,%d) = %v, want %v", f, i, j, a1.At(i, j), want)
+				}
 			}
 		}
+		old := a1.At(0, 1)
+		g.ClearOutgoing(0)
+		g.SetTrust(0, 1, 0.123)
+		if a1.At(0, 1) != old {
+			t.Fatalf("%v: a graph mutation reached a matrix already returned", f)
+		}
+		if a3, _ := g.Normalized(opts); a3.At(0, 1) != 1 {
+			t.Fatalf("%v: refreshed matrix has a(0,1) = %v, want 1", f, a3.At(0, 1))
+		}
 	}
-	// Mutation invalidates the cache.
-	g.SetTrust(0, 1, 0.123)
-	w3 := g.Weights()
-	if w3 == w1 {
-		t.Fatal("mutation did not invalidate the Weights cache")
-	}
-	if w3.At(0, 1) != 0.123 {
-		t.Fatal("refreshed Weights misses the new edge")
-	}
+}
+
+// normalizedMatrix returns g's normalized matrix, for format assertions.
+func normalizedMatrix(g *Graph) matrix.Matrix {
+	a, _ := g.Normalized(NormalizeOptions{DanglingUniform: true})
+	return a
 }
 
 func TestFormatSelection(t *testing.T) {
 	sparse := ErdosRenyi(xrand.New(1), 16, 0.1)
-	if _, ok := sparse.Weights().(*matrix.CSR); !ok {
-		t.Fatalf("density %.3f should auto-pick CSR, got %T", sparse.Density(), sparse.Weights())
+	if a := normalizedMatrix(sparse); !isCSR(a) {
+		t.Fatalf("density %.3f should auto-pick CSR, got %T", sparse.Density(), a)
 	}
 	dense := ErdosRenyi(xrand.New(1), 16, 0.9)
-	if _, ok := dense.Weights().(*matrix.Dense); !ok {
-		t.Fatalf("density %.3f should auto-pick Dense, got %T", dense.Density(), dense.Weights())
+	if a := normalizedMatrix(dense); isCSR(a) {
+		t.Fatalf("density %.3f should auto-pick Dense, got %T", dense.Density(), a)
 	}
 	sparse.SetFormat(FormatDense)
-	if _, ok := sparse.Weights().(*matrix.Dense); !ok {
+	if isCSR(normalizedMatrix(sparse)) {
 		t.Fatal("FormatDense override ignored")
 	}
 	dense.SetFormat(FormatCSR)
-	if _, ok := dense.Weights().(*matrix.CSR); !ok {
+	if !isCSR(normalizedMatrix(dense)) {
 		t.Fatal("FormatCSR override ignored")
 	}
 	// Clone and Subgraph inherit the policy.
@@ -141,6 +162,91 @@ func TestFormatSelection(t *testing.T) {
 	if f := sparse.Subgraph([]int{0, 1}).MatrixFormat(); f != FormatDense {
 		t.Fatalf("Subgraph format = %v", f)
 	}
+}
+
+// isCSR reports whether a is a CSR; the only other format is Dense.
+func isCSR(a matrix.Matrix) bool {
+	switch a.(type) {
+	case *matrix.CSR:
+		return true
+	case *matrix.Dense:
+		return false
+	}
+	panic(fmt.Sprintf("unexpected matrix type %T", a))
+}
+
+// twoPassNormalized is the reference for the one-pass CSR build: a raw
+// CSR of the weights, validated by NewCSRRaw, then NormalizeRows.
+func twoPassNormalized(g *Graph, uniform bool) (*matrix.CSR, []int) {
+	rowPtr := make([]int, g.N()+1)
+	colIdx := make([]int32, 0, g.NumEdges())
+	val := make([]float64, 0, g.NumEdges())
+	for i := 0; i < g.N(); i++ {
+		g.VisitNeighbors(i, func(j int, w float64) {
+			colIdx = append(colIdx, int32(j))
+			val = append(val, w)
+		})
+		rowPtr[i+1] = len(val)
+	}
+	a := matrix.NewCSRRaw(g.N(), g.N(), rowPtr, colIdx, val)
+	return a, a.NormalizeRows(uniform)
+}
+
+// TestNormalizedMatchesTwoPassReference pins the one-pass CSR
+// normalization to the two-pass reference bit for bit: same row pointers,
+// columns and values, same dangling list, in both dangling modes.
+func TestNormalizedMatchesTwoPassReference(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	grown := NewGraph(3)
+	grown.SetTrust(0, 1, 0.5)
+	grown.SetTrust(1, 2, 0.25)
+	grown.Grow(6)
+	grown.SetTrust(5, 0, 0.75)
+	grown.SetTrust(0, 4, 0.125)
+	sparse := SparseErdosRenyi(xrand.New(4), 300, 3)
+	for _, i := range []int{0, 17, 299} {
+		sparse.ClearOutgoing(i)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"n=0", NewGraph(0)},
+		{"n=1 edgeless", NewGraph(1)},
+		{"n=1 self-loop", graphOf(1, Edge{0, 0, 0.3})},
+		{"dangling rows", graphOf(5, Edge{0, 1, 0.2}, Edge{0, 4, 0.6}, Edge{2, 0, 1}, Edge{4, 2, 0.9})},
+		// Subnormal sums: 1/s overflows to +Inf, so only w/s is exact; the
+		// last row's smallest entry underflows to an explicit zero.
+		{"subnormal sums", graphOf(3, Edge{0, 1, tiny}, Edge{0, 2, tiny}, Edge{1, 0, 3 * tiny},
+			Edge{2, 0, tiny}, Edge{2, 1, 1}, Edge{2, 2, 1})},
+		{"self-loops", graphOf(4, Edge{0, 0, 0.5}, Edge{0, 3, 0.25}, Edge{1, 1, 1}, Edge{2, 1, 0.1},
+			Edge{2, 2, 0.7}, Edge{3, 3, 0.4})},
+		{"after Grow", grown},
+		{"sparse with cleared rows", sparse},
+	} {
+		for _, uniform := range []bool{true, false} {
+			tc.g.SetFormat(FormatCSR)
+			got, gotZ := tc.g.Normalized(NormalizeOptions{DanglingUniform: uniform})
+			want, wantZ := twoPassNormalized(tc.g, uniform)
+			// The values are non-negative and never NaN, so DeepEqual's ==
+			// on the unexported float slices is a bitwise comparison.
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, uniform=%v: one-pass %v differs from the two-pass reference %v", tc.name, uniform, got, want)
+			}
+			if !reflect.DeepEqual(gotZ, wantZ) {
+				t.Fatalf("%s, uniform=%v: dangling %v, want %v", tc.name, uniform, gotZ, wantZ)
+			}
+		}
+	}
+}
+
+// graphOf builds an n-node graph from the given edges.
+func graphOf(n int, edges ...Edge) *Graph {
+	g := NewGraph(n)
+	for _, e := range edges {
+		g.SetTrust(e.From, e.To, e.Weight)
+	}
+	return g
 }
 
 func TestParseFormat(t *testing.T) {
