@@ -174,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fig9Cur   = fs.Int64("fig9-ns", 0, "measured BenchmarkFig9 ns/op on the current tree (recorded verbatim)")
 		fig9Note  = fs.String("fig9-note", "", "provenance note for the fig9 figures")
 		advMode   = fs.Bool("adversary", false, "run the adversarial-degradation trajectory (strength ladders per attack class, BENCH_PR9-style) instead of the mechanism comparison")
-		sparse    = fs.Bool("sparse", false, "run the sparse trust-substrate sweep (dense vs CSR reputation solves across node counts) instead of the mechanism comparison")
+		sparse    = fs.Bool("sparse", false, "run the sparse trust-substrate sweep (reputation solves across node counts) instead of the mechanism comparison")
 		sparsePts = fs.String("sparse-points", "", `sparse sweep points as "n:degree,..." (default: 256:8 ... 1000000:20)`)
 		lg        = fs.Bool("loadgen", false, "run the serving-tier sync-vs-jobs load comparison (BENCH_PR7-style) instead of the mechanism comparison")
 		lgRPS     = fs.Float64("rps", 60, "loadgen offered request rate per side")

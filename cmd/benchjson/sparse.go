@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -16,17 +15,10 @@ import (
 	"gridvo/internal/xrand"
 )
 
-// The -sparse mode benchmarks the PR 6 trust substrate in isolation:
-// global reputation (eq. 6 power iteration) on sparse Erdős–Rényi graphs
-// across node counts and formats. For each point it records wall time,
-// allocation volume, and solver diagnostics; where both formats run it
-// also asserts the scores agree bit for bit — the substrate's core
-// contract. Dense stops at denseMaxN because an n² matrix of one million
-// GSPs would need 8 TB; CSR continues to the million-node point.
-
-// denseMaxN bounds the dense side of the sweep (4096² floats ≈ 134 MB per
-// materialization — comfortably measurable; the next sweep point is not).
-const denseMaxN = 4096
+// The -sparse mode benchmarks the trust substrate in isolation: global
+// reputation (eq. 6 power iteration) on sparse Erdős–Rényi graphs across
+// node counts, from the paper's scale to a million GSPs. For each point it
+// records wall time, allocation volume, and solver diagnostics.
 
 // sparsePoint describes one (n, meanDegree) cell of the sweep.
 type sparsePoint struct {
@@ -46,27 +38,22 @@ var defaultSparsePoints = []sparsePoint{
 	{1000000, 20},
 }
 
-// sparseRunJSON is one measured solve: a (point, format) pair.
+// sparseRunJSON is one measured solve.
 type sparseRunJSON struct {
 	N          int     `json:"n"`
 	MeanDegree float64 `json:"mean_degree"`
 	Edges      int     `json:"edges"`
 	Density    float64 `json:"density"`
-	Format     string  `json:"format"`
 	// BuildSeconds is graph generation + matrix materialization;
 	// SolveSeconds is reputation.Global alone (the steady-state cost an
 	// incremental re-solve pays per batch).
 	BuildSeconds float64 `json:"build_seconds"`
 	SolveSeconds float64 `json:"solve_seconds"`
 	// AllocBytes is the heap allocation delta (runtime.MemStats
-	// TotalAlloc) across the solve — the O(nnz) vs O(n²) working-set
-	// evidence.
+	// TotalAlloc) across the solve — the O(nnz) working-set evidence.
 	AllocBytes uint64 `json:"alloc_bytes"`
 	Iterations int    `json:"iterations"`
 	Converged  bool   `json:"converged"`
-	// BitwiseIdenticalToDense is set on CSR runs that have a dense twin:
-	// true when every score matches the dense solve bit for bit.
-	BitwiseIdenticalToDense *bool `json:"bitwise_identical_to_dense,omitempty"`
 }
 
 // sparseReportJSON is the top-level -sparse output.
@@ -80,8 +67,6 @@ type sparseReportJSON struct {
 	MaxN        int     `json:"max_n"`
 	MaxEdges    int     `json:"max_edges"`
 	MaxNSeconds float64 `json:"max_n_seconds"`
-	// AllBitwiseIdentical aggregates the per-run cross-format checks.
-	AllBitwiseIdentical bool `json:"all_bitwise_identical"`
 }
 
 // parseSparsePoints parses "n:deg,n:deg,..." into a point list.
@@ -113,73 +98,46 @@ func parseSparsePoints(s string) ([]sparsePoint, error) {
 }
 
 // measureSolve runs one reputation solve under memory accounting.
-func measureSolve(g *trust.Graph) (scores []float64, diag reputation.Diagnostics, seconds float64, allocBytes uint64, err error) {
+func measureSolve(g *trust.Graph) (diag reputation.Diagnostics, seconds float64, allocBytes uint64, err error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	scores, diag, err = reputation.Global(g, reputation.DefaultOptions())
+	_, diag, err = reputation.Global(g, reputation.DefaultOptions())
 	seconds = time.Since(start).Seconds()
 	runtime.ReadMemStats(&after)
 	allocBytes = after.TotalAlloc - before.TotalAlloc
-	return scores, diag, seconds, allocBytes, err
+	return diag, seconds, allocBytes, err
 }
 
 // runSparse executes the sparse substrate sweep and writes the report.
 func runSparse(out string, seed uint64, points []sparsePoint, stdout io.Writer) error {
-	report := sparseReportJSON{Tool: "benchjson", Mode: "sparse", Seed: seed, AllBitwiseIdentical: true}
+	report := sparseReportJSON{Tool: "benchjson", Mode: "sparse", Seed: seed}
 	for _, pt := range points {
 		buildStart := time.Now()
 		g := trust.SparseErdosRenyi(xrand.New(seed).Split(fmt.Sprintf("sparse-%d", pt.N)), pt.N, pt.MeanDegree)
 		buildSec := time.Since(buildStart).Seconds()
-
-		var denseScores []float64
-		formats := []trust.Format{trust.FormatCSR}
-		if pt.N <= denseMaxN {
-			formats = []trust.Format{trust.FormatDense, trust.FormatCSR}
+		diag, solveSec, alloc, err := measureSolve(g)
+		if err != nil {
+			return fmt.Errorf("n=%d: %w", pt.N, err)
 		}
-		for _, f := range formats {
-			gf := g.Clone()
-			gf.SetFormat(f)
-			scores, diag, solveSec, alloc, err := measureSolve(gf)
-			if err != nil {
-				return fmt.Errorf("n=%d format=%v: %w", pt.N, f, err)
-			}
-			run := sparseRunJSON{
-				N:            pt.N,
-				MeanDegree:   pt.MeanDegree,
-				Edges:        g.NumEdges(),
-				Density:      g.Density(),
-				Format:       f.String(),
-				BuildSeconds: buildSec,
-				SolveSeconds: solveSec,
-				AllocBytes:   alloc,
-				Iterations:   diag.Iterations,
-				Converged:    diag.Converged,
-			}
-			switch f {
-			case trust.FormatDense:
-				denseScores = scores
-			case trust.FormatCSR:
-				if denseScores != nil {
-					same := len(scores) == len(denseScores)
-					for i := 0; same && i < len(scores); i++ {
-						same = math.Float64bits(scores[i]) == math.Float64bits(denseScores[i])
-					}
-					run.BitwiseIdenticalToDense = &same
-					if !same {
-						report.AllBitwiseIdentical = false
-					}
-				}
-			}
-			report.Runs = append(report.Runs, run)
-			fmt.Fprintf(stdout, "n=%-8d deg=%-4.0f %-6s edges=%-9d build=%.3fs solve=%.3fs alloc=%dMB iters=%d\n",
-				pt.N, pt.MeanDegree, f.String(), g.NumEdges(), buildSec, solveSec, alloc>>20, diag.Iterations)
-			if pt.N >= report.MaxN {
-				report.MaxN = pt.N
-				report.MaxEdges = g.NumEdges()
-				report.MaxNSeconds = solveSec
-			}
+		report.Runs = append(report.Runs, sparseRunJSON{
+			N:            pt.N,
+			MeanDegree:   pt.MeanDegree,
+			Edges:        g.NumEdges(),
+			Density:      g.Density(),
+			BuildSeconds: buildSec,
+			SolveSeconds: solveSec,
+			AllocBytes:   alloc,
+			Iterations:   diag.Iterations,
+			Converged:    diag.Converged,
+		})
+		fmt.Fprintf(stdout, "n=%-8d deg=%-4.0f edges=%-9d build=%.3fs solve=%.3fs alloc=%dMB iters=%d\n",
+			pt.N, pt.MeanDegree, g.NumEdges(), buildSec, solveSec, alloc>>20, diag.Iterations)
+		if pt.N >= report.MaxN {
+			report.MaxN = pt.N
+			report.MaxEdges = g.NumEdges()
+			report.MaxNSeconds = solveSec
 		}
 	}
 	data, err := json.MarshalIndent(&report, "", "  ")
@@ -190,14 +148,7 @@ func runSparse(out string, seed uint64, points []sparsePoint, stdout io.Writer) 
 	if err := os.WriteFile(out, data, 0o644); err != nil {
 		return err
 	}
-	verdict := "all cross-format solves bitwise identical"
-	if !report.AllBitwiseIdentical {
-		verdict = "CROSS-FORMAT DIVERGENCE"
-	}
-	fmt.Fprintf(stdout, "wrote %s: max n=%d (%d edges) solved in %.2fs, %s\n",
-		out, report.MaxN, report.MaxEdges, report.MaxNSeconds, verdict)
-	if !report.AllBitwiseIdentical {
-		return fmt.Errorf("CSR and dense reputation vectors diverged; see %s", out)
-	}
+	fmt.Fprintf(stdout, "wrote %s: max n=%d (%d edges) solved in %.2fs\n",
+		out, report.MaxN, report.MaxEdges, report.MaxNSeconds)
 	return nil
 }

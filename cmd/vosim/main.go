@@ -35,7 +35,6 @@ import (
 	"gridvo/internal/sim"
 	"gridvo/internal/swf"
 	"gridvo/internal/tablewriter"
-	"gridvo/internal/trust"
 )
 
 // exitDeadline is the exit code for "time budget expired with no feasible
@@ -87,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		chaos   = fs.String("chaos", "", `fault-injection chaos sweep: "seed,rate" (e.g. 7,0.3); runs the sweep twice, checks every mechanism invariant, and verifies bit-reproducibility`)
 		advSpec = fs.String("adversary", "", `robustness sweep: "class,param" with class collusion|sybil|whitewash|slander|churn and param the attacker count (slander/churn: the rate, e.g. slander,0.3). Compares adversarial VO formation against the honest baseline twice and verifies bit-reproducibility; combine with -chaos for fault injection on adversarial graphs`)
 		degree  = fs.Float64("trust-degree", 0, "mean out-degree for the sparse Erdős–Rényi trust generator (0 = paper's dense G(n,p) sampler)")
-		format  = fs.String("trust-format", "", "trust matrix representation: auto (default), dense, or csr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -125,11 +123,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-trust-degree %v must be non-negative", *degree)
 	}
 	cfg.TrustMeanDegree = *degree
-	tf, err := trust.ParseFormat(*format)
-	if err != nil {
-		return err
-	}
-	cfg.TrustFormat = tf
 	if *trace != "" {
 		f, err := os.Open(*trace)
 		if err != nil {
@@ -152,7 +145,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			q.Solver = cfg.Solver
 			q.Trace = cfg.Trace
 			q.TrustMeanDegree = cfg.TrustMeanDegree
-			q.TrustFormat = cfg.TrustFormat
 			cfg = q
 		}
 		var progress func(string)

@@ -153,3 +153,29 @@ func TestRunChaosMode(t *testing.T) {
 		t.Fatalf("chaos output missing fingerprint/fault stats:\n%s", out)
 	}
 }
+
+// TestChaosFingerprintPinned pins the behaviour contract: the chaos
+// fingerprint folds every selection, payoff bit pattern and fault counter
+// of a sweep, so any change to the trust normalization or the power
+// iteration's arithmetic moves it. The dense Erdős–Rényi and the sparse
+// generator paths are pinned separately.
+func TestChaosFingerprintPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full chaos sweeps")
+	}
+	base := []string{"-chaos", "7,0.3", "-sizes", "32,64", "-reps", "2", "-seed", "5"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"erdos-renyi", base, "fingerprint: d4ba4afc262b6ec5"},
+		{"sparse degree 6", append(append([]string(nil), base...), "-trust-degree", "6"), "fingerprint: f5b7e07826220ef8"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if out := runCLI(t, tc.args...); !strings.Contains(out, tc.want+"\n") {
+				t.Fatalf("chaos sweep %v: want %q in\n%s", tc.args, tc.want, out)
+			}
+		})
+	}
+}

@@ -40,7 +40,7 @@ type Check struct {
 	Run func(pass *Pass)
 }
 
-// All lists every check in the suite, in output order. The first seven
+// All lists every check in the suite, in output order. The first six
 // are the single-function syntactic checks from the original suite; the
 // last five ride the interprocedural Module layer (call graph + fact
 // store) built once per RunChecks.
@@ -51,7 +51,6 @@ var All = []*Check{
 	Ctxthread,
 	Noclock,
 	Randsource,
-	Densehot,
 	Lockfield,
 	Goleak,
 	Lockcall,

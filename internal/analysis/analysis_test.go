@@ -133,8 +133,6 @@ func TestNoclockGolden(t *testing.T)   { golden(t, Noclock, "src/noclock") }
 
 func TestRandsourceGolden(t *testing.T) { golden(t, Randsource, "src/randsource") }
 
-func TestDensehotGolden(t *testing.T) { golden(t, Densehot, "src/densehot/trust") }
-
 func TestLockfieldGolden(t *testing.T)  { golden(t, Lockfield, "src/lockfield") }
 func TestGoleakGolden(t *testing.T)     { golden(t, Goleak, "src/goleak") }
 func TestLockcallGolden(t *testing.T)   { golden(t, Lockcall, "src/lockcall") }
@@ -146,12 +144,6 @@ func TestAllocguardGolden(t *testing.T) { golden(t, Allocguard, "src/allocguard"
 // taint fingerprints.
 func TestFptaintXrandExempt(t *testing.T) {
 	golden(t, Fptaint, "src/fptaint_allowed/xrand")
-}
-
-// TestDensehotSkipsOtherPackages: the same dense constructions outside
-// the trust/reputation hot-path packages produce nothing.
-func TestDensehotSkipsOtherPackages(t *testing.T) {
-	golden(t, Densehot, "src/densehot/other")
 }
 
 // TestCtxthreadSkipsOtherPackages: the same iterating shape outside the
@@ -196,7 +188,6 @@ func TestRegressionCorpus(t *testing.T) {
 		"regress/recipmul":   Recipmul,
 		"regress/ctxthread":  Ctxthread,
 		"regress/maporder":   Maporder,
-		"regress/densehot":   Densehot,
 		"regress/allocguard": Allocguard,
 	} {
 		t.Run(rel, func(t *testing.T) { golden(t, check, rel) })
@@ -212,7 +203,6 @@ func TestRegressionCorpusSingleCheck(t *testing.T) {
 		"regress/recipmul":   Recipmul,
 		"regress/ctxthread":  Ctxthread,
 		"regress/maporder":   Maporder,
-		"regress/densehot":   Densehot,
 		"regress/allocguard": Allocguard,
 	} {
 		pkg := loadTestPkg(t, rel)

@@ -19,8 +19,6 @@
 //   - noclock: time.Now/time.Since outside the server/stats/fault/main
 //     allowlist.
 //   - randsource: math/rand imported outside internal/xrand.
-//   - densehot: dense-matrix scans in hot solver loops where the sparse
-//     substrate applies.
 //
 // Five further checks ride the interprocedural layer (module-wide call
 // graph plus per-function fact store, see module.go):

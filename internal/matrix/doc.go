@@ -1,11 +1,10 @@
-// Package matrix implements the small dense linear-algebra kernel used by
-// the reputation subsystem: row-major float64 matrices, vector operations,
-// norms, and the transpose-times-vector product at the heart of the power
-// method (Algorithm 2 of the paper).
+// Package matrix implements the linear-algebra kernel used by the
+// reputation subsystem: the compressed-sparse-row trust matrix, its row
+// normalization (eq. 1 of the paper) and the transpose-times-vector
+// product at the heart of the power method (Algorithm 2), plus vector
+// operations and norms.
 //
-// The package is deliberately minimal — trust matrices in the VO formation
-// problem are m×m with m on the order of tens (the paper uses m = 16), so
-// clarity and exact reproducibility beat blocked or parallel kernels. All
-// operations are deterministic (no data-dependent reordering of floating
-// point sums beyond natural row order).
+// All operations are deterministic: sums accumulate in ascending row and
+// column order, the order of a dense row-major sweep, so results are
+// bitwise reproducible and bitwise equal to that dense formulation.
 package matrix

@@ -8,60 +8,14 @@ import (
 	"sync"
 )
 
-// Matrix is the format-agnostic contract the reputation pipeline is written
-// against. Dense and CSR both implement it; consumers that only multiply,
-// normalize, and slice never need to know which representation backs the
-// trust graph.
-//
-// Implementations must agree bitwise, not just approximately: for any Dense
-// d and the CSR holding exactly d's nonzero entries, every method below must
-// return bit-identical float64 values. This holds because the pipeline's
-// values are non-negative, so skipping zero terms never flips a sign or
-// perturbs a partial sum (x + 0 == x bitwise for x ≥ 0), provided entries
-// are visited in the same (row, then column) order — which is why CSR keeps
-// columns sorted within each row.
-type Matrix interface {
-	// Rows returns the number of rows.
-	Rows() int
-	// Cols returns the number of columns.
-	Cols() int
-	// At returns the element at row i, column j.
-	At(i, j int) float64
-	// MulVec computes y = A·x; x must have length Cols.
-	MulVec(x []float64) []float64
-	// TMulVec computes y = Aᵀ·x without materializing the transpose; x must
-	// have length Rows. It allocates y; see TMulVecTo.
-	TMulVec(x []float64) []float64
-	// TMulVecTo computes dst = Aᵀ·x into a caller-owned dst of length
-	// Cols, overwriting its contents; x must have length Rows and must not
-	// share memory with dst. This is the power-method kernel (eq. 5), and
-	// it is bitwise identical to TMulVec.
-	TMulVecTo(dst, x []float64)
-	// RowSums returns the vector of per-row sums.
-	RowSums() []float64
-	// NormalizeRows scales each row in place to sum 1, patching zero rows
-	// per uniform, and returns the indices of the zero rows (see
-	// Dense.NormalizeRows for the exact contract).
-	NormalizeRows(uniform bool) []int
-	// Submatrix returns the matrix induced by keeping the given row/column
-	// indices, in the given order; the receiver must be square.
-	Submatrix(idx []int) Matrix
-	// NNZ returns the number of stored nonzero entries.
-	NNZ() int
-}
-
-// Compile-time checks that both formats satisfy the interface.
-var (
-	_ Matrix = (*Dense)(nil)
-	_ Matrix = (*CSR)(nil)
-)
-
 // CSR is a compressed-sparse-row matrix: row i's entries live at positions
 // rowPtr[i] .. rowPtr[i+1] of colIdx/val, with strictly ascending column
 // indices inside each row. The ascending-column invariant is load-bearing:
 // it makes every accumulation visit entries in the same order a dense
-// row-major traversal would, which keeps CSR results bitwise identical to
-// Dense (see the Matrix contract).
+// row-major traversal would. Trust matrices hold non-negative values, so
+// the skipped zero terms never change a partial sum (x + 0 == x bitwise
+// for x ≥ 0), and the results are bitwise identical to that dense
+// traversal, the oracle the tests pin the kernels to.
 //
 // Column indices are int32, so an entry costs 12 bytes (4 + 8) and the
 // kernels, which are memory-bound, stream a third less than with int
@@ -75,9 +29,8 @@ type CSR struct {
 
 	// tmu guards tcache, the lazily built transposed row-banded layout
 	// backing TMulVec on wide matrices. The cache never changes the
-	// numbers — only memory locality — and is dropped by every
-	// structure-producing operation (Clone, Submatrix, NormalizeRows
-	// rebuilds) by virtue of those constructing fresh values.
+	// numbers — only memory locality — and is dropped by NormalizeRows,
+	// the only operation that changes the values.
 	tmu    sync.Mutex
 	tcache *cscBands
 }
@@ -95,13 +48,6 @@ func checkCSRDims(ctor string, rows, cols int) {
 	if cols > MaxCSRCols {
 		panic(fmt.Sprintf("matrix: %s with %d columns, above the int32 column-index bound %d", ctor, cols, MaxCSRCols))
 	}
-}
-
-// NewCSR returns an empty (all-zero) rows×cols CSR matrix. It panics if
-// either dimension is negative or cols exceeds MaxCSRCols.
-func NewCSR(rows, cols int) *CSR {
-	checkCSRDims("NewCSR", rows, cols)
-	return &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
 }
 
 // NewCSRRaw wraps pre-built CSR slices without copying: rowPtr must have
@@ -173,34 +119,6 @@ func (m *CSR) At(i, j int) float64 {
 		return m.val[lo+k]
 	}
 	return 0
-}
-
-// Clone returns a deep copy of the matrix.
-func (m *CSR) Clone() *CSR {
-	out := &CSR{
-		rows:   m.rows,
-		cols:   m.cols,
-		rowPtr: append([]int(nil), m.rowPtr...),
-		colIdx: append([]int32(nil), m.colIdx...),
-		val:    append([]float64(nil), m.val...),
-	}
-	return out
-}
-
-// MulVec computes y = A·x; x must have length Cols.
-func (m *CSR) MulVec(x []float64) []float64 {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("matrix: MulVec with len(x)=%d, want %d", len(x), m.cols))
-	}
-	y := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k] * x[m.colIdx[k]]
-		}
-		y[i] = s
-	}
-	return y
 }
 
 // tmulBandRows is the row-band height of the cache-blocked TMulVec path:
@@ -336,8 +254,8 @@ func (m *CSR) TMulVec(x []float64) []float64 {
 // TMulVecTo computes dst = Aᵀ·x, overwriting dst; dst must have length
 // Cols, x length Rows, and the two must not share memory. Rows are visited
 // in ascending order and entries within a row in ascending column order,
-// matching Dense.TMulVecTo's accumulation order exactly, so results are
-// bitwise identical on equal inputs.
+// the accumulation order of a dense row sweep, so results are bitwise
+// identical to it.
 func (m *CSR) TMulVecTo(dst, x []float64) {
 	checkTMulVecTo(m.rows, m.cols, dst, x)
 	clear(dst)
@@ -385,28 +303,15 @@ func checkTMulVecTo(rows, cols int, dst, x []float64) {
 	}
 }
 
-// RowSums returns the vector of per-row sums.
-func (m *CSR) RowSums() []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // NormalizeRows scales each row in place so it sums to 1 and returns the
 // indices of the rows whose sum was zero. When uniform is true, zero rows
 // are MATERIALIZED as explicit full rows of 1/cols entries — the structure
 // is rebuilt so the patched rows participate in every later traversal at
-// their natural position, keeping TMulVec/MulVec bitwise identical to the
-// dense dangling fix. Dangling rows are rare in trust graphs (a GSP with no
+// their natural position, keeping TMulVec bitwise identical to the dense
+// dangling fix. Dangling rows are rare in trust graphs (a GSP with no
 // outgoing trust), so the extra cols entries per patched row are cheap.
 //
-// Like the dense version, nonzero rows divide by the sum directly rather
+// Nonzero rows divide by the sum directly rather
 // than multiplying by its reciprocal: for subnormal sums 1/s overflows to
 // +Inf, while v/s with 0 ≤ v ≤ s is always in [0,1].
 func (m *CSR) NormalizeRows(uniform bool) []int {
@@ -463,185 +368,7 @@ func (m *CSR) NormalizeRows(uniform bool) []int {
 	return zeroRows
 }
 
-// Submatrix returns the matrix induced by keeping the given row/column
-// indices, in the given order. It panics if idx contains an out-of-range or
-// duplicate index. The receiver must be square (trust matrices always are).
-func (m *CSR) Submatrix(idx []int) Matrix {
-	checkCSRDims("Submatrix", m.rows, m.cols)
-	if m.rows != m.cols {
-		panic("matrix: Submatrix requires a square matrix")
-	}
-	pos := make([]int, m.cols)
-	for j := range pos {
-		pos[j] = -1
-	}
-	for k, v := range idx {
-		if v < 0 || v >= m.rows {
-			panic(fmt.Sprintf("matrix: Submatrix index %d out of range [0,%d)", v, m.rows))
-		}
-		if pos[v] >= 0 {
-			panic(fmt.Sprintf("matrix: Submatrix duplicate index %d", v))
-		}
-		pos[v] = k
-	}
-	out := NewCSR(len(idx), len(idx))
-	type entry struct {
-		col int32
-		v   float64
-	}
-	var scratch []entry
-	for ni, ri := range idx {
-		scratch = scratch[:0]
-		for k := m.rowPtr[ri]; k < m.rowPtr[ri+1]; k++ {
-			if nj := pos[m.colIdx[k]]; nj >= 0 {
-				scratch = append(scratch, entry{col: int32(nj), v: m.val[k]})
-			}
-		}
-		// idx may reorder columns, so re-sort to restore the ascending
-		// invariant within the new row.
-		sort.Slice(scratch, func(a, b int) bool { return scratch[a].col < scratch[b].col })
-		for _, e := range scratch {
-			out.colIdx = append(out.colIdx, e.col)
-			out.val = append(out.val, e.v)
-		}
-		out.rowPtr[ni+1] = len(out.val)
-	}
-	return out
-}
-
-// Dense materializes the CSR matrix as a Dense.
-func (m *CSR) Dense() *Dense {
-	out := NewDense(m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			out.Set(i, int(m.colIdx[k]), m.val[k])
-		}
-	}
-	return out
-}
-
-// CSRFromDense converts a Dense matrix to CSR, keeping only its nonzero
-// entries. Note an explicit -0 entry is dropped (it compares equal to zero);
-// reading it back through At yields +0, which is ==-equal but not
-// bit-identical — trust weights are never negative, so this cannot occur in
-// the pipeline.
-func CSRFromDense(d *Dense) *CSR {
-	checkCSRDims("CSRFromDense", d.rows, d.cols)
-	out := &CSR{rows: d.rows, cols: d.cols, rowPtr: make([]int, d.rows+1)}
-	for i := 0; i < d.rows; i++ {
-		row := d.data[i*d.cols : (i+1)*d.cols]
-		for j, v := range row {
-			if v != 0 {
-				out.colIdx = append(out.colIdx, int32(j))
-				out.val = append(out.val, v)
-			}
-		}
-		out.rowPtr[i+1] = len(out.val)
-	}
-	return out
-}
-
 // String renders the matrix for debugging.
 func (m *CSR) String() string {
 	return fmt.Sprintf("matrix.CSR{%dx%d, nnz=%d}", m.rows, m.cols, len(m.val))
-}
-
-// Builder accumulates (row, col, value) triplets in any order and finalizes
-// them into a CSR matrix with sorted columns and deterministically merged
-// duplicates. It is the construction path for callers that discover entries
-// out of order (delta batches, transposes, file loads).
-type Builder struct {
-	rows, cols int
-	row, col   []int
-	val        []float64
-}
-
-// NewBuilder returns a Builder for a rows×cols matrix. It panics if either
-// dimension is negative or cols exceeds MaxCSRCols.
-func NewBuilder(rows, cols int) *Builder {
-	checkCSRDims("NewBuilder", rows, cols)
-	return &Builder{rows: rows, cols: cols}
-}
-
-// Add records a triplet. Duplicate (i,j) coordinates are summed in insertion
-// order at Build time, which keeps the result independent of map iteration
-// or other nondeterminism. It panics on out-of-range coordinates.
-func (b *Builder) Add(i, j int, v float64) {
-	if i < 0 || i >= b.rows || j < 0 || j >= b.cols {
-		panic(fmt.Sprintf("matrix: Builder.Add (%d,%d) out of bounds for %dx%d matrix", i, j, b.rows, b.cols))
-	}
-	b.row = append(b.row, i)
-	b.col = append(b.col, j)
-	b.val = append(b.val, v)
-}
-
-// Build finalizes the accumulated triplets into a CSR matrix. Triplets are
-// ordered by (row, col) with a stable sort, so duplicates merge by summing
-// in insertion order — fully deterministic regardless of Add order for
-// distinct coordinates. Entries whose merged value is exactly zero are kept
-// as explicit zeros (callers that need pruning skip zeros before Add). The
-// Builder may be reused after Build; previously added triplets remain.
-func (b *Builder) Build() *CSR {
-	order := make([]int, len(b.val))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		ix, iy := order[x], order[y]
-		if b.row[ix] != b.row[iy] {
-			return b.row[ix] < b.row[iy]
-		}
-		return b.col[ix] < b.col[iy]
-	})
-	out := NewCSR(b.rows, b.cols)
-	prevRow, prevCol := -1, -1
-	for _, k := range order {
-		r, c, v := b.row[k], b.col[k], b.val[k]
-		if r == prevRow && c == prevCol {
-			out.val[len(out.val)-1] += v
-			continue
-		}
-		out.colIdx = append(out.colIdx, int32(c))
-		out.val = append(out.val, v)
-		prevRow, prevCol = r, c
-		out.rowPtr[r+1]++
-	}
-	// Convert per-row counts into cumulative offsets.
-	for i := 1; i <= b.rows; i++ {
-		out.rowPtr[i] += out.rowPtr[i-1]
-	}
-	return out
-}
-
-// RowNonZeros calls fn for each stored nonzero entry (j, v) of row i in
-// ascending column order. For Dense it skips zero elements. It is the
-// format-agnostic replacement for materializing rows via Dense.Row.
-func RowNonZeros(m Matrix, i int, fn func(j int, v float64)) {
-	switch t := m.(type) {
-	case *CSR:
-		if i < 0 || i >= t.rows {
-			panic(fmt.Sprintf("matrix: row %d out of bounds for %dx%d matrix", i, t.rows, t.cols))
-		}
-		for k := t.rowPtr[i]; k < t.rowPtr[i+1]; k++ {
-			if t.val[k] != 0 {
-				fn(int(t.colIdx[k]), t.val[k])
-			}
-		}
-	case *Dense:
-		if i < 0 || i >= t.rows {
-			panic(fmt.Sprintf("matrix: row %d out of bounds for %dx%d matrix", i, t.rows, t.cols))
-		}
-		row := t.data[i*t.cols : (i+1)*t.cols]
-		for j, v := range row {
-			if v != 0 {
-				fn(j, v)
-			}
-		}
-	default:
-		for j := 0; j < m.Cols(); j++ {
-			if v := m.At(i, j); v != 0 {
-				fn(j, v)
-			}
-		}
-	}
 }

@@ -2,25 +2,100 @@ package matrix
 
 import (
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"gridvo/internal/xrand"
 )
 
-// randomDense builds a rows×cols matrix with the given fill density and
-// non-negative weights, mirroring what trust graphs feed the pipeline.
-func randomDense(rng *xrand.RNG, rows, cols int, density float64) *Dense {
-	m := NewDense(rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
+// The CSR kernels are checked against a dense oracle written on
+// [][]float64 in this file: the row-major sweeps a dense matrix would run,
+// visiting rows in ascending order and columns in ascending order inside
+// each row. Every kernel must match the oracle bit for bit, not merely
+// approximately.
+
+// randomRows builds a rows×cols weight table with the given fill density
+// and non-negative weights, mirroring what trust graphs feed the pipeline.
+func randomRows(rng *xrand.RNG, rows, cols int, density float64) [][]float64 {
+	out := make([][]float64, rows)
+	for i := range out {
+		out[i] = make([]float64, cols)
+		for j := range out[i] {
 			if rng.Bool(density) {
-				m.Set(i, j, 1-rng.Float64())
+				out[i][j] = 1 - rng.Float64()
 			}
 		}
 	}
-	return m
+	return out
+}
+
+// csrFromRows stores the nonzero entries of a rows×cols table as a CSR.
+func csrFromRows(cols int, rows [][]float64) *CSR {
+	rowPtr := make([]int, len(rows)+1)
+	var colIdx []int32
+	var val []float64
+	for i, row := range rows {
+		for j, v := range row {
+			if v != 0 {
+				colIdx = append(colIdx, int32(j))
+				val = append(val, v)
+			}
+		}
+		rowPtr[i+1] = len(val)
+	}
+	return NewCSRRaw(len(rows), cols, rowPtr, colIdx, val)
+}
+
+// denseTMulVec is the oracle for TMulVec: y = Aᵀ·x as a row sweep.
+func denseTMulVec(rows [][]float64, cols int, x []float64) []float64 {
+	y := make([]float64, cols)
+	for i, row := range rows {
+		for j, a := range row {
+			y[j] += a * x[i]
+		}
+	}
+	return y
+}
+
+// denseNormalizeRows is the oracle for NormalizeRows: each row divided by
+// its sum, zero rows replaced by 1/cols when uniform.
+func denseNormalizeRows(rows [][]float64, uniform bool) []int {
+	var zero []int
+	for i, row := range rows {
+		s := 0.0
+		for _, v := range row {
+			s += v
+		}
+		if s == 0 {
+			zero = append(zero, i)
+			if uniform {
+				for j := range row {
+					row[j] = 1 / float64(len(row))
+				}
+			}
+			continue
+		}
+		for j := range row {
+			row[j] /= s
+		}
+	}
+	return zero
+}
+
+// assertMatchesRows fails unless every entry of c equals the table bit
+// for bit.
+func assertMatchesRows(t *testing.T, label string, c *CSR, rows [][]float64) {
+	t.Helper()
+	for i, row := range rows {
+		for j, v := range row {
+			if math.Float64bits(c.At(i, j)) != math.Float64bits(v) {
+				t.Fatalf("%s: At(%d,%d) = %v, want %v", label, i, j, c.At(i, j), v)
+			}
+		}
+	}
 }
 
 func bitsEqual(a, b []float64) bool {
@@ -38,22 +113,20 @@ func bitsEqual(a, b []float64) bool {
 func TestCSRRoundTrip(t *testing.T) {
 	rng := xrand.New(7)
 	for _, density := range []float64{0, 0.05, 0.3, 0.9, 1} {
-		d := randomDense(rng, 9, 9, density)
-		c := CSRFromDense(d)
-		if c.NNZ() != d.NNZ() {
-			t.Fatalf("density %v: NNZ %d != %d", density, c.NNZ(), d.NNZ())
-		}
-		back := c.Dense()
-		if !back.Equal(d, 0) {
-			t.Fatalf("density %v: round trip mismatch", density)
-		}
-		for i := 0; i < d.Rows(); i++ {
-			for j := 0; j < d.Cols(); j++ {
-				if math.Float64bits(c.At(i, j)) != math.Float64bits(d.At(i, j)) {
-					t.Fatalf("At(%d,%d) = %v want %v", i, j, c.At(i, j), d.At(i, j))
+		rows := randomRows(rng, 9, 9, density)
+		c := csrFromRows(9, rows)
+		nnz := 0
+		for _, row := range rows {
+			for _, v := range row {
+				if v != 0 {
+					nnz++
 				}
 			}
 		}
+		if c.NNZ() != nnz || c.Rows() != 9 || c.Cols() != 9 {
+			t.Fatalf("density %v: %v, want 9x9 with %d entries", density, c, nnz)
+		}
+		assertMatchesRows(t, "round trip", c, rows)
 	}
 }
 
@@ -61,40 +134,56 @@ func TestCSRMulVecBitwise(t *testing.T) {
 	rng := xrand.New(11)
 	for trial := 0; trial < 50; trial++ {
 		rows, cols := 1+rng.IntN(12), 1+rng.IntN(12)
-		d := randomDense(rng, rows, cols, rng.Float64())
-		c := CSRFromDense(d)
-		x := make([]float64, cols)
+		d := randomRows(rng, rows, cols, rng.Float64())
+		c := csrFromRows(cols, d)
+		x := make([]float64, rows)
 		for i := range x {
-			x[i] = rng.Float64()
-		}
-		if !bitsEqual(d.MulVec(x), c.MulVec(x)) {
-			t.Fatalf("trial %d: MulVec differs", trial)
-		}
-		xt := make([]float64, rows)
-		for i := range xt {
-			// Mix in exact zeros to exercise the skip path on both sides.
-			if rng.Bool(0.3) {
-				xt[i] = 0
-			} else {
-				xt[i] = rng.Float64()
+			// Mix in exact zeros to exercise the skip path.
+			if !rng.Bool(0.3) {
+				x[i] = rng.Float64()
 			}
 		}
-		if !bitsEqual(d.TMulVec(xt), c.TMulVec(xt)) {
-			t.Fatalf("trial %d: TMulVec differs", trial)
+		want := denseTMulVec(d, cols, x)
+		if !bitsEqual(c.TMulVec(x), want) {
+			t.Fatalf("trial %d: TMulVec differs from the dense row sweep", trial)
 		}
 		// TMulVecTo overwrites whatever dst held.
-		for _, m := range []Matrix{d, c} {
-			dst := make([]float64, cols)
-			for j := range dst {
-				dst[j] = math.NaN()
-			}
-			m.TMulVecTo(dst, xt)
-			if !bitsEqual(dst, d.TMulVec(xt)) {
-				t.Fatalf("trial %d: %T.TMulVecTo differs from TMulVec", trial, m)
+		dst := make([]float64, cols)
+		for j := range dst {
+			dst[j] = math.NaN()
+		}
+		c.TMulVecTo(dst, x)
+		if !bitsEqual(dst, want) {
+			t.Fatalf("trial %d: TMulVecTo differs from the dense row sweep", trial)
+		}
+	}
+}
+
+func TestTMulVecMatchesExplicitTranspose(t *testing.T) {
+	rng := xrand.New(1)
+	for trial := 0; trial < 50; trial++ {
+		r, c := rng.UniformInt(1, 8), rng.UniformInt(1, 8)
+		d := make([][]float64, r)
+		for i := range d {
+			d[i] = make([]float64, c)
+			for j := range d[i] {
+				d[i][j] = rng.Uniform(-5, 5)
 			}
 		}
-		if !bitsEqual(d.RowSums(), c.RowSums()) {
-			t.Fatalf("trial %d: RowSums differs", trial)
+		x := make([]float64, r)
+		for i := range x {
+			x[i] = rng.Uniform(-5, 5)
+		}
+		got := csrFromRows(c, d).TMulVec(x)
+		// Column j of A is row j of Aᵀ: a dot product per output slot.
+		want := make([]float64, c)
+		for j := range want {
+			for i := 0; i < r; i++ {
+				want[j] += d[i][j] * x[i]
+			}
+		}
+		if !VecEqual(got, want, 1e-12) {
+			t.Fatalf("trial %d: TMulVec = %v, want %v", trial, got, want)
 		}
 	}
 }
@@ -104,9 +193,9 @@ func TestCSRNormalizeRowsBitwise(t *testing.T) {
 	for _, uniform := range []bool{false, true} {
 		for trial := 0; trial < 40; trial++ {
 			n := 1 + rng.IntN(10)
-			d := randomDense(rng, n, n, rng.Float64()*0.6) // sparse enough for zero rows
-			c := CSRFromDense(d)
-			zd := d.NormalizeRows(uniform)
+			d := randomRows(rng, n, n, rng.Float64()*0.6) // sparse enough for zero rows
+			c := csrFromRows(n, d)
+			zd := denseNormalizeRows(d, uniform)
 			zc := c.NormalizeRows(uniform)
 			if len(zd) != len(zc) {
 				t.Fatalf("zero-row lists differ: %v vs %v", zd, zc)
@@ -116,23 +205,71 @@ func TestCSRNormalizeRowsBitwise(t *testing.T) {
 					t.Fatalf("zero-row lists differ: %v vs %v", zd, zc)
 				}
 			}
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if math.Float64bits(d.At(i, j)) != math.Float64bits(c.At(i, j)) {
-						t.Fatalf("uniform=%v trial %d: At(%d,%d) %v != %v",
-							uniform, trial, i, j, d.At(i, j), c.At(i, j))
-					}
-				}
-			}
+			assertMatchesRows(t, "uniform="+strconv.FormatBool(uniform), c, d)
 			// The uniform patch must be materialized so TMulVec sees it.
 			x := make([]float64, n)
 			for i := range x {
 				x[i] = rng.Float64()
 			}
-			if !bitsEqual(d.TMulVec(x), c.TMulVec(x)) {
+			if !bitsEqual(c.TMulVec(x), denseTMulVec(d, n, x)) {
 				t.Fatalf("uniform=%v trial %d: post-normalize TMulVec differs", uniform, trial)
 			}
 		}
+	}
+}
+
+func TestNormalizeRowsStochastic(t *testing.T) {
+	m := csrFromRows(2, [][]float64{{2, 2}, {0, 0}, {1, 3}})
+	zero := m.NormalizeRows(true)
+	if len(zero) != 1 || zero[0] != 1 {
+		t.Fatalf("zero rows = %v, want [1]", zero)
+	}
+	for i := 0; i < 3; i++ {
+		if s := m.At(i, 0) + m.At(i, 1); math.Abs(s-1) > 1e-12 {
+			t.Fatalf("row %d sums to %v after normalization", i, s)
+		}
+	}
+	if m.At(1, 0) != 0.5 || m.At(1, 1) != 0.5 {
+		t.Fatalf("dangling row not uniform: [%v %v]", m.At(1, 0), m.At(1, 1))
+	}
+}
+
+func TestNormalizeRowsSubstochastic(t *testing.T) {
+	m := csrFromRows(2, [][]float64{{2, 2}, {0, 0}})
+	m.NormalizeRows(false)
+	if m.At(1, 0) != 0 || m.At(1, 1) != 0 || m.NNZ() != 2 {
+		t.Fatal("substochastic mode must leave zero rows zero")
+	}
+}
+
+func TestNormalizeRowsProperty(t *testing.T) {
+	rng := xrand.New(3)
+	f := func(nRaw uint8) bool {
+		n := int(nRaw%10) + 1
+		d := make([][]float64, n)
+		for i := range d {
+			d[i] = make([]float64, n)
+			for j := range d[i] {
+				if rng.Bool(0.5) {
+					d[i][j] = rng.Uniform(0, 10)
+				}
+			}
+		}
+		m := csrFromRows(n, d)
+		m.NormalizeRows(true)
+		for i := 0; i < n; i++ {
+			s := 0.0
+			for j := 0; j < n; j++ {
+				s += m.At(i, j)
+			}
+			if math.Abs(s-1) > 1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -140,8 +277,7 @@ func TestCSRNormalizeRowsBitwise(t *testing.T) {
 // subnormal must normalize by direct division, not reciprocal multiply.
 func TestCSRNormalizeSubnormal(t *testing.T) {
 	tiny := math.SmallestNonzeroFloat64
-	d := FromRows([][]float64{{tiny, tiny}, {0, 1}})
-	c := CSRFromDense(d)
+	c := csrFromRows(2, [][]float64{{tiny, tiny}, {0, 1}})
 	c.NormalizeRows(true)
 	for j := 0; j < 2; j++ {
 		v := c.At(0, j)
@@ -155,7 +291,7 @@ func TestCSRNormalizeSubnormal(t *testing.T) {
 }
 
 func TestCSRNormalizeUniformMaterializes(t *testing.T) {
-	c := CSRFromDense(FromRows([][]float64{{0, 0, 0}, {1, 2, 1}, {0, 0, 0}}))
+	c := csrFromRows(3, [][]float64{{0, 0, 0}, {1, 2, 1}, {0, 0, 0}})
 	zero := c.NormalizeRows(true)
 	if len(zero) != 2 || zero[0] != 0 || zero[1] != 2 {
 		t.Fatalf("zero rows = %v, want [0 2]", zero)
@@ -173,125 +309,18 @@ func TestCSRNormalizeUniformMaterializes(t *testing.T) {
 	}
 }
 
-func TestCSRSubmatrixBitwise(t *testing.T) {
-	rng := xrand.New(17)
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.IntN(10)
-		d := randomDense(rng, n, n, rng.Float64())
-		c := CSRFromDense(d)
-		k := 1 + rng.IntN(n)
-		idx := rng.Perm(n)[:k]
-		sd := d.Submatrix(idx).(*Dense)
-		sc := c.Submatrix(idx).(*CSR)
-		if !sc.Dense().Equal(sd, 0) {
-			t.Fatalf("trial %d: Submatrix(%v) differs", trial, idx)
-		}
-	}
-}
-
-func TestCSRSubmatrixPanics(t *testing.T) {
-	c := CSRFromDense(FromRows([][]float64{{1, 2}, {3, 4}}))
-	for i, idx := range [][]int{{0, 0}, {5}, {-1}} {
+func TestTMulVecToPanics(t *testing.T) {
+	c := csrFromRows(2, [][]float64{{1, 2}, {3, 4}})
+	x := []float64{1, 1}
+	for name, dst := range map[string][]float64{"short dst": make([]float64, 1), "aliased dst": x} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("case %d: Submatrix(%v) did not panic", i, idx)
+					t.Fatalf("TMulVecTo with %s did not panic", name)
 				}
 			}()
-			c.Submatrix(idx)
+			c.TMulVecTo(dst, x)
 		}()
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Submatrix on non-square CSR did not panic")
-			}
-		}()
-		NewCSR(2, 3).Submatrix([]int{0})
-	}()
-}
-
-func TestBuilder(t *testing.T) {
-	b := NewBuilder(3, 3)
-	// Out-of-order insertion with a duplicate; (2,1) = 0.5 + 0.25.
-	b.Add(2, 1, 0.5)
-	b.Add(0, 2, 1)
-	b.Add(2, 1, 0.25)
-	b.Add(1, 0, 2)
-	b.Add(2, 0, 3)
-	c := b.Build()
-	want := FromRows([][]float64{{0, 0, 1}, {2, 0, 0}, {3, 0.75, 0}})
-	if !c.Dense().Equal(want, 0) {
-		t.Fatalf("Build =\n%v want\n%v", c.Dense(), want)
-	}
-	if c.NNZ() != 4 {
-		t.Fatalf("NNZ = %d, want 4", c.NNZ())
-	}
-}
-
-func TestBuilderDeterministicMerge(t *testing.T) {
-	// Duplicate merge must sum in insertion order: with floats, order
-	// changes bits. Two builders with identical insertion order must agree
-	// bit for bit.
-	vals := []float64{0.1, 0.7, 1e-17, 0.3}
-	mk := func() *CSR {
-		b := NewBuilder(1, 1)
-		for _, v := range vals {
-			b.Add(0, 0, v)
-		}
-		return b.Build()
-	}
-	if math.Float64bits(mk().At(0, 0)) != math.Float64bits(mk().At(0, 0)) {
-		t.Fatal("duplicate merge is not deterministic")
-	}
-}
-
-func TestBuilderPanics(t *testing.T) {
-	b := NewBuilder(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add out of range did not panic")
-		}
-	}()
-	b.Add(2, 0, 1)
-}
-
-func TestRowNonZeros(t *testing.T) {
-	d := FromRows([][]float64{{0, 5, 0, 7}, {0, 0, 0, 0}})
-	c := CSRFromDense(d)
-	for _, m := range []Matrix{d, c} {
-		var cols []int
-		var vals []float64
-		RowNonZeros(m, 0, func(j int, v float64) {
-			cols = append(cols, j)
-			vals = append(vals, v)
-		})
-		if len(cols) != 2 || cols[0] != 1 || cols[1] != 3 || vals[0] != 5 || vals[1] != 7 {
-			t.Fatalf("%T RowNonZeros = %v %v", m, cols, vals)
-		}
-		count := 0
-		RowNonZeros(m, 1, func(int, float64) { count++ })
-		if count != 0 {
-			t.Fatalf("%T RowNonZeros on empty row visited %d entries", m, count)
-		}
-	}
-}
-
-func TestTMulVecToPanics(t *testing.T) {
-	d := FromRows([][]float64{{1, 2}, {3, 4}})
-	c := CSRFromDense(d)
-	for _, m := range []Matrix{d, c} {
-		x := []float64{1, 1}
-		for name, dst := range map[string][]float64{"short dst": make([]float64, 1), "aliased dst": x} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("%T.TMulVecTo with %s did not panic", m, name)
-					}
-				}()
-				m.TMulVecTo(dst, x)
-			}()
-		}
 	}
 }
 
@@ -304,12 +333,8 @@ func TestCSRColumnBoundPanics(t *testing.T) {
 	}
 	over := int(int64(MaxCSRCols) + 1)
 	for name, build := range map[string]func(){
-		"NewCSR":          func() { NewCSR(1, over) },
 		"NewCSRRaw":       func() { NewCSRRaw(0, over, []int{0}, nil, nil) },
 		"NewCSRUnchecked": func() { NewCSRUnchecked(0, over, []int{0}, nil, nil) },
-		"NewBuilder":      func() { NewBuilder(1, over) },
-		"CSRFromDense":    func() { CSRFromDense(NewDense(0, over)) },
-		"Submatrix":       func() { (&CSR{rows: over, cols: over}).Submatrix([]int{0}) },
 	} {
 		func() {
 			defer func() {
@@ -322,14 +347,35 @@ func TestCSRColumnBoundPanics(t *testing.T) {
 		}()
 	}
 	// The bound itself is accepted.
-	if c := NewCSR(1, MaxCSRCols); c.Cols() != MaxCSRCols {
-		t.Fatalf("NewCSR(1, MaxCSRCols) has %d columns", c.Cols())
+	if c := NewCSRRaw(1, MaxCSRCols, []int{0, 0}, nil, nil); c.Cols() != MaxCSRCols {
+		t.Fatalf("NewCSRRaw(1, MaxCSRCols) has %d columns", c.Cols())
 	}
-	NewBuilder(1, MaxCSRCols)
+}
+
+func TestOutOfBoundsPanics(t *testing.T) {
+	c := csrFromRows(2, [][]float64{{1, 0}, {0, 1}})
+	cases := []func(){
+		func() { c.At(2, 0) },
+		func() { c.At(0, -1) },
+		func() { c.At(-1, 0) },
+		func() { NewCSRRaw(-1, 2, []int{0}, nil, nil) },
+		func() { NewCSRRaw(2, 2, []int{0, 1}, []int32{0}, []float64{1}) },
+		func() { NewCSRRaw(1, 2, []int{0, 1}, []int32{2}, []float64{1}) },
+	}
+	for i, f := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("case %d did not panic", i)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestCSRAtPanics(t *testing.T) {
-	c := NewCSR(2, 2)
+	c := NewCSRRaw(2, 2, []int{0, 0, 0}, nil, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("At out of range did not panic")
@@ -338,19 +384,38 @@ func TestCSRAtPanics(t *testing.T) {
 	c.At(0, 2)
 }
 
+func TestStringRendering(t *testing.T) {
+	s := csrFromRows(2, [][]float64{{1, 2}}).String()
+	if s != "matrix.CSR{1x2, nnz=2}" {
+		t.Fatalf("String() = %q", s)
+	}
+}
+
 // TestCSRTMulVecBandedBitwise pins the cache-blocked TMulVec path (wide
 // matrices) to the reference row-sweep order bit for bit: banding may
 // change memory locality, never arithmetic order.
 func TestCSRTMulVecBandedBitwise(t *testing.T) {
 	rows, cols := 60, tmulBandThreshold+12345
 	rng := xrand.New(7)
-	b := NewBuilder(rows, cols)
+	rowPtr := make([]int, rows+1)
+	var colIdx []int32
+	var val []float64
 	for i := 0; i < rows; i++ {
-		for e := 0; e < 400; e++ {
-			b.Add(i, rng.IntN(cols), rng.Float64())
+		// Up to 400 distinct columns per row, ascending.
+		cs := make([]int, 400)
+		for e := range cs {
+			cs[e] = rng.IntN(cols)
 		}
+		sort.Ints(cs)
+		for e, j := range cs {
+			if e == 0 || j != cs[e-1] {
+				colIdx = append(colIdx, int32(j))
+				val = append(val, rng.Float64())
+			}
+		}
+		rowPtr[i+1] = len(val)
 	}
-	m := b.Build()
+	m := NewCSRRaw(rows, cols, rowPtr, colIdx, val)
 	if m.cols < tmulBandThreshold {
 		t.Fatalf("matrix too narrow to hit the banded path: %d cols", m.cols)
 	}
@@ -360,7 +425,7 @@ func TestCSRTMulVecBandedBitwise(t *testing.T) {
 	}
 	x[3], x[17] = 0, 0 // exercise the zero-row skip inside bands
 	got := m.TMulVec(x)
-	// Reference: the simple row sweep, the order dense uses.
+	// Reference: the simple row sweep, the order the dense oracle uses.
 	want := make([]float64, cols)
 	for i := 0; i < rows; i++ {
 		xi := x[i]

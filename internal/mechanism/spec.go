@@ -35,9 +35,6 @@ type TrustGenSpec struct {
 	// EnsureTrusted, when true, post-processes the graph so every node has
 	// at least one incoming edge (trust.EnsureEveryNodeTrusted).
 	EnsureTrusted bool `json:"ensure_trusted,omitempty"`
-	// Format forces the matrix representation: "auto" (default), "dense",
-	// or "csr".
-	Format string `json:"format,omitempty"`
 }
 
 // resolveModel returns the effective generator name or an error.
@@ -73,9 +70,6 @@ func (tg *TrustGenSpec) Validate() error {
 			return fmt.Errorf("mechanism: trust generator mean degree %v invalid", tg.MeanDegree)
 		}
 	}
-	if _, err := trust.ParseFormat(tg.Format); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -94,8 +88,6 @@ func (tg *TrustGenSpec) Generate(rng *xrand.RNG, m int) (*trust.Graph, error) {
 	if tg.EnsureTrusted {
 		trust.EnsureEveryNodeTrusted(rng.Split("fix"), g)
 	}
-	f, _ := trust.ParseFormat(tg.Format)
-	g.SetFormat(f)
 	return g, nil
 }
 

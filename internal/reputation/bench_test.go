@@ -99,13 +99,3 @@ func BenchmarkCentralities(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkEigenTrust measures the pre-trusted variant.
-func BenchmarkEigenTrust(b *testing.B) {
-	g := benchGraph(16, 0.3)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := EigenTrust(g, EigenTrustOptions{PreTrusted: []int{0, 1}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

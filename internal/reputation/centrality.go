@@ -2,14 +2,13 @@ package reputation
 
 import (
 	"fmt"
-	"math"
 
 	"gridvo/internal/trust"
 )
 
 // This file implements the graph-centrality reputation baselines surveyed
 // in the paper's related work (Freeman's degree/closeness/betweenness
-// centralities and PageRank/EigenTrust-style eigenvector variants). They
+// centralities and the damped PageRank eigenvector variant). They
 // plug into the mechanism's eviction rule for ablation benchmarks: replace
 // "evict the GSP with the lowest power-method reputation" by "lowest
 // centrality according to X" and compare outcomes.
@@ -233,94 +232,4 @@ func betweenness(g *trust.Graph) []float64 {
 		}
 	}
 	return bc
-}
-
-// EigenTrustOptions parameterize the EigenTrust-style variant, which biases
-// the iteration toward a set of pre-trusted peers (Kamvar et al., WWW'03).
-type EigenTrustOptions struct {
-	// PreTrusted lists GSP indices that anchor the trust distribution.
-	// Empty means "all GSPs equally pre-trusted", which reduces to damped
-	// power iteration.
-	PreTrusted []int
-	// Alpha is the mixing weight toward the pre-trusted distribution; the
-	// zero value selects 0.15 (the value common in the EigenTrust
-	// literature).
-	Alpha float64
-	// Epsilon / MaxIter as in Options; zero values select the defaults.
-	Epsilon float64
-	MaxIter int
-}
-
-// EigenTrust computes EigenTrust-style reputation: power iteration on the
-// normalized trust matrix mixed toward the pre-trusted distribution p:
-// x ← (1−α)·Aᵀx + α·p. The result is L1-normalized.
-//
-//gridvolint:ignore ctxthread bounded by MaxIter; cancellation is enforced per-solve by mechanism.Engine
-func EigenTrust(g *trust.Graph, opts EigenTrustOptions) ([]float64, Diagnostics, error) {
-	n := g.N()
-	if n == 0 {
-		return nil, Diagnostics{}, ErrEmptyGraph
-	}
-	alpha := opts.Alpha
-	if alpha == 0 {
-		alpha = 0.15
-	}
-	if alpha < 0 || alpha >= 1 {
-		return nil, Diagnostics{}, fmt.Errorf("reputation: EigenTrust alpha %v outside [0,1)", alpha)
-	}
-	eps := opts.Epsilon
-	if eps == 0 {
-		eps = DefaultEpsilon
-	}
-	maxIter := opts.MaxIter
-	if maxIter == 0 {
-		maxIter = DefaultMaxIter
-	}
-	p := make([]float64, n)
-	if len(opts.PreTrusted) == 0 {
-		for i := range p {
-			p[i] = 1 / float64(n)
-		}
-	} else {
-		share := 1 / float64(len(opts.PreTrusted))
-		for _, i := range opts.PreTrusted {
-			if i < 0 || i >= n {
-				return nil, Diagnostics{}, fmt.Errorf("reputation: pre-trusted index %d out of range [0,%d)", i, n)
-			}
-			p[i] += share
-		}
-	}
-	a, dangling := g.Normalized(trust.NormalizeOptions{DanglingUniform: true})
-	x := append([]float64(nil), p...)
-	var diag Diagnostics
-	diag.Dangling = dangling
-	for q := 0; q < maxIter; q++ {
-		next := a.TMulVec(x)
-		for i := range next {
-			next[i] = (1-alpha)*next[i] + alpha*p[i]
-		}
-		// Mixing with p keeps the iterate in the simplex; renormalize to
-		// shed accumulated floating-point drift.
-		s := 0.0
-		for _, v := range next {
-			s += v
-		}
-		if s > 0 {
-			for i := range next {
-				next[i] /= s
-			}
-		}
-		delta := 0.0
-		for i := range next {
-			delta += math.Abs(next[i] - x[i])
-		}
-		x = next
-		diag.Iterations = q + 1
-		diag.Delta = delta
-		if delta < eps {
-			diag.Converged = true
-			break
-		}
-	}
-	return x, diag, nil
 }

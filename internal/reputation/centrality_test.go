@@ -180,50 +180,6 @@ func TestPageRankRobustOnReducibleGraph(t *testing.T) {
 	}
 }
 
-func TestEigenTrustBasics(t *testing.T) {
-	g := star(6)
-	x, diag, err := EigenTrust(g, EigenTrustOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !diag.Converged {
-		t.Fatal("EigenTrust did not converge")
-	}
-	if matrix.ArgMax(x) != 0 {
-		t.Fatalf("EigenTrust = %v; hub should win", x)
-	}
-	if math.Abs(matrix.VecSum(x)-1) > 1e-9 {
-		t.Fatal("EigenTrust not normalized")
-	}
-}
-
-func TestEigenTrustPreTrustedBias(t *testing.T) {
-	g := ring(6)
-	base, _, err := EigenTrust(g, EigenTrustOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	biased, _, err := EigenTrust(g, EigenTrustOptions{PreTrusted: []int{2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if biased[2] <= base[2] {
-		t.Fatalf("pre-trusting node 2 did not raise its score: %v vs %v", biased[2], base[2])
-	}
-}
-
-func TestEigenTrustValidation(t *testing.T) {
-	if _, _, err := EigenTrust(trust.NewGraph(0), EigenTrustOptions{}); err != ErrEmptyGraph {
-		t.Fatal("empty graph accepted")
-	}
-	if _, _, err := EigenTrust(ring(3), EigenTrustOptions{Alpha: 2}); err == nil {
-		t.Fatal("alpha >= 1 accepted")
-	}
-	if _, _, err := EigenTrust(ring(3), EigenTrustOptions{PreTrusted: []int{9}}); err == nil {
-		t.Fatal("out-of-range pre-trusted accepted")
-	}
-}
-
 func TestPowerVsPageRankAgreeOnStrongGraph(t *testing.T) {
 	// On a strongly connected, aperiodic graph the undamped power method
 	// and lightly damped PageRank should produce the same ranking of the

@@ -10,6 +10,6 @@
 //
 // Besides the paper's power method, the package provides the classic
 // centrality measures the related-work section surveys (degree, closeness,
-// betweenness, PageRank, and an EigenTrust-style variant), which the bench
-// harness uses for eviction-rule ablations.
+// betweenness and PageRank), which the bench harness uses for
+// eviction-rule ablations.
 package reputation

@@ -4,22 +4,96 @@ import (
 	"math"
 	"testing"
 
+	"gridvo/internal/matrix"
 	"gridvo/internal/trust"
 	"gridvo/internal/xrand"
 )
 
-// These tests pin the PR 6 substrate contract: for the same trust graph,
-// the Dense and CSR materializations must produce bitwise-identical
-// reputation vectors and diagnostics — not merely close. Any divergence
-// means the accumulation orders drifted apart and determinism fingerprints
-// would fork by format.
+// These tests pin the CSR pipeline to a dense oracle bit for bit, not
+// merely approximately: eq. 1 on a [][]float64 weight table with the same
+// uniform completion, then PowerIterate's loop with Aᵀx as a dense row
+// sweep. The CSR kernels must accumulate in exactly the oracle's order;
+// any divergence means a normalization or multiply step changed its
+// arithmetic, and determinism fingerprints would move with it.
 
-func formatPair(seed uint64, n int, p float64) (*trust.Graph, *trust.Graph) {
-	g := trust.ErdosRenyi(xrand.New(seed), n, p)
-	gd, gc := g.Clone(), g.Clone()
-	gd.SetFormat(trust.FormatDense)
-	gc.SetFormat(trust.FormatCSR)
-	return gd, gc
+// weightsOf returns g's direct trust as an n×n table.
+func weightsOf(g *trust.Graph) [][]float64 {
+	w := make([][]float64, g.N())
+	for i := range w {
+		w[i] = make([]float64, g.N())
+		g.VisitNeighbors(i, func(j int, u float64) { w[i][j] = u })
+	}
+	return w
+}
+
+// denseNormalized is the oracle for eq. 1: every row divided by its sum,
+// a zero row replaced by 1/n everywhere when uniform. It returns the
+// normalized table and the zero rows.
+func denseNormalized(w [][]float64, uniform bool) ([][]float64, []int) {
+	n := len(w)
+	a := make([][]float64, n)
+	var dangling []int
+	for i, row := range w {
+		a[i] = make([]float64, n)
+		s := 0.0
+		for _, v := range row {
+			s += v
+		}
+		if s == 0 {
+			dangling = append(dangling, i)
+			if uniform {
+				for j := range a[i] {
+					a[i][j] = 1 / float64(n)
+				}
+			}
+			continue
+		}
+		for j, v := range row {
+			a[i][j] = v / s
+		}
+	}
+	return a, dangling
+}
+
+// denseGlobal is the oracle for Global: denseNormalized, then the power
+// loop of PowerIterate on the dense table.
+func denseGlobal(w [][]float64, opts Options) ([]float64, Diagnostics) {
+	a, dangling := denseNormalized(w, opts.DanglingUniform)
+	n := len(a)
+	eps, maxIter := opts.Epsilon, opts.MaxIter
+	if eps == 0 {
+		eps = DefaultEpsilon
+	}
+	if maxIter == 0 {
+		maxIter = DefaultMaxIter
+	}
+	x, warm := startVector(n, opts.InitialVector)
+	diag := Diagnostics{Warm: warm, Dangling: dangling}
+	for q := 0; q < maxIter; q++ {
+		next := make([]float64, n)
+		for i, row := range a {
+			for j, v := range row {
+				next[j] += v * x[i]
+			}
+		}
+		if d := opts.Damping; d > 0 {
+			for i := range next {
+				next[i] = (1-d)*next[i] + d/float64(n)
+			}
+		}
+		matrix.VecNormalizeL1(next)
+		delta := matrix.VecDiffNormL2(next, x)
+		if opts.Stop == StopAvgRelErr {
+			delta = matrix.AvgRelErr(next, x)
+		}
+		x = next
+		diag.Iterations, diag.Delta = q+1, delta
+		if delta < eps {
+			diag.Converged = true
+			break
+		}
+	}
+	return x, diag
 }
 
 func assertBitsEqual(t *testing.T, label string, a, b []float64) {
@@ -29,8 +103,32 @@ func assertBitsEqual(t *testing.T, label string, a, b []float64) {
 	}
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			t.Fatalf("%s: index %d dense %v (%#x) != csr %v (%#x)",
+			t.Fatalf("%s: index %d csr %v (%#x) != dense oracle %v (%#x)",
 				label, i, a[i], math.Float64bits(a[i]), b[i], math.Float64bits(b[i]))
+		}
+	}
+}
+
+// assertMatchesOracle fails unless Global on g equals denseGlobal on its
+// weights bit for bit, scores and diagnostics alike.
+func assertMatchesOracle(t *testing.T, label string, g *trust.Graph, opts Options) {
+	t.Helper()
+	got, gd, err := Global(g, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want, wd := denseGlobal(weightsOf(g), opts)
+	assertBitsEqual(t, label, got, want)
+	if gd.Iterations != wd.Iterations || gd.Converged != wd.Converged || gd.Warm != wd.Warm ||
+		math.Float64bits(gd.Delta) != math.Float64bits(wd.Delta) {
+		t.Fatalf("%s: diagnostics %+v, oracle %+v", label, gd, wd)
+	}
+	if len(gd.Dangling) != len(wd.Dangling) {
+		t.Fatalf("%s: dangling %v, oracle %v", label, gd.Dangling, wd.Dangling)
+	}
+	for k := range gd.Dangling {
+		if gd.Dangling[k] != wd.Dangling[k] {
+			t.Fatalf("%s: dangling %v, oracle %v", label, gd.Dangling, wd.Dangling)
 		}
 	}
 }
@@ -38,99 +136,55 @@ func assertBitsEqual(t *testing.T, label string, a, b []float64) {
 func TestGlobalFormatEquivalence(t *testing.T) {
 	for _, n := range []int{3, 8, 16, 40} {
 		for _, p := range []float64{0.05, 0.2, 0.5, 0.9} {
-			gd, gc := formatPair(uint64(n*100)+uint64(p*1000), n, p)
+			g := trust.ErdosRenyi(xrand.New(uint64(n*100)+uint64(p*1000)), n, p)
 			for _, opts := range []Options{
 				DefaultOptions(),
 				{DanglingUniform: false},
 				{DanglingUniform: true, Damping: 0.15},
 				{DanglingUniform: true, Stop: StopAvgRelErr},
 			} {
-				xd, dd, errD := Global(gd, opts)
-				xc, dc, errC := Global(gc, opts)
-				if (errD == nil) != (errC == nil) {
-					t.Fatalf("n=%d p=%v: error mismatch %v vs %v", n, p, errD, errC)
-				}
-				if errD != nil {
-					continue
-				}
-				assertBitsEqual(t, "scores", xd, xc)
-				if dd.Iterations != dc.Iterations || dd.Converged != dc.Converged ||
-					math.Float64bits(dd.Delta) != math.Float64bits(dc.Delta) {
-					t.Fatalf("n=%d p=%v: diagnostics %+v vs %+v", n, p, dd, dc)
-				}
-				if len(dd.Dangling) != len(dc.Dangling) {
-					t.Fatalf("n=%d p=%v: dangling %v vs %v", n, p, dd.Dangling, dc.Dangling)
-				}
+				assertMatchesOracle(t, g.String(), g, opts)
 			}
 		}
 	}
 }
 
 func TestGlobalFormatEquivalenceWarmStart(t *testing.T) {
-	gd, gc := formatPair(42, 16, 0.1)
-	// Cold solve establishes the eigenvector, then a perturbed warm start
-	// must follow the identical trajectory in both formats.
-	xd, _, err := Global(gd, DefaultOptions())
+	g := trust.ErdosRenyi(xrand.New(42), 16, 0.1)
+	// A cold solve establishes the eigenvector; a perturbed warm start
+	// must then follow the oracle's trajectory exactly.
+	x, _, err := Global(g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := append([]float64(nil), xd...)
+	warm := append([]float64(nil), x...)
 	warm[0] += 0.01
 	opts := DefaultOptions()
 	opts.InitialVector = warm
-	wd, dd, errD := Global(gd, opts)
-	wc, dc, errC := Global(gc, opts)
-	if errD != nil || errC != nil {
-		t.Fatalf("warm solves errored: %v %v", errD, errC)
+	if _, d, _ := Global(g, opts); !d.Warm {
+		t.Fatalf("warm flag lost: %+v", d)
 	}
-	if !dd.Warm || !dc.Warm {
-		t.Fatalf("warm flag lost: dense %+v csr %+v", dd, dc)
-	}
-	assertBitsEqual(t, "warm scores", wd, wc)
-	if dd.Iterations != dc.Iterations {
-		t.Fatalf("warm iterations %d vs %d", dd.Iterations, dc.Iterations)
-	}
+	assertMatchesOracle(t, "warm", g, opts)
 }
 
-func TestDistributedFormatEquivalence(t *testing.T) {
-	gd, gc := formatPair(7, 12, 0.25)
-	xd, dd, errD := DistributedGlobal(gd, DefaultOptions())
-	xc, dc, errC := DistributedGlobal(gc, DefaultOptions())
-	if errD != nil || errC != nil {
-		t.Fatalf("distributed solves errored: %v %v", errD, errC)
-	}
-	assertBitsEqual(t, "distributed scores", xd, xc)
-	if dd.Iterations != dc.Iterations {
-		t.Fatalf("distributed iterations %d vs %d", dd.Iterations, dc.Iterations)
-	}
-}
-
+// TestCentralityFormatEquivalence covers the centralities that solve
+// through the trust matrix; the degree, closeness and betweenness
+// measures read the graph directly.
 func TestCentralityFormatEquivalence(t *testing.T) {
-	for _, c := range []Centrality{
-		CentralityPower, CentralityInDegree, CentralityOutDegree,
-		CentralityCloseness, CentralityBetweenness, CentralityPageRank,
+	g := trust.ErdosRenyi(xrand.New(11), 14, 0.2)
+	for _, tc := range []struct {
+		c    Centrality
+		opts Options
+	}{
+		{CentralityPower, DefaultOptions()},
+		{CentralityPageRank, Options{DanglingUniform: true, Damping: 0.15}},
 	} {
-		gd, gc := formatPair(11, 14, 0.2)
-		sd, errD := Scores(gd, c)
-		sc, errC := Scores(gc, c)
-		if errD != nil || errC != nil {
-			t.Fatalf("%v: %v %v", c, errD, errC)
+		got, err := Scores(g, tc.c)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.c, err)
 		}
-		assertBitsEqual(t, c.String(), sd, sc)
-	}
-}
-
-func TestEigenTrustFormatEquivalence(t *testing.T) {
-	gd, gc := formatPair(13, 16, 0.15)
-	opts := EigenTrustOptions{PreTrusted: []int{0, 3}}
-	xd, dd, errD := EigenTrust(gd, opts)
-	xc, dc, errC := EigenTrust(gc, opts)
-	if errD != nil || errC != nil {
-		t.Fatalf("EigenTrust errored: %v %v", errD, errC)
-	}
-	assertBitsEqual(t, "eigentrust", xd, xc)
-	if dd.Iterations != dc.Iterations {
-		t.Fatalf("EigenTrust iterations %d vs %d", dd.Iterations, dc.Iterations)
+		want, _ := denseGlobal(weightsOf(g), tc.opts)
+		assertBitsEqual(t, tc.c.String(), got, want)
 	}
 }
 

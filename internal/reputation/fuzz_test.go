@@ -11,13 +11,13 @@ import (
 )
 
 // FuzzTrustNormalize feeds arbitrary bit patterns — including NaN, ±Inf,
-// negatives, and zero rows — through the trust-matrix boundary. The
-// contract under fuzzing: trust.FromMatrix either rejects the matrix with
-// an explicit error or accepts it, and an accepted matrix normalizes to a
-// row-stochastic matrix (eq. 1) and yields a finite, L1-normalized global
-// reputation vector (eq. 6). No input may panic or produce NaN, and
-// trust's one-pass CSR normalization must match the two-pass reference
-// bit for bit.
+// negatives, and zero rows — through the trust-matrix boundary. Invalid
+// weights are the input validators' to reject (SetTrust panics on them);
+// every valid weight table must normalize to a row-stochastic matrix
+// (eq. 1) and yield a finite, L1-normalized global reputation vector
+// (eq. 6). No input may produce NaN, the CSR pipeline must match the
+// dense oracle bit for bit, and trust's one-pass CSR normalization must
+// match the two-pass reference bit for bit.
 func FuzzTrustNormalize(f *testing.F) {
 	f.Add(uint8(3), []byte{})
 	f.Add(uint8(1), []byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -29,31 +29,30 @@ func FuzzTrustNormalize(f *testing.F) {
 	binary.LittleEndian.PutUint64(neg, math.Float64bits(-1.5))
 	f.Add(uint8(2), neg)
 	// A healthy ring.
-	ring := make([]byte, 0, 9*8)
-	for _, v := range []float64{0, 0.8, 0, 0, 0, 0.6, 0.4, 0, 0} {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		ring = append(ring, b[:]...)
-	}
-	f.Add(uint8(3), ring)
+	f.Add(uint8(3), weightBytes(0, 0.8, 0, 0, 0, 0.6, 0.4, 0, 0))
+	// A dense 4-node table with one dangling row: rows whose weights do
+	// not divide exactly, columns that sum several products.
+	f.Add(uint8(4), weightBytes(0, 0.3, 0.7, 0.11, 0.9, 0, 0.2, 0.45, 0, 0, 0, 0, 0.6, 0.13, 0.29, 0))
 
 	f.Fuzz(func(t *testing.T, nRaw uint8, data []byte) {
 		n := int(nRaw%8) + 1 // 1..8 GSPs keeps every iteration cheap
-		w := matrix.NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				idx := (i*n + j) * 8
-				var v float64
-				if idx+8 <= len(data) {
-					v = math.Float64frombits(binary.LittleEndian.Uint64(data[idx : idx+8]))
+		w := make([][]float64, n)
+		for i := range w {
+			w[i] = make([]float64, n)
+			for j := range w[i] {
+				if idx := (i*n + j) * 8; idx+8 <= len(data) {
+					w[i][j] = math.Float64frombits(binary.LittleEndian.Uint64(data[idx : idx+8]))
 				}
-				w.Set(i, j, v)
 			}
 		}
-
-		g, err := trust.FromMatrix(w)
-		if err != nil {
-			return // explicit rejection is the correct outcome for bad bits
+		g := trust.NewGraph(n)
+		for i, row := range w {
+			for j, v := range row {
+				if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+					return // not a trust weight; the validators reject it
+				}
+				g.SetTrust(i, j, v)
+			}
 		}
 		a, dangling := g.Normalized(trust.NormalizeOptions{DanglingUniform: true})
 		for i := 0; i < n; i++ {
@@ -70,9 +69,10 @@ func FuzzTrustNormalize(f *testing.F) {
 			}
 		}
 
-		scores, _, err := Global(g, Options{MaxIter: 500, DanglingUniform: true})
+		opts := Options{MaxIter: 500, DanglingUniform: true}
+		scores, _, err := Global(g, opts)
 		if err != nil {
-			return // explicit rejection is acceptable; silent NaN is not
+			t.Fatal(err)
 		}
 		l1 := 0.0
 		for i, x := range scores {
@@ -85,30 +85,27 @@ func FuzzTrustNormalize(f *testing.F) {
 			t.Fatalf("global reputation not L1-normalized: sum %v", l1)
 		}
 
-		// Format parity: normalizing the same weights through the CSR path
-		// must agree with the dense path entry for entry, and the full
-		// solve must agree bit for bit. Graph construction already dropped
-		// explicit zeros, so both representations hold identical nonzeros.
-		gd, gc := g.Clone(), g.Clone()
-		gd.SetFormat(trust.FormatDense)
-		gc.SetFormat(trust.FormatCSR)
-		ad, zd := gd.Normalized(trust.NormalizeOptions{DanglingUniform: true})
-		ac, zc := gc.Normalized(trust.NormalizeOptions{DanglingUniform: true})
-		if len(zd) != len(zc) {
-			t.Fatalf("dangling lists differ: %v vs %v", zd, zc)
+		// Oracle parity: the normalized CSR equals eq. 1 on the dense
+		// table entry for entry, and the full solve equals the dense power
+		// loop bit for bit.
+		want, wantZ := denseNormalized(w, true)
+		if !reflect.DeepEqual(dangling, wantZ) {
+			t.Fatalf("dangling %v, oracle %v", dangling, wantZ)
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if math.Float64bits(ad.At(i, j)) != math.Float64bits(ac.At(i, j)) {
-					t.Fatalf("normalized (%d,%d): dense %v != csr %v", i, j, ad.At(i, j), ac.At(i, j))
+				if math.Float64bits(a.At(i, j)) != math.Float64bits(want[i][j]) {
+					t.Fatalf("normalized (%d,%d): csr %v != dense oracle %v", i, j, a.At(i, j), want[i][j])
 				}
 			}
 		}
+		assertMatchesOracle(t, "fuzz", g, opts)
+
 		// The one-pass CSR build matches the two-pass reference bit for
 		// bit in both dangling modes, also after growth adds empty rows.
-		grown := gc.Clone()
+		grown := g.Clone()
 		grown.Grow(n + int(nRaw/8)%3)
-		for _, g := range []*trust.Graph{gc, grown} {
+		for _, g := range []*trust.Graph{g, grown} {
 			for _, uniform := range []bool{true, false} {
 				got, gotZ := g.Normalized(trust.NormalizeOptions{DanglingUniform: uniform})
 				want, wantZ := twoPassNormalized(g, uniform)
@@ -118,24 +115,17 @@ func FuzzTrustNormalize(f *testing.F) {
 				}
 			}
 		}
-
-		sd, dd, errD := Global(gd, Options{MaxIter: 500, DanglingUniform: true})
-		sc, dc, errC := Global(gc, Options{MaxIter: 500, DanglingUniform: true})
-		if (errD == nil) != (errC == nil) {
-			t.Fatalf("format-dependent error: dense=%v csr=%v", errD, errC)
-		}
-		if errD == nil {
-			if dd.Iterations != dc.Iterations || dd.Converged != dc.Converged ||
-				math.Float64bits(dd.Delta) != math.Float64bits(dc.Delta) {
-				t.Fatalf("diagnostics differ: dense %+v csr %+v", dd, dc)
-			}
-			for i := range sd {
-				if math.Float64bits(sd[i]) != math.Float64bits(sc[i]) {
-					t.Fatalf("score[%d]: dense %v != csr %v", i, sd[i], sc[i])
-				}
-			}
-		}
 	})
+}
+
+// weightBytes encodes weights as the little-endian float64 stream the
+// fuzz target decodes row by row.
+func weightBytes(ws ...float64) []byte {
+	out := make([]byte, 0, 8*len(ws))
+	for _, v := range ws {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
 }
 
 // twoPassNormalized is the reference for trust's one-pass CSR

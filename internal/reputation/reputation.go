@@ -116,10 +116,15 @@ var ErrEmptyGraph = errors.New("reputation: empty trust graph")
 // left principal eigenvector of the normalized trust matrix — using the
 // power method of Algorithm 2. The returned vector is non-negative and
 // L1-normalized (it sums to 1 unless the graph has no trust mass at all).
+// A graph whose normalized matrix would store more than trust.MaxEntries
+// entries is rejected with an error before anything is allocated.
 func Global(g *trust.Graph, opts Options) ([]float64, Diagnostics, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, Diagnostics{}, ErrEmptyGraph
+	}
+	if e := g.NormalizedEntries(opts.DanglingUniform); e > trust.MaxEntries {
+		return nil, Diagnostics{}, fmt.Errorf("reputation: the normalized trust matrix of %d nodes needs %d entries, above the limit %d", n, e, trust.MaxEntries)
 	}
 	// Fault hook: a NonConverge plan clamps the iteration budget, forcing
 	// the exhaustion path (last iterate, Converged == false, nil error).
@@ -136,12 +141,10 @@ func Global(g *trust.Graph, opts Options) ([]float64, Diagnostics, error) {
 // normalized matrix, renormalizing the iterate to unit L1 norm each step
 // (A may be substochastic when dangling rows were kept zero; without
 // renormalization the iterate would decay in magnitude while keeping the
-// same direction). The matrix must be square. Any matrix.Matrix works;
-// with a CSR each step is O(nnz), and the Dense and CSR representations of
-// the same values produce bitwise-identical iterates.
+// same direction). The matrix must be square; each step is O(nnz).
 //
 //gridvolint:ignore ctxthread bounded by Options.MaxIter; cancellation is enforced per-solve by mechanism.Engine
-func PowerIterate(a matrix.Matrix, opts Options) ([]float64, Diagnostics) {
+func PowerIterate(a *matrix.CSR, opts Options) ([]float64, Diagnostics) {
 	if a.Rows() != a.Cols() {
 		panic(fmt.Sprintf("reputation: PowerIterate on %dx%d matrix", a.Rows(), a.Cols()))
 	}

@@ -2,6 +2,7 @@ package reputation
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,20 @@ func ring(n int) *trust.Graph {
 func TestGlobalEmptyGraph(t *testing.T) {
 	if _, _, err := Global(trust.NewGraph(0), DefaultOptions()); err != ErrEmptyGraph {
 		t.Fatalf("err = %v, want ErrEmptyGraph", err)
+	}
+}
+
+// TestGlobalRejectsOversizedMatrix: 10⁴ edgeless nodes would need 10⁸
+// uniform entries, above trust.MaxEntries; Global refuses before building
+// the matrix.
+func TestGlobalRejectsOversizedMatrix(t *testing.T) {
+	g := trust.NewGraph(10000)
+	if _, _, err := Global(g, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "above the limit") {
+		t.Fatalf("err = %v, want the entry-limit error", err)
+	}
+	g.SetTrust(0, 1, 1)
+	if _, _, err := Global(g, Options{}); err != nil {
+		t.Fatalf("without the uniform fix the matrix holds one entry: %v", err)
 	}
 }
 
@@ -234,11 +249,11 @@ func TestPowerIterateNonSquarePanics(t *testing.T) {
 			t.Fatal("non-square PowerIterate did not panic")
 		}
 	}()
-	PowerIterate(matrix.NewDense(2, 3), DefaultOptions())
+	PowerIterate(matrix.NewCSRRaw(2, 3, []int{0, 0, 0}, nil, nil), DefaultOptions())
 }
 
 func TestPowerIterateEmpty(t *testing.T) {
-	x, diag := PowerIterate(matrix.NewDense(0, 0), DefaultOptions())
+	x, diag := PowerIterate(matrix.NewCSRRaw(0, 0, []int{0}, nil, nil), DefaultOptions())
 	if x != nil || !diag.Converged {
 		t.Fatal("empty matrix should converge vacuously")
 	}

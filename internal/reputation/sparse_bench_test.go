@@ -15,7 +15,6 @@ import (
 
 func benchGlobalCSR(b *testing.B, n int) {
 	g := trust.SparseErdosRenyi(xrand.New(42), n, 20)
-	g.SetFormat(trust.FormatCSR)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, diag, err := Global(g, DefaultOptions()); err != nil || !diag.Converged {

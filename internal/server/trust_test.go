@@ -149,6 +149,38 @@ func TestTrustDeltaValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedTrustRejected: a body of a few bytes can name enough
+// edgeless nodes that the uniform dangling fix of eq. 1 would need n²
+// matrix entries, or a node count whose row headers alone exhaust memory.
+// Both endpoints answer 400 before allocating, and the server keeps
+// serving.
+func TestOversizedTrustRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	over := trust.MaxEntries + 1
+	for _, tc := range []struct {
+		name, path, body string
+	}{
+		{"reputation, edgeless n=1e5", "/v1/reputation", `{"trust":{"n":100000,"edges":[]}}`},
+		{"delta, edgeless n=1e5 solve", "/v1/trust/delta", `{"n":100000,"solve":true}`},
+		{"reputation, n above the limit", "/v1/reputation", fmt.Sprintf(`{"trust":{"n":%d,"edges":[]}}`, over)},
+		{"delta, n above the limit", "/v1/trust/delta", fmt.Sprintf(`{"n":%d}`, over)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, data := postJSON(t, ts.URL+tc.path, tc.body)
+			if code != http.StatusBadRequest {
+				t.Fatalf("status %d: %s", code, data)
+			}
+			if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+				t.Fatalf("healthz after the oversized body: %d", code)
+			}
+		})
+	}
+	code, data := postJSON(t, ts.URL+"/v1/reputation", `{"trust":{"n":2,"edges":[{"from":0,"to":1,"weight":1},{"from":1,"to":0,"weight":1}]}}`)
+	if code != http.StatusOK {
+		t.Fatalf("small reputation request after the oversized ones: status %d: %s", code, data)
+	}
+}
+
 func TestTrustDeltaAtomicRollbackOverHTTP(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// First op valid, second invalid: neither may land.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gridvo/internal/fault"
-	"gridvo/internal/trust"
 )
 
 func chaosConfig(seed uint64) Config {
@@ -104,38 +103,6 @@ func TestChaosSweepRateZeroIsClean(t *testing.T) {
 	}
 	if len(rep.Violations) != 0 {
 		t.Fatalf("clean sweep reported violations: %v", rep.Violations)
-	}
-}
-
-// TestChaosSweepFormatParity: the chaos fingerprint folds every selection,
-// payoff bit pattern, and fault counter of a sweep — forcing the trust
-// matrix into Dense vs CSR must not move a single bit, including under
-// ZeroTrustRow faults that blank rows of sparse-backed graphs.
-func TestChaosSweepFormatParity(t *testing.T) {
-	fcfg := fault.Config{
-		Seed: 31, Rate: 0.5, CancelNodes: 8,
-		Classes: []fault.Class{fault.ZeroTrustRow, fault.NonConverge},
-	}
-	dense := chaosConfig(9)
-	dense.TrustFormat = trust.FormatDense
-	csr := chaosConfig(9)
-	csr.TrustFormat = trust.FormatCSR
-	a, err := ChaosSweep(context.Background(), dense, fcfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ChaosSweep(context.Background(), csr, fcfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Fingerprint != b.Fingerprint {
-		t.Fatalf("fingerprints fork by matrix format: dense %x vs csr %x", a.Fingerprint, b.Fingerprint)
-	}
-	if a.FaultStats != b.FaultStats {
-		t.Fatalf("fault schedules fork by matrix format: %v vs %v", a.FaultStats, b.FaultStats)
-	}
-	if a.FaultStats.PerClass[fault.ZeroTrustRow] == 0 {
-		t.Fatal("sweep never fired ZeroTrustRow; parity check is vacuous")
 	}
 }
 

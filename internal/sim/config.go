@@ -29,11 +29,6 @@ type Config struct {
 	// out-degree, overriding TrustEdgeProb. This is the knob for scaling
 	// experiments far beyond the paper's 16 GSPs.
 	TrustMeanDegree float64
-	// TrustFormat forces the trust matrix representation (auto/dense/csr);
-	// the zero value is trust.FormatAuto. Scaling and determinism harnesses
-	// use the explicit formats to cross-check that results do not depend on
-	// the representation.
-	TrustFormat trust.Format
 	// ProgramSizes are the task counts of the experiment programs
 	// (Section IV-A: 256…8192).
 	ProgramSizes []int
@@ -160,7 +155,6 @@ func (e *Env) BuildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, e
 	} else {
 		tg = trust.ErdosRenyi(rng.Split("trust"), cfg.NumGSPs, cfg.TrustEdgeProb)
 	}
-	tg.SetFormat(cfg.TrustFormat)
 
 	sc := &mechanism.Scenario{
 		Program: prog, GSPs: gsps, Cost: cost, Time: tm, Trust: tg,

@@ -9,56 +9,6 @@ import (
 	"gridvo/internal/xrand"
 )
 
-// Format selects the matrix representation a Graph materializes for the
-// reputation pipeline.
-type Format int
-
-const (
-	// FormatAuto picks CSR when the edge density is below DenseThreshold
-	// and Dense otherwise. This is the default.
-	FormatAuto Format = iota
-	// FormatDense always materializes matrix.Dense.
-	FormatDense
-	// FormatCSR always materializes matrix.CSR.
-	FormatCSR
-)
-
-// String returns the format name for flags and experiment metadata.
-func (f Format) String() string {
-	switch f {
-	case FormatAuto:
-		return "auto"
-	case FormatDense:
-		return "dense"
-	case FormatCSR:
-		return "csr"
-	default:
-		return fmt.Sprintf("Format(%d)", int(f))
-	}
-}
-
-// ParseFormat parses "auto", "dense", or "csr".
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "", "auto":
-		return FormatAuto, nil
-	case "dense":
-		return FormatDense, nil
-	case "csr":
-		return FormatCSR, nil
-	default:
-		return FormatAuto, fmt.Errorf("trust: unknown matrix format %q (want auto, dense, or csr)", s)
-	}
-}
-
-// DenseThreshold is the edge density (NumEdges / n²) at or above which
-// FormatAuto materializes a dense matrix. Below it, CSR wins on both memory
-// (12 bytes per edge, plus one word per row, vs n² floats) and
-// per-iteration work (O(nnz) vs O(n²)).
-// The crossover in microbenchmarks sits near 1/4: a CSR row costs one
-// indirect load per entry vs the dense row's sequential scan.
-const DenseThreshold = 0.25
-
 // edge is one stored adjacency entry: node to receives weight w.
 type edge struct {
 	to int
@@ -75,7 +25,6 @@ type Graph struct {
 	adj    [][]edge // adj[i] sorted ascending by to; only positive weights stored
 	nnz    int      // total stored edges
 	labels []string // optional display names, len n when present
-	format Format   // matrix representation policy
 }
 
 // NewGraph returns an edgeless trust graph over n GSPs. It panics if n < 0.
@@ -86,39 +35,8 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, adj: make([][]edge, n)}
 }
 
-// FromMatrix builds a graph from a square weight matrix; entry (i,j) is
-// u_ij. Negative or non-finite weights and a non-square matrix are rejected
-// with an error because they typically indicate corrupted input files — a
-// NaN that slips in here would propagate through row normalization into
-// every reputation score.
-func FromMatrix(w *matrix.Dense) (*Graph, error) {
-	if w.Rows() != w.Cols() {
-		return nil, fmt.Errorf("trust: weight matrix is %dx%d, want square", w.Rows(), w.Cols())
-	}
-	g := NewGraph(w.Rows())
-	for i := 0; i < w.Rows(); i++ {
-		for j := 0; j < w.Cols(); j++ {
-			u := w.At(i, j)
-			if u < 0 || math.IsNaN(u) || math.IsInf(u, 0) {
-				return nil, fmt.Errorf("trust: invalid weight %v at (%d,%d)", u, i, j)
-			}
-			if u > 0 {
-				g.adj[i] = append(g.adj[i], edge{to: j, w: u})
-				g.nnz++
-			}
-		}
-	}
-	return g, nil
-}
-
 // N returns the number of GSPs in the graph.
 func (g *Graph) N() int { return g.n }
-
-// SetFormat overrides the automatic matrix-format selection; see Format.
-func (g *Graph) SetFormat(f Format) { g.format = f }
-
-// MatrixFormat returns the configured representation policy.
-func (g *Graph) MatrixFormat() Format { return g.format }
 
 // checkNode panics if i is outside [0, n).
 func (g *Graph) checkNode(i int) {
@@ -250,7 +168,7 @@ func (g *Graph) Label(i int) string {
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{n: g.n, adj: make([][]edge, g.n), nnz: g.nnz, format: g.format}
+	c := &Graph{n: g.n, adj: make([][]edge, g.n), nnz: g.nnz}
 	for i, row := range g.adj {
 		if len(row) > 0 {
 			c.adj[i] = append([]edge(nil), row...)
@@ -295,20 +213,6 @@ func (g *Graph) ClearOutgoing(i int) {
 	g.adj[i] = nil
 }
 
-// pickFormat resolves FormatAuto against the current density.
-func (g *Graph) pickFormat() Format {
-	if g.format != FormatAuto {
-		return g.format
-	}
-	if g.n == 0 {
-		return FormatCSR
-	}
-	if float64(g.nnz) >= DenseThreshold*float64(g.n)*float64(g.n) {
-		return FormatDense
-	}
-	return FormatCSR
-}
-
 // NormalizeOptions control how eq. (1) handles GSPs with no outgoing trust
 // (Σ_k u_ik = 0), for which the normalized row is undefined.
 type NormalizeOptions struct {
@@ -320,46 +224,53 @@ type NormalizeOptions struct {
 	DanglingUniform bool
 }
 
-// Normalized returns the matrix A of normalized trust values a_ij (eq. 1):
-// each row is divided by its sum. The second return lists the GSPs that had
-// no outgoing trust at all and were patched per opts. The representation
-// (Dense or CSR) follows the graph's Format policy; both produce bitwise-
-// identical values (see the matrix.Matrix contract). Every call returns a
-// freshly built matrix that the caller owns and that shares no memory with
-// the graph.
-func (g *Graph) Normalized(opts NormalizeOptions) (matrix.Matrix, []int) {
-	if g.pickFormat() == FormatCSR {
-		return g.normalizedCSR(opts.DanglingUniform)
+// MaxEntries bounds the entries a normalized trust matrix may store, and
+// with it the node count a decoded graph or delta batch may declare. The
+// uniform completion of eq. 1 stores n entries for every dangling row, so
+// a small request naming many edgeless nodes would otherwise ask for n²
+// entries. 2²⁶ entries are about 0.8 GB of CSR at 12 bytes each, which
+// still admits a million-node graph of mean degree 20.
+const MaxEntries = 1 << 26
+
+// NormalizedEntries returns how many entries Normalized would store: the
+// edges plus, when uniform, n for every dangling row. It runs in O(n),
+// allocates nothing, and saturates at math.MaxInt instead of overflowing.
+func (g *Graph) NormalizedEntries(uniform bool) int {
+	if !uniform {
+		return g.nnz
 	}
-	//gridvolint:ignore densehot dense is the resolved format for this graph's density
-	a := matrix.NewDense(g.n, g.n)
-	for i, row := range g.adj {
-		for _, e := range row {
-			a.Set(i, e.to, e.w)
+	dangling := 0
+	for _, row := range g.adj {
+		if len(row) == 0 {
+			dangling++
 		}
 	}
-	return a, a.NormalizeRows(opts.DanglingUniform)
+	if dangling > 0 && g.n > (math.MaxInt-g.nnz)/dangling {
+		return math.MaxInt
+	}
+	return g.nnz + dangling*g.n
 }
 
-// normalizedCSR builds the row-normalized CSR in one pass over the
-// adjacency, with the arithmetic of matrix.CSR.NormalizeRows: each edge is
-// read once, copied out while the row sum accumulates in ascending column
-// order, and the row's values are then divided by that sum in place
-// (never multiplied by a reciprocal, which overflows for subnormal sums).
-// A row with no outgoing trust is dangling: with uniform it becomes an
-// explicit row of 1/n entries, otherwise it stays empty. The adjacency
-// already holds strictly ascending in-range targets, so the result skips
-// NewCSRRaw's O(nnz) validation pass.
-func (g *Graph) normalizedCSR(uniform bool) (*matrix.CSR, []int) {
+// Normalized returns the matrix A of normalized trust values a_ij (eq. 1)
+// as a CSR, and the GSPs that had no outgoing trust at all and were
+// patched per opts. Every call builds a fresh matrix that the caller owns
+// and that shares no memory with the graph; it holds NormalizedEntries
+// entries, which callers facing untrusted input check against MaxEntries
+// first.
+//
+// The build is one pass over the adjacency, with the arithmetic of
+// matrix.CSR.NormalizeRows: each edge is read once, copied out while the
+// row sum accumulates in ascending column order, and the row's values are
+// then divided by that sum in place (never multiplied by a reciprocal,
+// which overflows for subnormal sums). A row with no outgoing trust is
+// dangling: with DanglingUniform it becomes an explicit row of 1/n
+// entries, otherwise it stays empty. The adjacency already holds strictly
+// ascending in-range targets, so the result skips NewCSRRaw's O(nnz)
+// validation pass.
+func (g *Graph) Normalized(opts NormalizeOptions) (*matrix.CSR, []int) {
 	n := g.n
-	nnz := g.nnz
-	if uniform {
-		for _, row := range g.adj {
-			if len(row) == 0 {
-				nnz += n
-			}
-		}
-	}
+	uniform := opts.DanglingUniform
+	nnz := g.NormalizedEntries(uniform)
 	rowPtr := make([]int, n+1)
 	colIdx := make([]int32, nnz)
 	val := make([]float64, nnz)
@@ -416,7 +327,6 @@ func (g *Graph) Subgraph(keep []int) *Graph {
 		pos[orig] = k
 	}
 	sub := NewGraph(len(keep))
-	sub.format = g.format
 	for k, orig := range keep {
 		var row []edge
 		for _, e := range g.adj[orig] {

@@ -35,14 +35,15 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the sparse edge-list format, validating ranges and
-// weights.
+// weights. A node count above MaxEntries is rejected before the graph is
+// allocated.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var gj graphJSON
 	if err := json.Unmarshal(data, &gj); err != nil {
 		return fmt.Errorf("trust: decoding graph: %w", err)
 	}
-	if gj.N < 0 {
-		return fmt.Errorf("trust: negative node count %d", gj.N)
+	if gj.N < 0 || gj.N > MaxEntries {
+		return fmt.Errorf("trust: node count %d outside [0,%d]", gj.N, MaxEntries)
 	}
 	if gj.Labels != nil && len(gj.Labels) != gj.N {
 		return fmt.Errorf("trust: %d labels for %d nodes", len(gj.Labels), gj.N)

@@ -2,6 +2,7 @@ package trust
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -57,6 +58,7 @@ func TestReadJSONRejectsBadInput(t *testing.T) {
 		`{"n": 2, "edges": [{"from": 0, "to": 1, "weight": -3}]}`,
 		`{"n": 2, "edges": [{"from": 0, "to": 1, "weight": 0}]}`,
 		`{"n": 2, "labels": ["just-one"], "edges": []}`,
+		fmt.Sprintf(`{"n": %d, "edges": []}`, MaxEntries+1),
 	}
 	for i, c := range cases {
 		if _, err := ReadJSON(strings.NewReader(c)); err == nil {

@@ -1,7 +1,6 @@
 package trust
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -98,81 +97,35 @@ func TestSetTrustZeroDeletes(t *testing.T) {
 // Normalized call builds a new matrix from the current edges, and a matrix
 // already handed out is a snapshot that later mutations do not reach.
 func TestNormalizedFresh(t *testing.T) {
-	for _, f := range []Format{FormatCSR, FormatDense} {
-		g := ErdosRenyi(xrand.New(3), 12, 0.3)
-		g.SetFormat(f)
-		opts := NormalizeOptions{DanglingUniform: true}
-		a1, _ := g.Normalized(opts)
-		a2, _ := g.Normalized(opts)
-		if a1 == a2 {
-			t.Fatalf("%v: Normalized returned the same matrix twice", f)
-		}
-		for i := 0; i < 12; i++ {
-			s := 0.0
-			g.VisitNeighbors(i, func(_ int, w float64) { s += w })
-			for j := 0; j < 12; j++ {
-				want := 1.0 / 12
-				if s != 0 {
-					want = g.Trust(i, j) / s
-				}
-				if math.Float64bits(a1.At(i, j)) != math.Float64bits(want) {
-					t.Fatalf("%v: a(%d,%d) = %v, want %v", f, i, j, a1.At(i, j), want)
-				}
+	g := ErdosRenyi(xrand.New(3), 12, 0.3)
+	opts := NormalizeOptions{DanglingUniform: true}
+	a1, _ := g.Normalized(opts)
+	a2, _ := g.Normalized(opts)
+	if a1 == a2 {
+		t.Fatal("Normalized returned the same matrix twice")
+	}
+	for i := 0; i < 12; i++ {
+		s := 0.0
+		g.VisitNeighbors(i, func(_ int, w float64) { s += w })
+		for j := 0; j < 12; j++ {
+			want := 1.0 / 12
+			if s != 0 {
+				want = g.Trust(i, j) / s
+			}
+			if math.Float64bits(a1.At(i, j)) != math.Float64bits(want) {
+				t.Fatalf("a(%d,%d) = %v, want %v", i, j, a1.At(i, j), want)
 			}
 		}
-		old := a1.At(0, 1)
-		g.ClearOutgoing(0)
-		g.SetTrust(0, 1, 0.123)
-		if a1.At(0, 1) != old {
-			t.Fatalf("%v: a graph mutation reached a matrix already returned", f)
-		}
-		if a3, _ := g.Normalized(opts); a3.At(0, 1) != 1 {
-			t.Fatalf("%v: refreshed matrix has a(0,1) = %v, want 1", f, a3.At(0, 1))
-		}
 	}
-}
-
-// normalizedMatrix returns g's normalized matrix, for format assertions.
-func normalizedMatrix(g *Graph) matrix.Matrix {
-	a, _ := g.Normalized(NormalizeOptions{DanglingUniform: true})
-	return a
-}
-
-func TestFormatSelection(t *testing.T) {
-	sparse := ErdosRenyi(xrand.New(1), 16, 0.1)
-	if a := normalizedMatrix(sparse); !isCSR(a) {
-		t.Fatalf("density %.3f should auto-pick CSR, got %T", sparse.Density(), a)
+	old := a1.At(0, 1)
+	g.ClearOutgoing(0)
+	g.SetTrust(0, 1, 0.123)
+	if a1.At(0, 1) != old {
+		t.Fatal("a graph mutation reached a matrix already returned")
 	}
-	dense := ErdosRenyi(xrand.New(1), 16, 0.9)
-	if a := normalizedMatrix(dense); isCSR(a) {
-		t.Fatalf("density %.3f should auto-pick Dense, got %T", dense.Density(), a)
+	if a3, _ := g.Normalized(opts); a3.At(0, 1) != 1 {
+		t.Fatalf("refreshed matrix has a(0,1) = %v, want 1", a3.At(0, 1))
 	}
-	sparse.SetFormat(FormatDense)
-	if isCSR(normalizedMatrix(sparse)) {
-		t.Fatal("FormatDense override ignored")
-	}
-	dense.SetFormat(FormatCSR)
-	if !isCSR(normalizedMatrix(dense)) {
-		t.Fatal("FormatCSR override ignored")
-	}
-	// Clone and Subgraph inherit the policy.
-	if f := sparse.Clone().MatrixFormat(); f != FormatDense {
-		t.Fatalf("Clone format = %v", f)
-	}
-	if f := sparse.Subgraph([]int{0, 1}).MatrixFormat(); f != FormatDense {
-		t.Fatalf("Subgraph format = %v", f)
-	}
-}
-
-// isCSR reports whether a is a CSR; the only other format is Dense.
-func isCSR(a matrix.Matrix) bool {
-	switch a.(type) {
-	case *matrix.CSR:
-		return true
-	case *matrix.Dense:
-		return false
-	}
-	panic(fmt.Sprintf("unexpected matrix type %T", a))
 }
 
 // twoPassNormalized is the reference for the one-pass CSR build: a raw
@@ -225,7 +178,6 @@ func TestNormalizedMatchesTwoPassReference(t *testing.T) {
 		{"sparse with cleared rows", sparse},
 	} {
 		for _, uniform := range []bool{true, false} {
-			tc.g.SetFormat(FormatCSR)
 			got, gotZ := tc.g.Normalized(NormalizeOptions{DanglingUniform: uniform})
 			want, wantZ := twoPassNormalized(tc.g, uniform)
 			// The values are non-negative and never NaN, so DeepEqual's ==
@@ -247,21 +199,6 @@ func graphOf(n int, edges ...Edge) *Graph {
 		g.SetTrust(e.From, e.To, e.Weight)
 	}
 	return g
-}
-
-func TestParseFormat(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Format
-	}{{"", FormatAuto}, {"auto", FormatAuto}, {"dense", FormatDense}, {"csr", FormatCSR}} {
-		got, err := ParseFormat(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseFormat(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParseFormat("coo"); err == nil {
-		t.Fatal("unknown format accepted")
-	}
 }
 
 func TestGrow(t *testing.T) {
@@ -331,6 +268,33 @@ func TestStoreApplyDeltaRejectsAtomically(t *testing.T) {
 	}
 	if _, err := s.ApplyDelta(0, []DeltaOp{{From: 0, To: 1, Weight: -1}}); err == nil {
 		t.Fatal("negative weight accepted")
+	}
+	if _, err := s.ApplyDelta(MaxEntries+1, nil); err == nil {
+		t.Fatal("node count above MaxEntries accepted")
+	}
+	if st := s.Stats(); st.N != 2 {
+		t.Fatalf("rejected growth changed the store: %+v", st)
+	}
+}
+
+// TestNormalizedEntries pins the pre-allocation count Normalized's size
+// is checked by: edges, plus n per dangling row under the uniform fix,
+// saturating instead of overflowing.
+func TestNormalizedEntries(t *testing.T) {
+	g := graphOf(5, Edge{0, 1, 0.2}, Edge{0, 4, 0.6}, Edge{2, 0, 1}, Edge{4, 2, 0.9})
+	for _, uniform := range []bool{true, false} {
+		a, _ := g.Normalized(NormalizeOptions{DanglingUniform: uniform})
+		if got := g.NormalizedEntries(uniform); got != a.NNZ() {
+			t.Fatalf("uniform=%v: NormalizedEntries %d, Normalized stores %d", uniform, got, a.NNZ())
+		}
+	}
+	if got := g.NormalizedEntries(true); got != 4+2*5 {
+		t.Fatalf("NormalizedEntries = %d, want 14", got)
+	}
+	// Four dangling rows of math.MaxInt/2 entries each overflow int.
+	huge := &Graph{n: math.MaxInt / 2, adj: make([][]edge, 4)}
+	if got := huge.NormalizedEntries(true); got != math.MaxInt {
+		t.Fatalf("NormalizedEntries = %d, want saturation at math.MaxInt", got)
 	}
 }
 

@@ -78,20 +78,17 @@ func NewStore(n int) *Store {
 	return &Store{g: NewGraph(n)}
 }
 
-// SetFormat sets the matrix-format policy of the underlying graph.
-func (s *Store) SetFormat(f Format) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.g.SetFormat(f)
-}
-
 // ApplyDelta validates and applies one batch of edge updates atomically:
 // either every op is applied or none is. n, when larger than the current
 // node count, grows the graph first (ops may then reference the new
-// nodes); n == 0 keeps the current size. The warm-start vector survives
+// nodes); n == 0 keeps the current size, and n above MaxEntries is
+// rejected before anything is allocated. The warm-start vector survives
 // the batch — a perturbed graph's eigenvector is still an excellent
 // starting point — padded with zeros for any new nodes.
 func (s *Store) ApplyDelta(n int, ops []DeltaOp) (StoreStats, error) {
+	if n > MaxEntries {
+		return s.Stats(), fmt.Errorf("trust: delta declares %d nodes, above the limit %d", n, MaxEntries)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	size := s.g.N()
