@@ -391,8 +391,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 // Sizes must match exactly; reputations and payoffs get an ulp-scale
 // tolerance because PR 4's NormalizeRows fix (divide instead of
 // multiply-by-reciprocal) legitimately moves trust rows by one ulp.
-//
-//gridvolint:ignore floatcmp VO sizes are small integer counts; selection identity must be exact
 func compareBaseline(cur, base []pointJSON) (bool, string) {
 	if len(cur) != len(base) {
 		return false, fmt.Sprintf("point counts differ: %d vs baseline %d", len(cur), len(base))
@@ -455,9 +453,7 @@ func sweep(cfg sim.Config, noWarmStart bool) (sideJSON, error) {
 // VOs: identical sizes and average reputations at every point (evictions
 // are reputation-driven and unaffected by seeding), with warm payoffs
 // never worse than cold (seeds can improve truncated searches, never hurt
-// them).
-//
-//gridvolint:ignore floatcmp VO sizes are small integer counts; selection identity must be exact
+// them). VO sizes are small integer counts, so identity is exact.
 func compareSelections(warm, cold []pointJSON) (bool, string) {
 	if len(warm) != len(cold) {
 		return false, fmt.Sprintf("point counts differ: %d vs %d", len(warm), len(cold))

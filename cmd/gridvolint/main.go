@@ -7,7 +7,7 @@
 //
 //	gridvolint ./...                 # whole module (the CI invocation)
 //	gridvolint ./internal/assign     # one package directory
-//	gridvolint -checks maporder,floatcmp ./...
+//	gridvolint -checks maporder,noclock ./...
 //	gridvolint -json ./...           # machine-readable findings
 //	gridvolint -list                 # print the check catalog
 //

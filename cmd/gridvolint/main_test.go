@@ -11,8 +11,8 @@ import (
 // The test binary runs with cmd/gridvolint as the working directory, so
 // patterns walk up to the module root explicitly.
 const (
-	floatcmpCorpus = "../../internal/analysis/testdata/src/floatcmp"
-	cleanPackage   = "../../internal/xrand"
+	noclockCorpus = "../../internal/analysis/testdata/src/noclock"
+	cleanPackage  = "../../internal/xrand"
 )
 
 func TestListCatalog(t *testing.T) {
@@ -29,7 +29,7 @@ func TestListCatalog(t *testing.T) {
 
 func TestJSONFindings(t *testing.T) {
 	var out, errb strings.Builder
-	code := run([]string{"-json", floatcmpCorpus}, &out, &errb)
+	code := run([]string{"-json", noclockCorpus}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("run on seeded corpus = %d, want 1; stderr: %s", code, errb.String())
 	}
@@ -52,8 +52,8 @@ func TestJSONFindings(t *testing.T) {
 		t.Errorf("elapsed_ms missing or negative in report:\n%s", out.String())
 	}
 	for _, d := range diags {
-		if d.Check != "floatcmp" {
-			t.Errorf("unexpected check %q in floatcmp corpus: %+v", d.Check, d)
+		if d.Check != "noclock" {
+			t.Errorf("unexpected check %q in noclock corpus: %+v", d.Check, d)
 		}
 		if d.File == "" || d.Line == 0 || d.Message == "" {
 			t.Errorf("incomplete diagnostic: %+v", d)
@@ -63,12 +63,12 @@ func TestJSONFindings(t *testing.T) {
 
 func TestTextFindingsFormat(t *testing.T) {
 	var out, errb strings.Builder
-	code := run([]string{"-checks", "floatcmp", floatcmpCorpus}, &out, &errb)
+	code := run([]string{"-checks", "noclock", noclockCorpus}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("run = %d, want 1; stderr: %s", code, errb.String())
 	}
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
-		if !strings.Contains(line, "  [floatcmp]  ") {
+		if !strings.Contains(line, "  [noclock]  ") {
 			t.Errorf("finding line not in file:line:col  [check]  message form: %q", line)
 		}
 	}
@@ -127,7 +127,7 @@ func TestAuditInventory(t *testing.T) {
 	}
 	o := out.String()
 	for _, want := range []string{
-		"[floatcmp]  golden-test exception: bit identity intended",
+		"[noclock]  golden-test exception: wall-clock read intended",
 		"malformed suppression",
 		"perfunctory suppression reason",
 	} {

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -40,20 +39,18 @@ type Check struct {
 	Run func(pass *Pass)
 }
 
-// All lists every check in the suite, in output order. The first six
-// are the single-function syntactic checks from the original suite; the
-// last five ride the interprocedural Module layer (call graph + fact
-// store) built once per RunChecks.
+// All lists every check in the suite, in output order. The first five
+// are single-function syntactic checks; fptaint and allocguard ride the
+// interprocedural Module layer (call graph + fact store) built once per
+// RunChecks. Each check earns its place by a regression case under
+// testdata/regress or by guarding a determinism contract no test pins
+// (TestEveryCheckEarnsItsPlace).
 var All = []*Check{
 	Maporder,
-	Floatcmp,
 	Recipmul,
 	Ctxthread,
 	Noclock,
 	Randsource,
-	Lockfield,
-	Goleak,
-	Lockcall,
 	Fptaint,
 	Allocguard,
 }
@@ -77,8 +74,8 @@ type Pass struct {
 	ModulePath string
 	// Mod is the module-wide call graph and fact store, built once per
 	// RunChecks invocation and shared by every check. The interprocedural
-	// checks (goleak, lockcall, fptaint, allocguard) consult its fact
-	// tables; single-function checks can ignore it.
+	// checks (fptaint, allocguard) consult its fact tables;
+	// single-function checks can ignore it.
 	Mod *Module
 
 	check *Check
@@ -119,39 +116,12 @@ func (p *Pass) IsFloat(e ast.Expr) bool {
 	return ok && b.Info()&types.IsFloat != 0
 }
 
-// IsZeroConst reports whether e is a compile-time constant equal to 0.
-func (p *Pass) IsZeroConst(e ast.Expr) bool {
-	tv, ok := p.Pkg.Info.Types[e]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	if tv.Value.Kind() != constant.Float && tv.Value.Kind() != constant.Int {
-		return false
-	}
-	v, _ := constant.Float64Val(constant.ToFloat(tv.Value))
-	return v == 0
-}
-
-// PkgFunc resolves a called expression to the *types.Func it invokes
-// (through selectors and parenthesization), or nil.
-func (p *Pass) PkgFunc(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := p.ObjectOf(fun).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := p.ObjectOf(fun.Sel).(*types.Func)
-		return fn
-	}
-	return nil
-}
-
 // IsModuleCall reports whether call invokes a function or method defined
 // in this module (as opposed to the standard library or a builtin).
 // Iteration around module-internal calls is what the ctxthread check
 // treats as "can block".
 func (p *Pass) IsModuleCall(call *ast.CallExpr) bool {
-	fn := p.PkgFunc(call)
+	fn := p.Pkg.FuncOf(call)
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
@@ -159,10 +129,11 @@ func (p *Pass) IsModuleCall(call *ast.CallExpr) bool {
 	return path == p.ModulePath || strings.HasPrefix(path, p.ModulePath+"/")
 }
 
-// ignoreDirective is one parsed //gridvolint:ignore comment.
+// ignoreDirective is one well-formed //gridvolint:ignore comment.
 type ignoreDirective struct {
-	check string
-	file  string
+	pos    token.Position
+	check  string
+	reason string
 	// fromLine/toLine is the suppressed range: the comment's own line and
 	// the line below, widened to a whole declaration when the directive
 	// appears in that declaration's doc comment.
@@ -179,10 +150,11 @@ const ignorePrefix = "//gridvolint:ignore"
 // and suppresses <check> on its own line and the line below — or, when
 // it appears in the doc comment of a function, type, var, or const
 // declaration, across that whole declaration. The reason is mandatory;
-// malformed directives are themselves reported so silent, unexplained
-// suppressions cannot accumulate.
-func parseIgnores(fset *token.FileSet, file *ast.File, report func(pos token.Pos, msg string)) []ignoreDirective {
+// malformed directives come back as diagnostics of the pseudo-check
+// "ignore" so silent, unexplained suppressions cannot accumulate.
+func parseIgnores(fset *token.FileSet, file *ast.File) ([]ignoreDirective, []Diagnostic) {
 	var out []ignoreDirective
+	var bad []Diagnostic
 
 	// Declaration ranges, so doc-comment directives can cover the decl.
 	type declRange struct {
@@ -209,13 +181,13 @@ func parseIgnores(fset *token.FileSet, file *ast.File, report func(pos token.Pos
 			if !ok {
 				continue
 			}
+			pos := fset.Position(c.Pos())
 			fields := strings.Fields(rest)
 			if len(fields) < 2 || ByName(fields[0]) == nil {
-				report(c.Pos(), fmt.Sprintf("malformed suppression %q: want %s <check> <reason> with a known check", c.Text, ignorePrefix))
+				bad = append(bad, ignoreDiag(pos, "malformed suppression %q: want %s <check> <reason> with a known check", c.Text, ignorePrefix))
 				continue
 			}
-			pos := fset.Position(c.Pos())
-			dir := ignoreDirective{check: fields[0], file: pos.Filename, fromLine: pos.Line, toLine: pos.Line + 1}
+			dir := ignoreDirective{pos: pos, check: fields[0], reason: strings.Join(fields[1:], " "), fromLine: pos.Line, toLine: pos.Line + 1}
 			for _, dr := range decls {
 				if dr.doc.Pos() <= c.Pos() && c.Pos() <= dr.doc.End() {
 					dir.fromLine, dir.toLine = dr.from, dr.to
@@ -225,7 +197,12 @@ func parseIgnores(fset *token.FileSet, file *ast.File, report func(pos token.Pos
 			out = append(out, dir)
 		}
 	}
-	return out
+	return out, bad
+}
+
+// ignoreDiag builds a finding of the pseudo-check "ignore" at pos.
+func ignoreDiag(pos token.Position, format string, args ...any) Diagnostic {
+	return Diagnostic{File: pos.Filename, Line: pos.Line, Col: pos.Column, Check: "ignore", Message: fmt.Sprintf(format, args...)}
 }
 
 // Suppression is one well-formed //gridvolint:ignore directive, as
@@ -248,25 +225,14 @@ func Suppressions(fset *token.FileSet, pkgs []*Package) ([]Suppression, []Diagno
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					rest, ok := strings.CutPrefix(c.Text, ignorePrefix)
-					if !ok {
-						continue
-					}
-					p := fset.Position(c.Pos())
-					fields := strings.Fields(rest)
-					switch {
-					case len(fields) < 2 || ByName(fields[0]) == nil:
-						diags = append(diags, Diagnostic{File: p.Filename, Line: p.Line, Col: p.Column, Check: "ignore",
-							Message: fmt.Sprintf("malformed suppression %q: want %s <check> <reason> with a known check", c.Text, ignorePrefix)})
-					case len(fields) < 4:
-						diags = append(diags, Diagnostic{File: p.Filename, Line: p.Line, Col: p.Column, Check: "ignore",
-							Message: fmt.Sprintf("perfunctory suppression reason %q: explain why %s does not apply at this site", strings.Join(fields[1:], " "), fields[0])})
-					default:
-						sups = append(sups, Suppression{File: p.Filename, Line: p.Line, Check: fields[0], Reason: strings.Join(fields[1:], " ")})
-					}
+			dirs, bad := parseIgnores(fset, f)
+			diags = append(diags, bad...)
+			for _, d := range dirs {
+				if len(strings.Fields(d.reason)) < 3 {
+					diags = append(diags, ignoreDiag(d.pos, "perfunctory suppression reason %q: explain why %s does not apply at this site", d.reason, d.check))
+					continue
 				}
+				sups = append(sups, Suppression{File: d.pos.Filename, Line: d.pos.Line, Check: d.check, Reason: d.reason})
 			}
 		}
 	}
@@ -308,10 +274,9 @@ func RunChecks(fset *token.FileSet, modulePath string, pkgs []*Package, checks [
 			c.Run(pass)
 		}
 		for _, f := range pkg.Files {
-			ignores = append(ignores, parseIgnores(fset, f, func(pos token.Pos, msg string) {
-				p := fset.Position(pos)
-				diags = append(diags, Diagnostic{File: p.Filename, Line: p.Line, Col: p.Column, Check: "ignore", Message: msg})
-			})...)
+			dirs, bad := parseIgnores(fset, f)
+			ignores = append(ignores, dirs...)
+			diags = append(diags, bad...)
 		}
 	}
 
@@ -319,7 +284,7 @@ func RunChecks(fset *token.FileSet, modulePath string, pkgs []*Package, checks [
 	for _, d := range diags {
 		suppressed := false
 		for _, ig := range ignores {
-			if ig.check == d.Check && ig.file == d.File && ig.fromLine <= d.Line && d.Line <= ig.toLine {
+			if ig.check == d.Check && ig.pos.Filename == d.File && ig.fromLine <= d.Line && d.Line <= ig.toLine {
 				suppressed = true
 				break
 			}

@@ -125,17 +125,11 @@ func golden(t *testing.T, check *Check, rel string) {
 	}
 }
 
-func TestMaporderGolden(t *testing.T)  { golden(t, Maporder, "src/maporder") }
-func TestFloatcmpGolden(t *testing.T)  { golden(t, Floatcmp, "src/floatcmp") }
-func TestRecipmulGolden(t *testing.T)  { golden(t, Recipmul, "src/recipmul") }
-func TestCtxthreadGolden(t *testing.T) { golden(t, Ctxthread, "src/ctxthread/assign") }
-func TestNoclockGolden(t *testing.T)   { golden(t, Noclock, "src/noclock") }
-
+func TestMaporderGolden(t *testing.T)   { golden(t, Maporder, "src/maporder") }
+func TestRecipmulGolden(t *testing.T)   { golden(t, Recipmul, "src/recipmul") }
+func TestCtxthreadGolden(t *testing.T)  { golden(t, Ctxthread, "src/ctxthread/assign") }
+func TestNoclockGolden(t *testing.T)    { golden(t, Noclock, "src/noclock") }
 func TestRandsourceGolden(t *testing.T) { golden(t, Randsource, "src/randsource") }
-
-func TestLockfieldGolden(t *testing.T)  { golden(t, Lockfield, "src/lockfield") }
-func TestGoleakGolden(t *testing.T)     { golden(t, Goleak, "src/goleak") }
-func TestLockcallGolden(t *testing.T)   { golden(t, Lockcall, "src/lockcall") }
 func TestFptaintGolden(t *testing.T)    { golden(t, Fptaint, "src/fptaint") }
 func TestAllocguardGolden(t *testing.T) { golden(t, Allocguard, "src/allocguard") }
 
@@ -167,7 +161,7 @@ func TestRandsourceXrandExempt(t *testing.T) {
 // and declaration-scope suppression, malformed directives surfacing as
 // diagnostics, wrong-check and out-of-range directives not suppressing.
 func TestSuppression(t *testing.T) {
-	golden(t, Floatcmp, "src/suppress")
+	golden(t, Noclock, "src/suppress")
 }
 
 // TestSuppressionDeclScopeEdges pins the decl-scope corner cases:
@@ -177,19 +171,36 @@ func TestSuppression(t *testing.T) {
 // grouped declaration is covered as a unit, and plain line scope still
 // stops after one line.
 func TestSuppressionDeclScopeEdges(t *testing.T) {
-	golden(t, Floatcmp, "src/suppress_edge")
+	golden(t, Noclock, "src/suppress_edge")
 }
 
-// TestRegressionCorpus pins the crasher-style corpus: minimal
-// reproductions of real violations fixed in this tree, each detected by
-// exactly the intended check.
+// regressCorpus maps each testdata/regress case — a minimal reproduction
+// of a real violation fixed in this tree — to the check that caught it.
+var regressCorpus = map[string]*Check{
+	"regress/recipmul":   Recipmul,
+	"regress/ctxthread":  Ctxthread,
+	"regress/maporder":   Maporder,
+	"regress/allocguard": Allocguard,
+}
+
+// contractChecks are the checks kept without a regression case because
+// each guards a determinism contract that no test pins:
+var contractChecks = map[string]string{
+	// no wall-clock read in a replayable package, so fault schedules and
+	// traces replay bit for bit from a seed;
+	"noclock": "wall-clock-free replay",
+	// every random draw derives from a seeded internal/xrand stream, so a
+	// seed fixes every scenario, schedule and attack;
+	"randsource": "seed-derived randomness",
+	// no map order, wall clock or unseeded randomness reaches a
+	// fingerprint, so the pinned chaos and BENCH fingerprints stay stable.
+	"fptaint": "fingerprint determinism",
+}
+
+// TestRegressionCorpus pins the crasher-style corpus: each case is
+// detected by exactly the intended check.
 func TestRegressionCorpus(t *testing.T) {
-	for rel, check := range map[string]*Check{
-		"regress/recipmul":   Recipmul,
-		"regress/ctxthread":  Ctxthread,
-		"regress/maporder":   Maporder,
-		"regress/allocguard": Allocguard,
-	} {
+	for rel, check := range regressCorpus {
 		t.Run(rel, func(t *testing.T) { golden(t, check, rel) })
 	}
 }
@@ -199,18 +210,31 @@ func TestRegressionCorpus(t *testing.T) {
 // not add findings of other checks (suppressions and exemptions in the
 // snippets keep them single-voiced).
 func TestRegressionCorpusSingleCheck(t *testing.T) {
-	for rel, check := range map[string]*Check{
-		"regress/recipmul":   Recipmul,
-		"regress/ctxthread":  Ctxthread,
-		"regress/maporder":   Maporder,
-		"regress/allocguard": Allocguard,
-	} {
+	for rel, check := range regressCorpus {
 		pkg := loadTestPkg(t, rel)
 		diags := RunChecks(testLoader(t).Fset, pkg.Path, []*Package{pkg}, nil)
 		for _, d := range diags {
 			if d.Check != check.Name {
 				t.Errorf("%s: stray %s finding: %s", rel, d.Check, d)
 			}
+		}
+	}
+}
+
+// TestEveryCheckEarnsItsPlace enforces the catalog's keep rule: a check
+// stays only if it caught a real defect (a testdata/regress case run by
+// TestRegressionCorpus) or guards a contract on the contractChecks list.
+func TestEveryCheckEarnsItsPlace(t *testing.T) {
+	inAll := map[string]bool{}
+	for _, c := range All {
+		inAll[c.Name] = true
+		if regressCorpus["regress/"+c.Name] != c && contractChecks[c.Name] == "" {
+			t.Errorf("%s has neither a testdata/regress/%s case nor a contract entry; delete it or justify it", c.Name, c.Name)
+		}
+	}
+	for name := range contractChecks {
+		if !inAll[name] {
+			t.Errorf("contract list names %q, which is not in All", name)
 		}
 	}
 }

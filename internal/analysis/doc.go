@@ -10,8 +10,6 @@
 //
 //   - maporder: map iteration feeding a slice, serialized output, or a
 //     hash without an intervening sort.
-//   - floatcmp: exact ==/!= between floats (zero guards and x!=x NaN
-//     tests allowed).
 //   - recipmul: v := 1/x later used as a multiplier — the subnormal
 //     overflow pattern behind the PR 4 NormalizeRows bug.
 //   - ctxthread: exported solver-core functions that iterate over
@@ -20,20 +18,18 @@
 //     allowlist.
 //   - randsource: math/rand imported outside internal/xrand.
 //
-// Five further checks ride the interprocedural layer (module-wide call
+// Two further checks ride the interprocedural layer (module-wide call
 // graph plus per-function fact store, see module.go):
 //
-//   - lockfield: a struct field that is mutex-guarded — inferred from
-//     majority-under-lock access or declared via //gridvolint:guards —
-//     accessed without the lock held.
-//   - goleak: a goroutine launched with no reachable cancellation,
-//     WaitGroup, or bounded-channel exit path.
-//   - lockcall: a mutex held across a blocking operation (channel op,
-//     select without default, transitively blocking call).
 //   - fptaint: a nondeterministic value (map order, wall clock,
 //     math/rand) flowing through a call chain into a fingerprint sink.
 //   - allocguard: an allocating construct inside a function marked
 //     //gridvolint:zeroalloc (the B&B steady-state set).
+//
+// A check stays in the catalog only if it caught a real defect (a case
+// under testdata/regress) or guards a determinism contract no test pins
+// (noclock, randsource, fptaint); TestEveryCheckEarnsItsPlace enforces
+// the rule.
 //
 // Intentional exceptions are annotated in the source:
 //

@@ -211,7 +211,7 @@ func taintWitness(pkg *Package, e ast.Expr, tainted map[types.Object]string, non
 // to the embedded io.Writer, so the method set — not the package — is
 // what identifies the sink), plus anything hash/fingerprint-named.
 func fpSink(pass *Pass, call *ast.CallExpr) (string, bool) {
-	fn := pass.PkgFunc(call)
+	fn := pass.Pkg.FuncOf(call)
 	if fn == nil {
 		return "", false
 	}

@@ -98,7 +98,7 @@ func appendTarget(pass *Pass, call *ast.CallExpr) types.Object {
 // …), hash-style Sum methods, and anything on a type or function whose
 // name mentions hashing or fingerprinting.
 func sinkCall(pass *Pass, call *ast.CallExpr) (string, bool) {
-	fn := pass.PkgFunc(call)
+	fn := pass.Pkg.FuncOf(call)
 	if fn == nil {
 		return "", false
 	}
@@ -173,7 +173,7 @@ func sortedAfter(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, obj types
 // isSortCall recognizes sort.X(...), slices.SortX(...), and local
 // helpers named sort*/Sort*.
 func isSortCall(pass *Pass, call *ast.CallExpr) bool {
-	fn := pass.PkgFunc(call)
+	fn := pass.Pkg.FuncOf(call)
 	if fn == nil {
 		return false
 	}

@@ -9,14 +9,13 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural layer the concurrency and
-// determinism checks compose on: a module-wide static call graph over
-// every loaded package, and a per-function fact store whose boolean
-// facts (blocks, leaks, returns-nondeterminism, may-allocate) are
-// propagated to a fixpoint along call edges. Facts are computed once
-// per RunChecks invocation and shared by every check, so adding a
-// twelfth check costs one more pass over the fact tables, not another
-// type-check of the module.
+// This file is the interprocedural layer the fptaint and allocguard
+// checks compose on: a module-wide static call graph over every loaded
+// package, and a per-function fact store whose facts
+// (returns-nondeterminism, may-allocate) are propagated to a fixpoint
+// along call edges. Facts are computed once per RunChecks invocation and
+// shared by every check, so another interprocedural check costs one more
+// pass over the fact tables, not another type-check of the module.
 //
 // Soundness posture: the call graph covers static calls only — a call
 // through an interface method, function value, or method value resolves
@@ -55,8 +54,6 @@ type Module struct {
 	// //gridvolint:zeroalloc marker — the allocguard check's target set.
 	zeroalloc map[*types.Func]bool
 
-	blocks   map[*types.Func]string
-	leaks    map[*types.Func]string
 	nondet   map[*types.Func]string
 	mayAlloc map[*types.Func]string
 }
@@ -144,8 +141,7 @@ func callees(pkg *Package, body *ast.BlockStmt) []*types.Func {
 }
 
 // FuncOf resolves a called expression to the *types.Func it invokes
-// (through selectors and parenthesization), or nil — the package-level
-// twin of Pass.PkgFunc, usable outside a check pass.
+// (through selectors and parenthesization), or nil.
 func (p *Package) FuncOf(call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -211,108 +207,13 @@ func (m *Module) fixpoint(direct func(fi *FuncInfo) (string, bool)) map[*types.F
 }
 
 // headline trims a witness chain to its first link so deep call chains
-// stay readable: "calls a, which calls b, which blocks on x" collapses
+// stay readable: "calls a, which calls b, which allocates (...)" collapses
 // the tail.
 func headline(w string) string {
 	if i := strings.Index(w, ", which "); i >= 0 {
 		return w[:i] + " (transitively)"
 	}
 	return w
-}
-
-// ---------------------------------------------------------------------
-// Blocking-site scanner, shared by the lockcall and goleak checks.
-
-// blockSite is one potentially blocking operation in a function body.
-type blockSite struct {
-	pos  token.Pos
-	desc string
-}
-
-// blockingSites scans a body for operations that can block the calling
-// goroutine: channel sends and receives outside a select, selects
-// without a default clause, ranging over a channel, and the blocking
-// stdlib calls (WaitGroup.Wait, Cond.Wait, time.Sleep). Communication
-// clauses of a select are charged to the select itself — a select with
-// a default never blocks, which is exactly the pattern the job manager
-// uses to send on a bounded queue under its mutex. Function literals
-// are not descended into (their blocking belongs to whoever runs them),
-// and go statements block the new goroutine, not this one.
-func blockingSites(pkg *Package, body ast.Node) []blockSite {
-	var sites []blockSite
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		if n == nil {
-			return
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return
-		case *ast.GoStmt:
-			return
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, cl := range n.Body.List {
-				if cl.(*ast.CommClause).Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault {
-				sites = append(sites, blockSite{n.Pos(), "select with no default clause"})
-			}
-			for _, cl := range n.Body.List {
-				for _, st := range cl.(*ast.CommClause).Body {
-					walk(st)
-				}
-			}
-			return
-		case *ast.SendStmt:
-			sites = append(sites, blockSite{n.Pos(), "channel send"})
-			return
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				sites = append(sites, blockSite{n.Pos(), "channel receive"})
-				return
-			}
-		case *ast.RangeStmt:
-			if t := pkg.Info.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					sites = append(sites, blockSite{n.Pos(), "range over channel"})
-				}
-			}
-		case *ast.CallExpr:
-			if fn := pkg.FuncOf(n); fn != nil {
-				if desc, ok := blockingStdlibCall(fn); ok {
-					sites = append(sites, blockSite{n.Pos(), desc})
-					return
-				}
-			}
-		}
-		for _, c := range childNodes(n) {
-			walk(c)
-		}
-	}
-	walk(body)
-	sort.Slice(sites, func(i, j int) bool { return sites[i].pos < sites[j].pos })
-	return sites
-}
-
-// blockingStdlibCall recognizes the standard-library calls that park
-// the goroutine: sync.WaitGroup.Wait, sync.Cond.Wait, and time.Sleep.
-func blockingStdlibCall(fn *types.Func) (string, bool) {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return "", false
-	}
-	switch {
-	case pkg.Path() == "time" && fn.Name() == "Sleep":
-		return "time.Sleep", true
-	case pkg.Path() == "sync" && fn.Name() == "Wait":
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			return "sync." + recvName(sig) + ".Wait", true
-		}
-	}
-	return "", false
 }
 
 // childNodes lists a node's direct children, for the custom walkers
@@ -331,186 +232,6 @@ func childNodes(n ast.Node) []ast.Node {
 		return false
 	})
 	return out
-}
-
-// Blocks returns the blocking fact table: fn -> witness when fn can
-// block (directly or through a static module call chain).
-func (m *Module) Blocks() map[*types.Func]string {
-	if m.blocks == nil {
-		m.blocks = m.fixpoint(func(fi *FuncInfo) (string, bool) {
-			if sites := blockingSites(fi.Pkg, fi.Decl.Body); len(sites) > 0 {
-				return "blocks on a " + sites[0].desc, true
-			}
-			return "", false
-		})
-	}
-	return m.blocks
-}
-
-// ---------------------------------------------------------------------
-// Mutex-region scanner, shared by the lockcall and lockfield checks.
-
-// lockEvent is one mutex transition inside a function body, in source
-// position order.
-type lockEvent struct {
-	pos      token.Pos
-	end      token.Pos
-	base     string // rendering of the expression the mutex hangs off ("m", "s.jobs")
-	mutex    types.Object
-	acquire  bool
-	deferred bool
-	rlock    bool
-	// depth is the count of enclosing blocks; a release nested deeper
-	// than its acquire is an early-exit unlock (unlock-then-return in a
-	// branch) and does not end the region on the fall-through path.
-	depth int
-}
-
-// lockRegion is one positional span of a function body during which a
-// mutex is held: from the Lock call to the matching Unlock, or to the
-// end of the function when the Unlock is deferred (or missing). The
-// model is positional, not path-sensitive — Lock/Unlock in sequence
-// form a region even across branches — which matches how this codebase
-// writes critical sections (lock at top, defer unlock, or
-// lock/op/unlock straight-line).
-type lockRegion struct {
-	base     string
-	mutex    types.Object
-	from, to token.Pos
-	rlock    bool
-}
-
-// lockEvents collects mutex Lock/RLock/Unlock/RUnlock calls in body,
-// attributed to the expression the mutex is a field of.
-func lockEvents(pkg *Package, body ast.Node, fset *token.FileSet) []lockEvent {
-	var events []lockEvent
-	depthAt := func(pos token.Pos) int {
-		depth := 0
-		ast.Inspect(body, func(n ast.Node) bool {
-			if n == nil {
-				return false
-			}
-			if n.Pos() > pos || n.End() <= pos {
-				return false
-			}
-			if _, ok := n.(*ast.BlockStmt); ok {
-				depth++
-			}
-			return true
-		})
-		return depth
-	}
-	record := func(call *ast.CallExpr, deferred bool) {
-		fn := pkg.FuncOf(call)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-			return
-		}
-		var acquire, rlock bool
-		switch fn.Name() {
-		case "Lock":
-			acquire = true
-		case "RLock":
-			acquire, rlock = true, true
-		case "Unlock":
-		case "RUnlock":
-			rlock = true
-		default:
-			return
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		// call is base.mutexField.Lock(): split the receiver expression
-		// into the mutex field and the value holding it.
-		mutexSel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-		if !ok {
-			// Locking a plain variable (mu.Lock() on a package-level or
-			// local mutex): base is the empty string.
-			if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-				events = append(events, lockEvent{
-					pos: call.Pos(), end: call.End(), base: "",
-					mutex: pkg.Info.Uses[id], acquire: acquire, deferred: deferred, rlock: rlock,
-					depth: depthAt(call.Pos()),
-				})
-			}
-			return
-		}
-		events = append(events, lockEvent{
-			pos: call.Pos(), end: call.End(), base: types.ExprString(mutexSel.X),
-			mutex: pkg.Info.Uses[mutexSel.Sel], acquire: acquire, deferred: deferred, rlock: rlock,
-			depth: depthAt(call.Pos()),
-		})
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
-			record(n.Call, true)
-			return false
-		case *ast.CallExpr:
-			record(n, false)
-		}
-		return true
-	})
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-	return events
-}
-
-// lockRegions pairs the events of one function body into held spans.
-// funcEnd caps regions whose release is deferred or absent.
-func lockRegions(pkg *Package, body ast.Node, fset *token.FileSet, funcEnd token.Pos) []lockRegion {
-	events := lockEvents(pkg, body, fset)
-	type key struct {
-		base  string
-		mutex types.Object
-	}
-	open := map[key]*lockRegion{}
-	depth := map[key]int{}
-	var regions []lockRegion
-	for _, e := range events {
-		k := key{e.base, e.mutex}
-		if e.acquire {
-			if open[k] == nil {
-				open[k] = &lockRegion{base: e.base, mutex: e.mutex, from: e.end, to: funcEnd, rlock: e.rlock}
-				depth[k] = e.depth
-			}
-			continue
-		}
-		if e.deferred {
-			continue // releases at return; the region runs to funcEnd
-		}
-		if r := open[k]; r != nil {
-			if e.depth > depth[k] {
-				// Early-exit unlock in a nested branch (unlock-then-return):
-				// the fall-through path still holds the lock, so the region
-				// stays open.
-				continue
-			}
-			r.to = e.pos
-			regions = append(regions, *r)
-			open[k] = nil
-		}
-	}
-	for _, r := range open {
-		if r != nil {
-			regions = append(regions, *r)
-		}
-	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i].from < regions[j].from })
-	return regions
-}
-
-// heldAt reports whether pos falls inside any of the regions guarding
-// (base, mutex); a nil mutex matches any mutex on the base.
-func heldAt(regions []lockRegion, base string, mutex types.Object, pos token.Pos) bool {
-	for _, r := range regions {
-		if r.from <= pos && pos < r.to && r.base == base && (mutex == nil || r.mutex == mutex) {
-			return true
-		}
-	}
-	return false
 }
 
 // posLine formats a position as file-less "line N" for messages that

@@ -39,7 +39,7 @@ func runNoclock(pass *Pass) {
 			if !ok {
 				return true
 			}
-			fn := pass.PkgFunc(call)
+			fn := pass.Pkg.FuncOf(call)
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
 				return true
 			}

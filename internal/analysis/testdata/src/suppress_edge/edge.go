@@ -4,50 +4,52 @@
 // types, and directives inside a grouped declaration.
 package suppressedge
 
+import "time"
+
 // A decl-scope directive on a function covers the whole declaration:
 // statements, nested var declarations, and closures alike.
 //
-//gridvolint:ignore floatcmp testdata exercise: decl scope must cover nested declarations and closures
-func nestedCovered(a, b float64) bool {
-	eq := func() bool {
-		return a == b
+//gridvolint:ignore noclock testdata exercise: decl scope must cover nested declarations and closures
+func nestedCovered() bool {
+	now := func() time.Time {
+		return time.Now()
 	}
-	var inner = a == b
-	return eq() || inner
+	var inner = time.Now()
+	return now().After(inner)
 }
 
 // A directive on the receiver's type declaration does NOT leak into the
 // type's methods: each declaration carries its own scope.
 //
-//gridvolint:ignore floatcmp testdata exercise: type decl scope must not reach into methods
-type pair struct{ x, y float64 }
+//gridvolint:ignore noclock testdata exercise: type decl scope must not reach into methods
+type stamp struct{ at time.Time }
 
-func (p pair) equal() bool {
-	return p.x == p.y // want "exact floating-point"
+func (s stamp) age() time.Duration {
+	return time.Since(s.at) // want "time.Since in package suppressedge"
 }
 
 // A directive on the method itself does suppress the method body.
 //
-//gridvolint:ignore floatcmp testdata exercise: method decl scope covers the method body
-func (p pair) equalSuppressed() bool {
-	return p.x == p.y
+//gridvolint:ignore noclock testdata exercise: method decl scope covers the method body
+func (s stamp) ageSuppressed() time.Duration {
+	return time.Since(s.at)
 }
 
 // A decl-scope directive on a grouped var declaration covers every spec
 // in the group.
 //
-//gridvolint:ignore floatcmp testdata exercise: grouped decl scope covers all specs
+//gridvolint:ignore noclock testdata exercise: grouped decl scope covers all specs
 var (
-	ax, bx   = 1.5, 2.5
-	grouped  = ax == bx
-	grouped2 = bx == ax
+	t0       = time.Now()
+	grouped  = time.Since(t0)
+	grouped2 = time.Now()
 )
 
 // Outside any declaration's doc comment, line scope still applies: own
 // line plus the next.
-func lineScoped(a, b float64) (bool, bool) {
-	//gridvolint:ignore floatcmp testdata exercise: line scope covers the following line only
-	first := a == b
-	second := a == b // want "exact floating-point"
+func lineScoped() (time.Time, time.Time) {
+	//gridvolint:ignore noclock testdata exercise: line scope covers the following line only
+	first := time.Now()
+	second := time.Now() // want "time.Now in package suppressedge"
 	return first, second
 }

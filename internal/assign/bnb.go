@@ -454,7 +454,6 @@ func (s *searcher) prepare() {
 // perfectly interchangeable GSPs, and epsilon-equal rows are not
 // interchangeable (swapping them changes totals).
 //
-//gridvolint:ignore floatcmp twin soundness requires bitwise row identity, not epsilon closeness
 //gridvolint:zeroalloc
 func rowsEqual(a, b []float64) bool {
 	for i, v := range a {
@@ -577,7 +576,7 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 					s.prunedSymmetry++
 					continue
 				}
-				//gridvolint:ignore floatcmp dominance requires exactly interchangeable residual capacity
+				// Dominance requires exactly interchangeable residual capacity.
 				if st[g].count > 0 && st[h].load == st[g].load {
 					s.prunedDominance++
 					continue

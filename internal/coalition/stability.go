@@ -111,8 +111,7 @@ func ParetoFront(cands []Candidate) []Candidate {
 // ties broken toward higher average reputation, then lower index. Returns
 // -1 for an empty list. This is TVOF's final selection rule
 // (k = argmax v(C)/|C|, Algorithm 1 line 14).
-//
-//gridvolint:ignore floatcmp deterministic tie-break: bitwise-equal payoffs are the tie condition
+// Only bitwise-equal payoffs tie, so the tie-break is deterministic.
 func BestByPayoff(cands []Candidate) int {
 	best := -1
 	for i, c := range cands {

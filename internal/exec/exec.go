@@ -101,7 +101,7 @@ type eventQueue []event
 
 func (q eventQueue) Len() int { return len(q) }
 
-//gridvolint:ignore floatcmp heap comparator must be exact: epsilon ordering is intransitive
+// Less is an exact heap comparator: epsilon ordering is intransitive.
 func (q eventQueue) Less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at

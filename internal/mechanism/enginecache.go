@@ -237,8 +237,7 @@ func ScenarioKey(sc *Scenario) uint64 {
 // scenarioEqual verifies a key hit against the cached scenario's actual
 // content, so a 64-bit hash collision degrades to a cache miss instead of
 // serving solutions from the wrong scenario.
-//
-//gridvolint:ignore floatcmp cache identity must be bitwise: epsilon equality would alias distinct scenarios
+// Identity is bitwise: epsilon equality would alias distinct scenarios.
 func scenarioEqual(a, b *Scenario) bool {
 	if a.M() != b.M() || a.N() != b.N() ||
 		a.Deadline != b.Deadline || a.Payment != b.Payment {

@@ -579,8 +579,7 @@ func selectFinal(ctx context.Context, eng *Engine, res *Result, opts Options) {
 
 // betterPayoff orders feasible records by payoff, ties toward higher
 // average reputation, then toward larger VOs (earlier iterations).
-//
-//gridvolint:ignore floatcmp deterministic tie-break: epsilon ordering would be intransitive
+// Ties are exact: an epsilon ordering would be intransitive.
 func betterPayoff(a, b *IterationRecord) bool {
 	if a.Payoff != b.Payoff {
 		return a.Payoff > b.Payoff

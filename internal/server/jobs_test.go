@@ -101,7 +101,7 @@ func TestJobSubmitPollDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := st.Result
-	//gridvolint:ignore floatcmp job-vs-sync results must agree bitwise, not within epsilon
+	// Job and sync results must agree bitwise, not within epsilon.
 	same := job.Payoff == sync.Payoff && job.Value == sync.Value &&
 		job.Cost == sync.Cost && job.AvgReputation == sync.AvgReputation
 	if !same {

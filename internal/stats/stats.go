@@ -195,8 +195,8 @@ func (s *Series) AddPoint(x float64, ys ...float64) {
 
 // AppendY adds one more replicate observation to the point with the given
 // x, creating the point if it does not exist yet.
-//
-//gridvolint:ignore floatcmp X values are exact grid coordinates (program sizes), not computed floats
+// X values are exact grid coordinates (program sizes), not computed
+// floats, so they match exactly.
 func (s *Series) AppendY(x, y float64) {
 	for i, xv := range s.X {
 		if xv == x {

@@ -198,8 +198,7 @@ func writeJob(w io.Writer, j *Job) error {
 
 // ftoa renders SWF floating fields: integers print without a decimal point
 // (the archive's own convention), everything else with two decimals.
-//
-//gridvolint:ignore floatcmp integrality test is exact by construction
+// The integrality test is exact by construction.
 func ftoa(v float64) string {
 	if v == float64(int64(v)) {
 		return strconv.FormatInt(int64(v), 10)

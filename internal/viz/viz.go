@@ -68,11 +68,10 @@ func (c *Chart) Render() string {
 		ymin = math.Min(ymin, lo)
 		ymax = math.Max(ymax, hi)
 	}
-	//gridvolint:ignore floatcmp degenerate-span guard: only bitwise-equal extremes need widening
+	// Degenerate-span guard: only bitwise-equal extremes need widening.
 	if xmax == xmin {
 		xmax = xmin + 1
 	}
-	//gridvolint:ignore floatcmp degenerate-span guard: only bitwise-equal extremes need widening
 	if ymax == ymin {
 		ymax = ymin + 1
 	}
