@@ -22,8 +22,8 @@
 // configured by the same serving flags) at -rps for -duration, prints the
 // sustained RPS and latency percentiles, and exits non-zero if the -slo-p99
 // bound (or -require-zero-dropped) is violated. -loadgen-mode selects the
-// path: "sync", "jobs", or "both" (writes a benchjson-compatible
-// comparison to -out, e.g. BENCH_PR7.json).
+// path: "sync", "jobs", or "both" (writes the sync-vs-jobs comparison
+// report to -out, e.g. BENCH_PR7.json).
 //
 //	gridvod -loadgen -loadgen-mode jobs -rps 50 -duration 5s -slo-p99 2s
 //	gridvod -loadgen -loadgen-mode both -rps 200 -duration 10s -out BENCH_PR7.json

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -178,4 +179,66 @@ func TestChaosFingerprintPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBenchPR8SelectionsPinned pins the other half of the behaviour
+// contract: the Fig. 9 sweep recorded in BENCH_PR8.json (seed 42, sizes
+// 256/1024/8192, 3 reps, default solver options) must select bitwise the
+// same VOs — TVOF payoff, VO size and average reputation compared with ==
+// in every cell. The whole grid runs because the synthetic trace depends
+// on ProgramSizes and Repetitions: a single-size sweep selects different
+// VOs.
+func TestBenchPR8SelectionsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full 3-size Fig. 9 sweep")
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_PR8.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		Warm struct {
+			Points []struct {
+				Size       int       `json:"size"`
+				TVOFPayoff []float64 `json:"tvof_payoff"`
+				TVOFSize   []float64 `json:"tvof_size"`
+				TVOFRep    []float64 `json:"tvof_rep"`
+			} `json:"points"`
+		} `json:"warm"`
+	}
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := sim.DefaultConfig(42)
+	cfg.ProgramSizes = []int{256, 1024, 8192}
+	cfg.Repetitions = 3
+	cfg.TraceJobs = 4000
+	env, err := sim.NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := env.Sweep(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bench.Warm.Points
+	if len(res.Points) != len(want) {
+		t.Fatalf("sweep has %d sizes, BENCH_PR8.json has %d", len(res.Points), len(want))
+	}
+	for i, got := range res.Points {
+		w := want[i]
+		if got.Size != w.Size || len(got.TVOFPayoff) != len(w.TVOFPayoff) {
+			t.Fatalf("point %d: size %d with %d reps, BENCH_PR8.json has size %d with %d reps",
+				i, got.Size, len(got.TVOFPayoff), w.Size, len(w.TVOFPayoff))
+		}
+		for r := range got.TVOFPayoff {
+			if got.TVOFPayoff[r] != w.TVOFPayoff[r] || got.TVOFSize[r] != w.TVOFSize[r] || got.TVOFRep[r] != w.TVOFRep[r] {
+				t.Errorf("n=%d rep=%d: payoff %v size %v reputation %v, BENCH_PR8.json has %v %v %v",
+					got.Size, r, got.TVOFPayoff[r], got.TVOFSize[r], got.TVOFRep[r],
+					w.TVOFPayoff[r], w.TVOFSize[r], w.TVOFRep[r])
+			}
+		}
+	}
+	t.Logf("engine nodes %d", res.Stats.Nodes)
 }

@@ -90,26 +90,6 @@ func BenchmarkSolveAblationNodeBudget(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveParallelVsSerial compares the root-split parallel search
-// with the serial one on a mid-size instance.
-func BenchmarkSolveParallelVsSerial(b *testing.B) {
-	in := benchInstance(12, 512)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if sol := Solve(in, Options{}); !sol.Feasible {
-				b.Fatal("infeasible")
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if sol := SolveParallel(in, Options{}, 0); !sol.Feasible {
-				b.Fatal("infeasible")
-			}
-		}
-	})
-}
-
 // BenchmarkMinMakespan measures the R||Cmax bound used for scenario
 // tightness reporting.
 func BenchmarkMinMakespan(b *testing.B) {

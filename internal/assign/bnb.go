@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"gridvo/internal/fault"
@@ -145,7 +144,7 @@ func SolveCtx(ctx context.Context, in *Instance, opts Options) Solution {
 		budget = DefaultNodeBudget
 	}
 
-	s := newSearcher(ctx, in, opts, budget, -1)
+	s := newSearcher(ctx, in, opts, budget)
 	s.cancelAfter = cancelAfter
 
 	// Seed incumbents.
@@ -195,13 +194,12 @@ func SolveCtx(ctx context.Context, in *Instance, opts Options) Solution {
 	return sol
 }
 
-// newSearcher builds the DFS state shared by the serial and root-split
-// solvers, drawing the searcher struct and its scratch buffers from the
-// package pools. rootOnly restricts the first branching task (-1 = full
-// search). Every searcher must be released exactly once.
+// newSearcher builds the DFS state for one solve, drawing the searcher
+// struct and its scratch buffers from the package pools. Every searcher
+// must be released exactly once.
 //
 //gridvolint:zeroalloc
-func newSearcher(ctx context.Context, in *Instance, opts Options, budget int64, rootOnly int) *searcher {
+func newSearcher(ctx context.Context, in *Instance, opts Options, budget int64) *searcher {
 	checkEvery := opts.CtxCheckEvery
 	if checkEvery <= 0 {
 		checkEvery = DefaultCtxCheckEvery
@@ -216,7 +214,6 @@ func newSearcher(ctx context.Context, in *Instance, opts Options, budget int64, 
 		bestCost:     math.Inf(1),
 		cap:          in.budgetCap(),
 		deadline:     in.Deadline,
-		rootOnly:     rootOnly,
 		disableTwin:  opts.DisableTwinPruning,
 		ctx:          ctx,
 		checkEvery:   checkEvery,
@@ -312,13 +309,6 @@ type searcher struct {
 	nodes      int64
 	aborted    bool
 
-	// shared, when non-nil, is the work-stealing pool's atomic
-	// best-incumbent bound (float bits): the search adopts it for pruning
-	// whenever it is tighter than the local incumbent and publishes every
-	// local improvement back. bestCost may therefore dip below the cost
-	// of bestAssign; merges compare canonical TotalCost, never bestCost.
-	shared *atomic.Uint64
-
 	// Context plumbing: ctx is polled every checkEvery nodes via a
 	// countdown so the hot loop stays divisor-free.
 	ctx          context.Context
@@ -342,29 +332,23 @@ type searcher struct {
 	// scratch is the pooled buffer set backing the slices above; release()
 	// returns it once the solve no longer references them.
 	scratch *searchScratch
-
-	// rootOnly, when >= 0, restricts the first branching task to that
-	// GSP — SolveParallel's disjoint root split. Constructors must set
-	// it explicitly (-1 for a full search): the int zero value would
-	// silently mean "GSP 0 only".
-	rootOnly int
 }
 
 // fill copies the searcher's counters into a solution's diagnostics.
 //
 //gridvolint:zeroalloc
 func (s *searcher) fill(sol *Solution) {
-	sol.Nodes += s.nodes
-	sol.NodeBudgetHit = sol.NodeBudgetHit || (s.aborted && !s.ctxAborted)
-	sol.Stats.Nodes += s.nodes
-	sol.Stats.PrunedByBound += s.prunedBound
-	sol.Stats.PrunedByDeadline += s.prunedDeadline
-	sol.Stats.PrunedByBudget += s.prunedBudget
-	sol.Stats.PrunedBySymmetry += s.prunedSymmetry
-	sol.Stats.PrunedByDominance += s.prunedDominance
-	sol.Stats.IncumbentUpdates += s.incumbents
-	sol.Stats.SeedAccepted += s.seedAccepted
-	sol.Stats.SeedWins += s.seedWins
+	sol.Nodes = s.nodes
+	sol.NodeBudgetHit = s.aborted && !s.ctxAborted
+	sol.Stats.Nodes = s.nodes
+	sol.Stats.PrunedByBound = s.prunedBound
+	sol.Stats.PrunedByDeadline = s.prunedDeadline
+	sol.Stats.PrunedByBudget = s.prunedBudget
+	sol.Stats.PrunedBySymmetry = s.prunedSymmetry
+	sol.Stats.PrunedByDominance = s.prunedDominance
+	sol.Stats.IncumbentUpdates = s.incumbents
+	sol.Stats.SeedAccepted = s.seedAccepted
+	sol.Stats.SeedWins = s.seedWins
 }
 
 //gridvolint:zeroalloc
@@ -509,11 +493,6 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 			return
 		}
 	}
-	if s.shared != nil {
-		if sb := math.Float64frombits(s.shared.Load()); sb < s.bestCost {
-			s.bestCost = sb
-		}
-	}
 	if pos == s.n {
 		if s.uncovered == 0 && costSoFar < s.bestCost && costSoFar <= s.cap+Eps {
 			s.bestCost = costSoFar
@@ -522,9 +501,6 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 			}
 			s.haveBest = true
 			s.incumbents++
-			if s.shared != nil {
-				casMinFloat(s.shared, s.bestCost)
-			}
 		}
 		return
 	}
@@ -555,9 +531,6 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 	tw := s.twins
 	bc := s.bestCost - Eps
 	for r, g := range gs {
-		if pos == 0 && s.rootOnly >= 0 && g != s.rootOnly {
-			continue
-		}
 		if mustCover && st[g].count > 0 {
 			continue
 		}

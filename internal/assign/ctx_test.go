@@ -131,22 +131,6 @@ func TestSolveCtxNodeBudgetStats(t *testing.T) {
 	}
 }
 
-func TestSolveParallelCtxCancelled(t *testing.T) {
-	in := ctxInstance(5, 4, 10)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sol := SolveParallelCtx(ctx, in, Options{}, 2)
-	if sol.Stats.Nodes != 0 {
-		t.Fatalf("already-cancelled context explored %d nodes", sol.Stats.Nodes)
-	}
-	if !sol.Feasible {
-		t.Fatal("no heuristic incumbent under a dead context")
-	}
-	if !sol.Stats.Interrupted() {
-		t.Fatal("cancellation not recorded")
-	}
-}
-
 func TestSolverInterface(t *testing.T) {
 	in := ctxInstance(6, 3, 7)
 	var s Solver = DefaultSolver()

@@ -90,8 +90,7 @@ type Stats struct {
 	// budget cap, or the coverage-feasibility check.
 	PrunedByBound int64
 	// PrunedByDeadline counts search interruptions by context
-	// cancellation or deadline expiry (at most one per searcher; the
-	// root-split parallel solver can accumulate one per subtree).
+	// cancellation or deadline expiry (at most one per solve).
 	PrunedByDeadline int64
 	// PrunedByBudget counts search interruptions by node-budget
 	// exhaustion (same cardinality as PrunedByDeadline).

@@ -1,8 +1,6 @@
 package assign
 
 import (
-	"context"
-	"math"
 	"testing"
 
 	"gridvo/internal/xrand"
@@ -123,52 +121,6 @@ func TestSeedUnusableIsIgnored(t *testing.T) {
 		}
 		if ws.Cost != cold.Cost || ws.Feasible != cold.Feasible {
 			t.Fatalf("%s: unusable seed changed the answer: %+v vs %+v", name, ws, cold)
-		}
-	}
-}
-
-// TestSolveParallelSeedDeterministic runs seeded root-split solves across
-// worker counts: the assignment and cost must be bitwise identical — the
-// parallel merge is deterministic and seeds do not introduce scheduling
-// dependence.
-func TestSolveParallelSeedDeterministic(t *testing.T) {
-	rng := xrand.New(23)
-	for trial := 0; trial < 10; trial++ {
-		k := rng.UniformInt(2, 5)
-		n := rng.UniformInt(k+2, 16)
-		in := randomInstance(rng.SplitN("inst", trial), k, n, 1.0)
-		cold := Solve(in, Options{})
-		if !cold.Feasible {
-			continue
-		}
-		seed := append([]int(nil), cold.Assign...)
-		for j := range seed {
-			if rng.Float64() < 0.25 {
-				seed[j] = -1
-			}
-		}
-		opts := Options{SeedAssign: seed}
-		var ref Solution
-		for workers := 1; workers <= 4; workers++ {
-			sol := SolveParallelCtx(context.Background(), in, opts, workers)
-			if !sol.Feasible {
-				t.Fatalf("trial %d workers %d: seeded parallel solve infeasible", trial, workers)
-			}
-			if workers == 1 {
-				ref = sol
-				continue
-			}
-			if sol.Cost != ref.Cost {
-				t.Fatalf("trial %d: workers=%d cost %v != workers=1 cost %v", trial, workers, sol.Cost, ref.Cost)
-			}
-			for j := range sol.Assign {
-				if sol.Assign[j] != ref.Assign[j] {
-					t.Fatalf("trial %d: workers=%d assignment differs at task %d", trial, workers, j)
-				}
-			}
-		}
-		if math.Abs(ref.Cost-cold.Cost) > Eps {
-			t.Fatalf("trial %d: seeded parallel cost %v != serial cold cost %v", trial, ref.Cost, cold.Cost)
 		}
 	}
 }

@@ -61,14 +61,6 @@ func TestTwinPruningIdentity(t *testing.T) {
 		}
 		sawSymmetry = sawSymmetry || pruned.Stats.PrunedBySymmetry > 0
 		sawDominance = sawDominance || pruned.Stats.PrunedByDominance > 0
-
-		// The root-split parallel solver applies the same rules per
-		// subtree and must agree with the serial pruned search.
-		par := SolveParallel(in, Options{NodeBudget: -1}, 3)
-		if par.Feasible != pruned.Feasible || par.Cost != pruned.Cost {
-			t.Fatalf("trial %d: parallel diverges: %v/%v vs %v/%v",
-				trial, par.Feasible, par.Cost, pruned.Feasible, pruned.Cost)
-		}
 	}
 	if !sawSymmetry {
 		t.Error("no trial exercised the symmetry rule")

@@ -10,8 +10,8 @@ import (
 // These benchmarks track the sparse-substrate scaling claim (DESIGN §13):
 // a power-method solve on a mean-degree-20 Erdős–Rényi graph is O(nnz)
 // per iteration and a million nodes converge in single-digit seconds.
-// cmd/benchjson -sparse runs the full measured sweep; these are the quick
-// in-tree checks.
+// 256k and 1M take the banded TMulVecTo path. BenchmarkGlobalCSR1M
+// allocates about 700 MB, so the CI bench smoke runs only the 64k point.
 
 func benchGlobalCSR(b *testing.B, n int) {
 	g := trust.SparseErdosRenyi(xrand.New(42), n, 20)
@@ -25,6 +25,7 @@ func benchGlobalCSR(b *testing.B, n int) {
 
 func BenchmarkGlobalCSR64k(b *testing.B)  { benchGlobalCSR(b, 65536) }
 func BenchmarkGlobalCSR256k(b *testing.B) { benchGlobalCSR(b, 262144) }
+func BenchmarkGlobalCSR1M(b *testing.B)   { benchGlobalCSR(b, 1_000_000) }
 
 // BenchmarkStoreDeltaResolve64k is the in-tree twin of perfbench's
 // trust-delta workload: each op applies one 256-edge delta batch to a

@@ -514,7 +514,7 @@ func pctMS(sorted []time.Duration, p float64) float64 {
 	return float64(sorted[i]) / float64(time.Millisecond)
 }
 
-// Report is the benchjson-compatible sync-vs-jobs comparison document
+// Report is the sync-vs-jobs comparison document
 // (BENCH_PR7.json): both modes run against identical scenario mixes and
 // offered load; RPSRatio is the headline jobs-over-sync throughput gain.
 type Report struct {
