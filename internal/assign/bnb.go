@@ -42,9 +42,6 @@ type Options struct {
 	// for the pruning-identity property tests and for callers that want
 	// the raw search on hand-built symmetric instances.
 	DisableTwinPruning bool
-	// RootBound selects the root lower-bound policy (Σ-min by default;
-	// RootBoundLP opts into the LP relaxation — see the RootBound type).
-	RootBound RootBound
 	// AssignBuf, when non-nil, becomes the backing array for
 	// Solution.Assign (grown when its capacity is short) — the
 	// zero-allocation steady-state mode for callers that solve in a loop.
@@ -114,8 +111,7 @@ func SolveCtx(ctx context.Context, in *Instance, opts Options) Solution {
 	}
 	start := time.Now()
 	k, n := in.NumGSPs(), in.NumTasks()
-	//gridvolint:ignore allocguard LP root bound is opt-in policy and sized-gated; the default Σ-min bound path allocates nothing (runtime-pinned by TestSolveSteadyStateZeroAllocs)
-	sol := Solution{LowerBound: rootLowerBound(in, opts.RootBound)}
+	sol := Solution{LowerBound: lowerBoundTotal(in)}
 
 	// Degenerate shapes.
 	if k == 0 {
@@ -150,20 +146,11 @@ func SolveCtx(ctx context.Context, in *Instance, opts Options) Solution {
 	// Seed incumbents.
 	seedIncumbents(in, opts, s)
 
-	switch {
-	case ctx.Err() != nil:
+	if ctx.Err() != nil {
 		// Already cancelled: return the heuristic incumbent immediately.
 		s.ctxAborted, s.aborted = true, true
 		s.prunedDeadline++
-	case opts.RootBound != RootBoundSum && s.haveBest &&
-		TotalCost(in, s.bestAssign) <= sol.LowerBound+Eps:
-		// A strengthened root bound already proves the heuristic
-		// incumbent optimal: skip the tree search entirely. (Guarded to
-		// the opt-in bound policies so the default path's node counts
-		// and trajectories stay exactly as recorded by the benchmarks —
-		// under Σ-min the post-search LowerBound check below recovers
-		// the same Optimal verdict.)
-	default:
+	} else {
 		s.prepare()
 		s.dfs(0, 0)
 	}

@@ -67,6 +67,55 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestLowerBoundNeverExceedsOptimum checks the soundness of the reported
+// Σ-min bound: on every feasible random instance, Solution.LowerBound is
+// at most the brute-force optimum. SolveCtx fixes the bound before any
+// search, so the three kinds of solve report the same bound today; what
+// differs between them is the Optimal claim, which a budget-cut or
+// heuristic-free solve may make from the bound alone, so each must claim
+// optimality only at the true optimum. Half the instances carry a budget
+// row between Σ-min and 1.3× Σ-min, and the deadline slack reaches low
+// enough to bind.
+func TestLowerBoundNeverExceedsOptimum(t *testing.T) {
+	rng := xrand.New(24)
+	solves := []struct {
+		name string
+		opts Options
+	}{
+		{"full", Options{NodeBudget: -1}},
+		{"budget50", Options{NodeBudget: 50}},
+		{"noheuristics", Options{NodeBudget: -1, DisableHeuristics: true}},
+	}
+	feasible := 0
+	for trial := 0; trial < 150; trial++ {
+		k := rng.UniformInt(2, 4)
+		n := rng.UniformInt(k, k+4)
+		in := randomInstance(rng.SplitN("lb", trial), k, n, rng.Uniform(0.3, 1.2))
+		if rng.Float64() < 0.5 {
+			in.Budget = lowerBoundTotal(in) * rng.Uniform(1, 1.3)
+		}
+		opt := BruteForce(in)
+		if !opt.Feasible {
+			continue
+		}
+		feasible++
+		for _, sv := range solves {
+			sol := Solve(in, sv.opts)
+			if sol.LowerBound > opt.Cost+Eps {
+				t.Fatalf("trial %d %s: LowerBound %v exceeds optimum %v",
+					trial, sv.name, sol.LowerBound, opt.Cost)
+			}
+			if sol.Optimal && math.Abs(sol.Cost-opt.Cost) > 1e-6 {
+				t.Fatalf("trial %d %s: claims optimal at cost %v, optimum is %v",
+					trial, sv.name, sol.Cost, opt.Cost)
+			}
+		}
+	}
+	if feasible < 50 {
+		t.Fatalf("only %d of 150 instances feasible; the check is too thin", feasible)
+	}
+}
+
 func TestSolveMatchesBruteForceWithBudget(t *testing.T) {
 	rng := xrand.New(2)
 	for trial := 0; trial < 40; trial++ {

@@ -4,9 +4,8 @@ import "context"
 
 // Solver abstracts the assignment-IP solve so the layers above (the
 // mechanism engine, the coalition game, the experiment harness) stay
-// pluggable: the exact branch-and-bound is the default, but tests inject
-// counting or stub solvers and future PRs can swap in LP-based or
-// approximate backends without touching the callers.
+// pluggable: the exact branch-and-bound is the default, and tests inject
+// counting or stub solvers without touching the callers.
 type Solver interface {
 	// SolveCtx solves the instance under the options, honoring ctx:
 	// cancellation or deadline expiry interrupts the search and returns

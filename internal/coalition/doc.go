@@ -1,10 +1,9 @@
 // Package coalition implements the coalitional-game machinery of
 // Section II-C of the paper: characteristic functions, the equal-share
-// payoff division (eq. 18), imputations and the core, the Shapley value
-// (for analysis; the paper adopts equal sharing for tractability), the
-// hedonic preference relation, the individual-stability test of
-// Definition 1, and Pareto-front extraction for the bicriteria
-// (payoff, reputation) objective.
+// payoff division (eq. 18), core membership, the exact Shapley value (for
+// analysis; the paper adopts equal sharing for tractability), the
+// hedonic preference relation over (payoff, reputation) outcomes, and
+// the individual-stability test of Definition 1.
 //
 // Players are identified by dense indices 0..n-1 and coalitions by sorted
 // index slices; internally coalitions are memoized by bitmask, so games are

@@ -8,7 +8,8 @@ import (
 
 // ExampleGame demonstrates the coalitional-game analytics on the classic
 // 3-player majority game (v(S)=1 iff |S| ≥ 2): symmetric Shapley values,
-// an empty core, and the least-core relaxation ε* = 1/3.
+// and an empty core, so even the equal split of v(N) = 1 is blocked by a
+// two-player coalition.
 func ExampleGame() {
 	g := coalition.NewGame(3, func(members []int) float64 {
 		if len(members) >= 2 {
@@ -20,16 +21,10 @@ func ExampleGame() {
 	phi := g.Shapley()
 	fmt.Printf("Shapley: %.3f %.3f %.3f\n", phi[0], phi[1], phi[2])
 
-	_, hasCore := g.CoreImputation()
-	fmt.Printf("core non-empty: %v\n", hasCore)
-
-	eps, _, err := g.LeastCoreEpsilon()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("least-core epsilon: %.3f\n", eps)
+	third := g.EqualShares([]int{0, 1, 2})
+	in, blocking := g.InCore([]float64{third, third, third}, 1e-9)
+	fmt.Printf("equal shares in core: %v (blocked by %v)\n", in, blocking)
 	// Output:
 	// Shapley: 0.333 0.333 0.333
-	// core non-empty: false
-	// least-core epsilon: 0.333
+	// equal shares in core: false (blocked by [0 1])
 }

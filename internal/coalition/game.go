@@ -2,11 +2,8 @@ package coalition
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
-
-	"gridvo/internal/xrand"
 )
 
 // MaxPlayers bounds game size (coalitions are memoized as uint64 masks).
@@ -37,9 +34,6 @@ func NewGame(n int, v ValueFunc) *Game {
 	}
 	return &Game{n: n, value: v, cache: map[uint64]float64{}}
 }
-
-// N returns the number of players.
-func (g *Game) N() int { return g.n }
 
 // Mask converts a member list to its bitmask, validating the indices.
 func (g *Game) Mask(members []int) uint64 {
@@ -93,15 +87,6 @@ func (g *Game) Value(members []int) float64 {
 // cost accounting in experiments).
 func (g *Game) CacheSize() int { return len(g.cache) }
 
-// GrandCoalition returns the member list {0, …, n-1}.
-func (g *Game) GrandCoalition() []int {
-	out := make([]int, g.n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // EqualShares divides v(C) equally among the members of C (eq. 18):
 // ψ_G(C) = (P − C(T,C))/|C| for every G ∈ C. It returns the per-member
 // share, or 0 for the empty coalition.
@@ -110,23 +95,6 @@ func (g *Game) EqualShares(members []int) float64 {
 		return 0
 	}
 	return g.Value(members) / float64(len(members))
-}
-
-// IsImputation reports whether payoff vector ψ (indexed by player) is an
-// imputation of the grand coalition: individually rational (ψ_i ≥ v({i}))
-// and efficient (Σψ_i = v(G)) within tol.
-func (g *Game) IsImputation(psi []float64, tol float64) bool {
-	if len(psi) != g.n {
-		return false
-	}
-	sum := 0.0
-	for i, p := range psi {
-		if p < g.Value([]int{i})-tol {
-			return false
-		}
-		sum += p
-	}
-	return math.Abs(sum-g.Value(g.GrandCoalition())) <= tol
 }
 
 // InCore reports whether ψ lies in the core: for every coalition S,
@@ -155,11 +123,10 @@ func (g *Game) InCore(psi []float64, tol float64) (bool, []int) {
 // Shapley computes the exact Shapley value by subset enumeration:
 // φ_i = Σ_{S ⊆ N\{i}} |S|!(n−|S|−1)!/n! · [v(S∪{i}) − v(S)].
 // Exponential in n — the very intractability that motivates the paper's
-// equal-share rule — so it is capped at 20 players; use ShapleyMonteCarlo
-// beyond that.
+// equal-share rule — so it is capped at 20 players.
 func (g *Game) Shapley() []float64 {
 	if g.n > 20 {
-		panic("coalition: exact Shapley limited to 20 players; use ShapleyMonteCarlo")
+		panic("coalition: exact Shapley limited to 20 players")
 	}
 	phi := make([]float64, g.n)
 	if g.n == 0 {
@@ -188,32 +155,6 @@ func (g *Game) Shapley() []float64 {
 			withI := Members(mask | bit)
 			phi[i] += weight[size] * (g.Value(withI) - vS)
 		}
-	}
-	return phi
-}
-
-// ShapleyMonteCarlo estimates the Shapley value by sampling random player
-// orders (the classic permutation estimator). samples is the number of
-// permutations; the estimator is unbiased with variance O(1/samples).
-func (g *Game) ShapleyMonteCarlo(rng *xrand.RNG, samples int) []float64 {
-	phi := make([]float64, g.n)
-	if g.n == 0 || samples <= 0 {
-		return phi
-	}
-	prefix := make([]int, 0, g.n)
-	for s := 0; s < samples; s++ {
-		perm := rng.Perm(g.n)
-		prefix = prefix[:0]
-		prev := 0.0
-		for _, i := range perm {
-			prefix = append(prefix, i)
-			cur := g.Value(prefix)
-			phi[i] += cur - prev
-			prev = cur
-		}
-	}
-	for i := range phi {
-		phi[i] /= float64(samples)
 	}
 	return phi
 }

@@ -101,14 +101,6 @@ func TestMembersRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGrandCoalition(t *testing.T) {
-	g := additive([]float64{1, 2, 3})
-	gc := g.GrandCoalition()
-	if len(gc) != 3 || gc[0] != 0 || gc[2] != 2 {
-		t.Fatalf("GrandCoalition = %v", gc)
-	}
-}
-
 func TestEqualShares(t *testing.T) {
 	g := additive([]float64{3, 6, 9})
 	if got := g.EqualShares([]int{0, 1}); got != 4.5 {
@@ -116,24 +108,6 @@ func TestEqualShares(t *testing.T) {
 	}
 	if g.EqualShares(nil) != 0 {
 		t.Fatal("EqualShares(∅) != 0")
-	}
-}
-
-func TestIsImputation(t *testing.T) {
-	g := additive([]float64{1, 2, 3})
-	if !g.IsImputation([]float64{1, 2, 3}, 1e-9) {
-		t.Fatal("additive payoff rejected")
-	}
-	// Individually irrational.
-	if g.IsImputation([]float64{0, 3, 3}, 1e-9) {
-		t.Fatal("irrational payoff accepted")
-	}
-	// Inefficient.
-	if g.IsImputation([]float64{1, 2, 4}, 1e-9) {
-		t.Fatal("inefficient payoff accepted")
-	}
-	if g.IsImputation([]float64{1, 2}, 1e-9) {
-		t.Fatal("wrong length accepted")
 	}
 }
 
@@ -212,7 +186,7 @@ func TestShapleyEfficiency(t *testing.T) {
 	for _, p := range phi {
 		sum += p
 	}
-	grand := g.Value(g.GrandCoalition())
+	grand := g.Value([]int{0, 1, 2, 3, 4, 5})
 	if math.Abs(sum-grand) > 1e-9 {
 		t.Fatalf("Σφ = %v, v(N) = %v", sum, grand)
 	}
@@ -225,27 +199,6 @@ func TestShapleyPanicsOnLargeGame(t *testing.T) {
 		}
 	}()
 	additive(make([]float64, 21)).Shapley()
-}
-
-func TestShapleyMonteCarloConverges(t *testing.T) {
-	w := []float64{2, 5, 8}
-	phi := additive(w).ShapleyMonteCarlo(xrand.New(7), 2000)
-	for i := range w {
-		if math.Abs(phi[i]-w[i]) > 0.5 {
-			t.Fatalf("MC Shapley = %v, want ≈%v", phi, w)
-		}
-	}
-}
-
-func TestShapleyMonteCarloDegenerate(t *testing.T) {
-	g := additive(nil)
-	if got := g.ShapleyMonteCarlo(xrand.New(1), 10); len(got) != 0 {
-		t.Fatal("empty game MC Shapley wrong")
-	}
-	g2 := additive([]float64{1})
-	if got := g2.ShapleyMonteCarlo(xrand.New(1), 0); got[0] != 0 {
-		t.Fatal("zero samples should yield zero vector")
-	}
 }
 
 func TestEmptyGameShapley(t *testing.T) {

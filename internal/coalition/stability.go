@@ -77,73 +77,7 @@ func removeMember(coalition []int, member int) []int {
 	return out
 }
 
-// Candidate is one VO under bicriteria evaluation, used for Pareto-front
-// extraction over the feasible VO list L of the mechanism.
-type Candidate struct {
-	Members []int
-	Outcome Outcome
-}
-
-// ParetoFront returns the subset of candidates not Pareto-dominated in
-// (payoff, average reputation), in input order. Duplicated outcomes are
-// all retained (they dominate each other weakly but not strictly).
-func ParetoFront(cands []Candidate) []Candidate {
-	var front []Candidate
-	for i, c := range cands {
-		dominated := false
-		for j, d := range cands {
-			if i == j {
-				continue
-			}
-			if d.Outcome.Prefers(c.Outcome) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, c)
-		}
-	}
-	return front
-}
-
-// BestByPayoff returns the index of the candidate with the highest payoff,
-// ties broken toward higher average reputation, then lower index. Returns
-// -1 for an empty list. This is TVOF's final selection rule
-// (k = argmax v(C)/|C|, Algorithm 1 line 14).
-// Only bitwise-equal payoffs tie, so the tie-break is deterministic.
-func BestByPayoff(cands []Candidate) int {
-	best := -1
-	for i, c := range cands {
-		if best == -1 {
-			best = i
-			continue
-		}
-		b := cands[best]
-		if c.Outcome.Payoff > b.Outcome.Payoff ||
-			(c.Outcome.Payoff == b.Outcome.Payoff && c.Outcome.Reputation > b.Outcome.Reputation) {
-			best = i
-		}
-	}
-	return best
-}
-
-// BestByProduct returns the index of the candidate maximizing
-// payoff × average reputation — the comparator Fig. 4 of the paper uses to
-// demonstrate Pareto optimality. Returns -1 for an empty list.
-func BestByProduct(cands []Candidate) int {
-	best := -1
-	bestV := 0.0
-	for i, c := range cands {
-		v := c.Outcome.Payoff * c.Outcome.Reputation
-		if best == -1 || v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
-}
-
-// SortedMembers returns a sorted copy of a member list (candidates store
+// SortedMembers returns a sorted copy of a member list (VO records store
 // members in eviction order; comparisons need canonical form).
 func SortedMembers(members []int) []int {
 	out := append([]int(nil), members...)

@@ -83,71 +83,6 @@ func TestIsIndividuallyStableWeakIndifference(t *testing.T) {
 	}
 }
 
-func TestParetoFront(t *testing.T) {
-	cands := []Candidate{
-		{Members: []int{0}, Outcome: Outcome{Payoff: 1, Reputation: 0.9}}, // front
-		{Members: []int{1}, Outcome: Outcome{Payoff: 3, Reputation: 0.5}}, // front
-		{Members: []int{2}, Outcome: Outcome{Payoff: 2, Reputation: 0.4}}, // dominated by 1
-		{Members: []int{3}, Outcome: Outcome{Payoff: 3, Reputation: 0.6}}, // front, dominates 1
-	}
-	front := ParetoFront(cands)
-	ids := map[int]bool{}
-	for _, c := range front {
-		ids[c.Members[0]] = true
-	}
-	if ids[2] {
-		t.Fatal("dominated candidate in front")
-	}
-	if !ids[0] || !ids[3] {
-		t.Fatalf("front members wrong: %v", ids)
-	}
-	// Candidate 1 is dominated by 3 (3 ≥ 3 payoff and 0.6 > 0.5).
-	if ids[1] {
-		t.Fatal("candidate 1 should be dominated by candidate 3")
-	}
-	if got := ParetoFront(nil); got != nil {
-		t.Fatal("empty front wrong")
-	}
-}
-
-func TestParetoFrontKeepsDuplicates(t *testing.T) {
-	cands := []Candidate{
-		{Members: []int{0}, Outcome: Outcome{Payoff: 1, Reputation: 1}},
-		{Members: []int{1}, Outcome: Outcome{Payoff: 1, Reputation: 1}},
-	}
-	if got := ParetoFront(cands); len(got) != 2 {
-		t.Fatalf("duplicate outcomes dropped: %d", len(got))
-	}
-}
-
-func TestBestByPayoff(t *testing.T) {
-	cands := []Candidate{
-		{Outcome: Outcome{Payoff: 1, Reputation: 0.5}},
-		{Outcome: Outcome{Payoff: 3, Reputation: 0.2}},
-		{Outcome: Outcome{Payoff: 3, Reputation: 0.9}},
-	}
-	if got := BestByPayoff(cands); got != 2 {
-		t.Fatalf("BestByPayoff = %d, want 2 (payoff tie broken by reputation)", got)
-	}
-	if BestByPayoff(nil) != -1 {
-		t.Fatal("empty BestByPayoff != -1")
-	}
-}
-
-func TestBestByProduct(t *testing.T) {
-	cands := []Candidate{
-		{Outcome: Outcome{Payoff: 10, Reputation: 0.1}}, // product 1.0
-		{Outcome: Outcome{Payoff: 3, Reputation: 0.5}},  // product 1.5
-		{Outcome: Outcome{Payoff: 2, Reputation: 0.6}},  // product 1.2
-	}
-	if got := BestByProduct(cands); got != 1 {
-		t.Fatalf("BestByProduct = %d, want 1", got)
-	}
-	if BestByProduct(nil) != -1 {
-		t.Fatal("empty BestByProduct != -1")
-	}
-}
-
 func TestSortedMembers(t *testing.T) {
 	in := []int{3, 1, 2}
 	got := SortedMembers(in)

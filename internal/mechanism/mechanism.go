@@ -8,7 +8,6 @@ import (
 
 	"gridvo/internal/adversary"
 	"gridvo/internal/assign"
-	"gridvo/internal/coalition"
 	"gridvo/internal/fault"
 	"gridvo/internal/matrix"
 	"gridvo/internal/reputation"
@@ -219,23 +218,6 @@ func (res *Result) FeasibleCount() int {
 		}
 	}
 	return c
-}
-
-// Candidates converts the feasible iterations to coalition.Candidates for
-// Pareto-front analysis.
-func (res *Result) Candidates() []coalition.Candidate {
-	var out []coalition.Candidate
-	for i := range res.Iterations {
-		rec := &res.Iterations[i]
-		if !rec.Feasible {
-			continue
-		}
-		out = append(out, coalition.Candidate{
-			Members: rec.Members,
-			Outcome: coalition.Outcome{Payoff: rec.Payoff, Reputation: rec.AvgReputation},
-		})
-	}
-	return out
 }
 
 // Run executes the mechanism of Algorithm 1 on the scenario:
