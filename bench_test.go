@@ -18,6 +18,7 @@ package gridvo
 //	Fig. 9  execution time grows with n
 
 import (
+	"context"
 	"testing"
 
 	"gridvo/internal/mechanism"
@@ -46,7 +47,7 @@ func benchEnv(b *testing.B, seed uint64) *sim.Env {
 func benchSweep(b *testing.B, seed uint64) *sim.SweepResult {
 	b.Helper()
 	env := benchEnv(b, seed)
-	sweep, err := env.Sweep(nil)
+	sweep, err := env.SweepContext(context.Background(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func BenchmarkFig9ExecutionTime(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tv, _, err := env.RunPair(sc, 8192, i)
+		tv, _, err := env.RunPairContext(context.Background(), sc, 8192, i)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -218,7 +219,7 @@ func TestBenchPR8SelectionsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := env.Sweep(nil)
+	res, err := env.SweepContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,21 +73,14 @@ func main() {
 			final.Members, final.Payoff, final.AvgReputation)
 
 		// Execute the mapping on the members with failure injection.
-		providers := make([]exec.Provider, len(final.Members))
-		for i, g := range final.Members {
-			providers[i] = exec.Provider{
-				SpeedGFLOPS: gsps[g].SpeedGFLOPS,
-				Reliability: reliability[g],
-			}
-		}
-		rep, err := exec.Run(rng.Split(fmt.Sprintf("exec-%d", round)),
-			prog.Tasks, final.Assignment, providers, exec.Options{Deadline: sc.Deadline})
+		rep, members, err := mechanism.ExecuteFinal(sc, res, reliability,
+			exec.Options{}, rng.Split(fmt.Sprintf("exec-%d", round)))
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("executed: completed=%v makespan=%.0fs/%.0fs rescheduled=%d tasks\n",
 			rep.Completed, rep.MakespanSec, sc.Deadline, rep.Rescheduled)
-		for i, g := range final.Members {
+		for i, g := range members {
 			status := "delivered"
 			if !rep.Delivered[i] {
 				status = "RENEGED"
@@ -96,15 +89,8 @@ func main() {
 		}
 
 		// Every member observed every other member's behaviour.
-		for _, observer := range final.Members {
-			for i, g := range final.Members {
-				if observer == g {
-					continue
-				}
-				if err := hist.Record(observer, g, rep.Delivered[i]); err != nil {
-					log.Fatal(err)
-				}
-			}
+		if err := mechanism.RecordOutcomes(hist, members, rep); err != nil {
+			log.Fatal(err)
 		}
 		if err := hist.ApplyTo(sc.Trust); err != nil {
 			log.Fatal(err)

@@ -1,8 +1,9 @@
 // Package assign reproduces the ctxthread violation gridvolint found
-// in assign.MinMakespan: an exported branch-and-bound entry point whose
-// search loop could not observe cancellation. Fixed in this PR by
-// adding MinMakespanCtx (context polled every 1024 nodes) and
-// delegating the legacy name to it.
+// in the makespan bound the module once carried (assign.MinMakespan): an
+// exported branch-and-bound entry point whose search loop could not
+// observe cancellation. The fix added a context-polling variant and
+// delegated the legacy name to it; the bound itself has since been
+// deleted.
 package assign
 
 type instance struct {

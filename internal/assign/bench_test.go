@@ -50,10 +50,11 @@ func BenchmarkLocalSearch(b *testing.B) {
 		b.Fatal("no base assignment")
 	}
 	work := make([]int, len(base))
+	load, count := make([]float64, in.NumGSPs()), make([]int, in.NumGSPs())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, base)
-		LocalSearch(in, work, 0)
+		localSearchBuf(in, work, 0, load, count)
 	}
 }
 
@@ -87,16 +88,5 @@ func BenchmarkSolveAblationNodeBudget(b *testing.B) {
 			}
 			b.ReportMetric(cost, "cost")
 		})
-	}
-}
-
-// BenchmarkMinMakespan measures the R||Cmax bound used for scenario
-// tightness reporting.
-func BenchmarkMinMakespan(b *testing.B) {
-	in := benchInstance(8, 64)
-	for i := 0; i < b.N; i++ {
-		if ms, _ := MinMakespan(in, Options{NodeBudget: 200_000}); ms <= 0 {
-			b.Fatal("no makespan")
-		}
 	}
 }

@@ -574,51 +574,3 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 		bc = s.bestCost - Eps
 	}
 }
-
-// BruteForce enumerates every assignment (k^n) and returns the optimal
-// solution, for cross-checking the branch-and-bound on small instances.
-// It panics if k^n exceeds 50 million states.
-func BruteForce(in *Instance) Solution {
-	if err := in.Validate(); err != nil {
-		panic(err)
-	}
-	k, n := in.NumGSPs(), in.NumTasks()
-	sol := Solution{LowerBound: lowerBoundTotal(in), Optimal: true}
-	if k == 0 {
-		sol.Feasible = n == 0
-		sol.Assign = []int{}
-		return sol
-	}
-	states := math.Pow(float64(k), float64(n))
-	if states > 50e6 {
-		panic("assign: BruteForce instance too large")
-	}
-	assign := make([]int, n)
-	best := math.Inf(1)
-	var bestAssign []int
-	capB := in.budgetCap()
-	var rec func(j int)
-	rec = func(j int) {
-		if j == n {
-			if err := Verify(in, assign); err != nil {
-				return
-			}
-			if c := TotalCost(in, assign); c < best && c <= capB+Eps {
-				best = c
-				bestAssign = append(bestAssign[:0:0], assign...)
-			}
-			return
-		}
-		for g := 0; g < k; g++ {
-			assign[j] = g
-			rec(j + 1)
-		}
-	}
-	rec(0)
-	if bestAssign != nil {
-		sol.Feasible = true
-		sol.Cost = best
-		sol.Assign = bestAssign
-	}
-	return sol
-}

@@ -58,61 +58,15 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 		if math.Abs(bf.Cost-bb.Cost) > 1e-6 {
 			t.Fatalf("trial %d: cost mismatch: brute=%v bnb=%v", trial, bf.Cost, bb.Cost)
 		}
+		if bb.LowerBound > bf.Cost+Eps {
+			t.Fatalf("trial %d: LowerBound %v exceeds optimum %v", trial, bb.LowerBound, bf.Cost)
+		}
 		if err := Verify(in, bb.Assign); err != nil {
 			t.Fatalf("trial %d: B&B solution invalid: %v", trial, err)
 		}
 		if !bb.Optimal {
 			t.Fatalf("trial %d: small instance not proven optimal", trial)
 		}
-	}
-}
-
-// TestLowerBoundNeverExceedsOptimum checks the soundness of the reported
-// Σ-min bound: on every feasible random instance, Solution.LowerBound is
-// at most the brute-force optimum. SolveCtx fixes the bound before any
-// search, so the three kinds of solve report the same bound today; what
-// differs between them is the Optimal claim, which a budget-cut or
-// heuristic-free solve may make from the bound alone, so each must claim
-// optimality only at the true optimum. Half the instances carry a budget
-// row between Σ-min and 1.3× Σ-min, and the deadline slack reaches low
-// enough to bind.
-func TestLowerBoundNeverExceedsOptimum(t *testing.T) {
-	rng := xrand.New(24)
-	solves := []struct {
-		name string
-		opts Options
-	}{
-		{"full", Options{NodeBudget: -1}},
-		{"budget50", Options{NodeBudget: 50}},
-		{"noheuristics", Options{NodeBudget: -1, DisableHeuristics: true}},
-	}
-	feasible := 0
-	for trial := 0; trial < 150; trial++ {
-		k := rng.UniformInt(2, 4)
-		n := rng.UniformInt(k, k+4)
-		in := randomInstance(rng.SplitN("lb", trial), k, n, rng.Uniform(0.3, 1.2))
-		if rng.Float64() < 0.5 {
-			in.Budget = lowerBoundTotal(in) * rng.Uniform(1, 1.3)
-		}
-		opt := BruteForce(in)
-		if !opt.Feasible {
-			continue
-		}
-		feasible++
-		for _, sv := range solves {
-			sol := Solve(in, sv.opts)
-			if sol.LowerBound > opt.Cost+Eps {
-				t.Fatalf("trial %d %s: LowerBound %v exceeds optimum %v",
-					trial, sv.name, sol.LowerBound, opt.Cost)
-			}
-			if sol.Optimal && math.Abs(sol.Cost-opt.Cost) > 1e-6 {
-				t.Fatalf("trial %d %s: claims optimal at cost %v, optimum is %v",
-					trial, sv.name, sol.Cost, opt.Cost)
-			}
-		}
-	}
-	if feasible < 50 {
-		t.Fatalf("only %d of 150 instances feasible; the check is too thin", feasible)
 	}
 }
 
@@ -136,6 +90,17 @@ func TestSolveMatchesBruteForceWithBudget(t *testing.T) {
 		}
 		if bf.Feasible && math.Abs(bf.Cost-bb.Cost) > 1e-6 {
 			t.Fatalf("trial %d: cost mismatch: brute=%v bnb=%v", trial, bf.Cost, bb.Cost)
+		}
+		if bf.Feasible && bb.LowerBound > bf.Cost+Eps {
+			t.Fatalf("trial %d: LowerBound %v exceeds optimum %v", trial, bb.LowerBound, bf.Cost)
+		}
+		// A budget-cut or heuristic-free solve may claim optimality from
+		// the bound alone; it must do so only at the true optimum.
+		for _, opts := range []Options{{NodeBudget: 50}, {NodeBudget: -1, DisableHeuristics: true}} {
+			if s := Solve(in, opts); s.Optimal && (s.Feasible != bf.Feasible || math.Abs(s.Cost-bf.Cost) > 1e-6) {
+				t.Fatalf("trial %d %+v: claims optimal at %v (feasible=%v), optimum %v (feasible=%v)",
+					trial, opts, s.Cost, s.Feasible, bf.Cost, bf.Feasible)
+			}
 		}
 	}
 }
@@ -297,4 +262,52 @@ func TestSolveValidatePanics(t *testing.T) {
 		}
 	}()
 	Solve(&Instance{Cost: [][]float64{{1}}, Time: [][]float64{}}, Options{})
+}
+
+// BruteForce enumerates every assignment (k^n) and returns the optimal
+// solution, for cross-checking the branch-and-bound on small instances.
+// It panics if k^n exceeds 50 million states.
+func BruteForce(in *Instance) Solution {
+	if err := in.Validate(); err != nil {
+		panic(err)
+	}
+	k, n := in.NumGSPs(), in.NumTasks()
+	sol := Solution{LowerBound: lowerBoundTotal(in), Optimal: true}
+	if k == 0 {
+		sol.Feasible = n == 0
+		sol.Assign = []int{}
+		return sol
+	}
+	states := math.Pow(float64(k), float64(n))
+	if states > 50e6 {
+		panic("assign: BruteForce instance too large")
+	}
+	assign := make([]int, n)
+	best := math.Inf(1)
+	var bestAssign []int
+	capB := in.budgetCap()
+	var rec func(j int)
+	rec = func(j int) {
+		if j == n {
+			if err := Verify(in, assign); err != nil {
+				return
+			}
+			if c := TotalCost(in, assign); c < best && c <= capB+Eps {
+				best = c
+				bestAssign = append(bestAssign[:0:0], assign...)
+			}
+			return
+		}
+		for g := 0; g < k; g++ {
+			assign[j] = g
+			rec(j + 1)
+		}
+	}
+	rec(0)
+	if bestAssign != nil {
+		sol.Feasible = true
+		sol.Cost = best
+		sol.Assign = bestAssign
+	}
+	return sol
 }

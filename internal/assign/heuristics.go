@@ -209,16 +209,6 @@ func greedyCost(in *Instance, hb *heurBufs) []int {
 	return assign
 }
 
-func maxTime(in *Instance, t int) float64 {
-	m := 0.0
-	for g := range in.Time {
-		if in.Time[g][t] > m {
-			m = in.Time[g][t]
-		}
-	}
-	return m
-}
-
 // mct assigns tasks in index order to the GSP minimizing the completion
 // time (current load + task time), breaking ties by cheaper cost. A final
 // repair pass fixes coverage by stealing tasks for empty GSPs.
@@ -439,18 +429,12 @@ func repairCoverage(in *Instance, assign []int, load []float64, count []int) boo
 	return true
 }
 
-// LocalSearch improves an assignment in place with single-task relocations:
-// move a task to a GSP where it is cheaper, if the target has deadline
-// capacity and the source keeps at least one task. Passes repeat until a
-// full pass finds no improvement (or maxPasses). Returns the improved cost.
-func LocalSearch(in *Instance, assign []int, maxPasses int) float64 {
-	k := in.NumGSPs()
-	return localSearchBuf(in, assign, maxPasses, make([]float64, k), make([]int, k))
-}
-
-// localSearchBuf is LocalSearch with caller-provided load/count buffers
-// (len k, fully overwritten) — the allocation-free path under the
-// solver's seeding loop.
+// localSearchBuf improves an assignment in place with single-task
+// relocations: move a task to a GSP where it is cheaper, if the target has
+// deadline capacity and the source keeps at least one task. Passes repeat
+// until a full pass finds no improvement (or maxPasses). Returns the
+// improved cost. load and count (len k) are caller-provided and fully
+// overwritten, so the solver's seeding loop runs it without allocating.
 func localSearchBuf(in *Instance, assign []int, maxPasses int, load []float64, count []int) float64 {
 	k, n := in.NumGSPs(), in.NumTasks()
 	for g := 0; g < k; g++ {

@@ -105,15 +105,15 @@ func TestLocalSearchImproves(t *testing.T) {
 	// task1→1 (7), task2→0 (9) = 24.
 	a := []int{1, 1, 0}
 	before := TotalCost(in, a)
-	after := LocalSearch(in, a, 0)
+	after := localSearchBuf(in, a, 0, make([]float64, in.NumGSPs()), make([]int, in.NumGSPs()))
 	if after > before {
-		t.Fatalf("LocalSearch made it worse: %v → %v", before, after)
+		t.Fatalf("localSearchBuf made it worse: %v → %v", before, after)
 	}
 	if err := Verify(in, a); err != nil {
-		t.Fatalf("LocalSearch broke feasibility: %v", err)
+		t.Fatalf("localSearchBuf broke feasibility: %v", err)
 	}
 	if after != 6 {
-		t.Fatalf("LocalSearch cost = %v, want optimal 6 on separable instance", after)
+		t.Fatalf("localSearchBuf cost = %v, want optimal 6 on separable instance", after)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestLocalSearchKeepsCoverage(t *testing.T) {
 		Deadline: 10,
 	}
 	a := []int{0, 1}
-	LocalSearch(in, a, 0)
+	localSearchBuf(in, a, 0, make([]float64, in.NumGSPs()), make([]int, in.NumGSPs()))
 	if err := Verify(in, a); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestLocalSearchRespectsDeadline(t *testing.T) {
 		Deadline: 10,
 	}
 	a := []int{0, 1, 1}
-	LocalSearch(in, a, 0)
+	localSearchBuf(in, a, 0, make([]float64, in.NumGSPs()), make([]int, in.NumGSPs()))
 	if err := Verify(in, a); err != nil {
 		t.Fatal(err)
 	}

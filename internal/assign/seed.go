@@ -131,15 +131,6 @@ func maxTimes(in *Instance, buf *[]float64) []float64 {
 	return mt
 }
 
-// repairSeed turns a (possibly infeasible) warm-start hint into a feasible
-// assignment, or nil when it cannot. It is repairSeedBuf with fresh
-// buffers, so the returned slice is caller-owned.
-func repairSeed(in *Instance, seed []int, localSearchPasses int) []int {
-	var hb heurBufs
-	hb.maxT = maxTimes(in, &hb.maxT)
-	return repairSeedBuf(in, seed, localSearchPasses, &hb)
-}
-
 // repairSeedBuf repairs a warm-start hint into hb's pooled buffers; the
 // returned slice aliases hb.assign and must be copied out before hb is
 // reused. Entries outside [0,k) — the tasks of an evicted GSP after

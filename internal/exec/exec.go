@@ -69,18 +69,6 @@ type Report struct {
 	FailedProviders []int
 }
 
-// Utilization returns BusySec[i]/deadline for each provider.
-func (r *Report) Utilization(deadline float64) []float64 {
-	out := make([]float64, len(r.BusySec))
-	if deadline <= 0 {
-		return out
-	}
-	for i, b := range r.BusySec {
-		out[i] = b / deadline
-	}
-	return out
-}
-
 // event kinds on the virtual clock.
 type eventKind int
 

@@ -46,9 +46,8 @@ func TestRunParallelProviders(t *testing.T) {
 	if !rep.Completed || math.Abs(rep.MakespanSec-10) > 1e-9 {
 		t.Fatalf("report = %+v", rep)
 	}
-	util := rep.Utilization(50)
-	if math.Abs(util[0]-0.2) > 1e-9 || math.Abs(util[1]-0.08) > 1e-9 {
-		t.Fatalf("utilization = %v", util)
+	if math.Abs(rep.BusySec[0]-10) > 1e-9 || math.Abs(rep.BusySec[1]-4) > 1e-9 {
+		t.Fatalf("busy seconds = %v, want [10 4]", rep.BusySec)
 	}
 }
 
@@ -234,12 +233,5 @@ func TestPolicyString(t *testing.T) {
 	}
 	if Policy(9).String() == "" {
 		t.Fatal("unknown policy empty")
-	}
-}
-
-func TestUtilizationDegenerate(t *testing.T) {
-	r := &Report{BusySec: []float64{1, 2}}
-	if u := r.Utilization(0); u[0] != 0 || u[1] != 0 {
-		t.Fatal("zero-deadline utilization should be zero")
 	}
 }

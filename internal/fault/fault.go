@@ -111,11 +111,6 @@ var pointClasses = [NumPoints][]Class{
 	PointTrust:      {ZeroTrustRow},
 }
 
-// ClassesAt returns the fault classes that can fire at a point.
-func ClassesAt(p Point) []Class {
-	return append([]Class(nil), pointClasses[p]...)
-}
-
 // Plan is the injector's decision for one hook visit. The zero value means
 // "no fault": consumers switch on Class and ignore the parameter fields of
 // classes they did not receive.
@@ -251,9 +246,6 @@ func New(cfg Config) *Injector {
 	}
 	return in
 }
-
-// Enabled reports whether the injector can fire at all.
-func (in *Injector) Enabled() bool { return in != nil && in.rate > 0 }
 
 // Visit draws the fault decision for one unit of work at a hook site. On a
 // nil receiver it returns the zero Plan without drawing anything.

@@ -157,15 +157,6 @@ func Payment(rng *xrand.RNG, n int) float64 {
 	return rng.Uniform(MinPaymentFactor, MaxPaymentFactor) * MaxCost * float64(n)
 }
 
-// Speeds extracts the speed vector of a GSP slice.
-func Speeds(gsps []GSP) []float64 {
-	out := make([]float64, len(gsps))
-	for i, g := range gsps {
-		out[i] = g.SpeedGFLOPS
-	}
-	return out
-}
-
 // SubRows returns the rows of matrix mat selected by keep, in order —
 // restricting a cost or time matrix to the members of a candidate VO.
 func SubRows(mat [][]float64, keep []int) [][]float64 {

@@ -182,14 +182,6 @@ func TestPaymentRange(t *testing.T) {
 	}
 }
 
-func TestSpeeds(t *testing.T) {
-	gsps := []GSP{{SpeedGFLOPS: 10}, {SpeedGFLOPS: 20}}
-	s := Speeds(gsps)
-	if len(s) != 2 || s[0] != 10 || s[1] != 20 {
-		t.Fatalf("Speeds = %v", s)
-	}
-}
-
 func TestSubRows(t *testing.T) {
 	mat := [][]float64{{1, 2}, {3, 4}, {5, 6}}
 	got := SubRows(mat, []int{2, 0})

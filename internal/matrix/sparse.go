@@ -28,7 +28,7 @@ type CSR struct {
 	val        []float64
 
 	// tmu guards tcache, the lazily built transposed row-banded layout
-	// backing TMulVec on wide matrices. The cache never changes the
+	// backing TMulVecTo on wide matrices. The cache never changes the
 	// numbers — only memory locality — and is dropped by NormalizeRows,
 	// the only operation that changes the values.
 	tmu    sync.Mutex
@@ -121,7 +121,7 @@ func (m *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// tmulBandRows is the row-band height of the cache-blocked TMulVec path:
+// tmulBandRows is the row-band height of the cache-blocked TMulVecTo path:
 // 1<<15 source slots = 256 KiB of x per band, sized to stay L2-resident.
 // tmulBandThreshold gates the blocked path to matrices whose output
 // vector overflows that budget — below it the simple row sweep is faster
@@ -134,7 +134,7 @@ const (
 // cscBands is a transposed copy of a CSR's entries grouped into row
 // bands: band b holds the entries of rows [b·tmulBandRows,
 // (b+1)·tmulBandRows), sorted by (column, row) and packed as
-// key = column<<16 | rowOffsetWithinBand. Within a band, TMulVec reads x
+// key = column<<16 | rowOffsetWithinBand. Within a band, TMulVecTo reads x
 // only inside the band's 256 KiB window and writes y in ascending column
 // order — both cache-friendly — while every output slot y[j] still
 // receives its contributions in globally ascending row order (bands
@@ -243,14 +243,6 @@ func (m *CSR) invalidateT() {
 	m.tmu.Unlock()
 }
 
-// TMulVec computes y = Aᵀ·x without materializing the transpose into a
-// freshly allocated y; x must have length Rows. See TMulVecTo.
-func (m *CSR) TMulVec(x []float64) []float64 {
-	y := make([]float64, m.cols)
-	m.TMulVecTo(y, x)
-	return y
-}
-
 // TMulVecTo computes dst = Aᵀ·x, overwriting dst; dst must have length
 // Cols, x length Rows, and the two must not share memory. Rows are visited
 // in ascending order and entries within a row in ascending column order,
@@ -293,7 +285,7 @@ func (m *CSR) TMulVecTo(dst, x []float64) {
 // do not start at the same element (dst is cleared before x is read).
 func checkTMulVecTo(rows, cols int, dst, x []float64) {
 	if len(x) != rows {
-		panic(fmt.Sprintf("matrix: TMulVec with len(x)=%d, want %d", len(x), rows))
+		panic(fmt.Sprintf("matrix: TMulVecTo with len(x)=%d, want %d", len(x), rows))
 	}
 	if len(dst) != cols {
 		panic(fmt.Sprintf("matrix: TMulVecTo with len(dst)=%d, want %d", len(dst), cols))
@@ -307,7 +299,7 @@ func checkTMulVecTo(rows, cols int, dst, x []float64) {
 // indices of the rows whose sum was zero. When uniform is true, zero rows
 // are MATERIALIZED as explicit full rows of 1/cols entries — the structure
 // is rebuilt so the patched rows participate in every later traversal at
-// their natural position, keeping TMulVec bitwise identical to the dense
+// their natural position, keeping TMulVecTo bitwise identical to the dense
 // dangling fix. Dangling rows are rare in trust graphs (a GSP with no
 // outgoing trust), so the extra cols entries per patched row are cheap.
 //

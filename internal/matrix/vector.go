@@ -6,37 +6,10 @@ import (
 )
 
 // Vector helpers operate on plain []float64 slices; the reputation code
-// passes probability vectors around and needs sums, norms and argmin/argmax
-// with deterministic tie-breaking (lowest index wins), which the mechanism
-// layer then optionally randomizes.
-
-// VecSum returns the sum of the elements of x.
-func VecSum(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// VecDot returns the dot product of x and y. It panics on length mismatch.
-func VecDot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("matrix: VecDot length mismatch %d vs %d", len(x), len(y)))
-	}
-	s := 0.0
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
-// VecClone returns a copy of x.
-func VecClone(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	return out
-}
+// passes probability vectors around and needs normalization, the power
+// method's difference norm and argmin with deterministic tie-breaking
+// (lowest index wins), which the mechanism layer then optionally
+// randomizes.
 
 // VecScale multiplies x in place by s and returns x.
 func VecScale(x []float64, s float64) []float64 {
@@ -57,35 +30,6 @@ func VecNormalizeL1(x []float64) []float64 {
 		return x
 	}
 	return VecScale(x, 1/s)
-}
-
-// NormL1 returns Σ|xᵢ|.
-func NormL1(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// NormL2 returns the Euclidean norm of x.
-func NormL2(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// NormLInf returns max|xᵢ| (0 for an empty vector).
-func NormLInf(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
-	}
-	return s
 }
 
 // VecDiffNormL2 returns ‖x−y‖₂ without allocating. It panics on length
@@ -139,21 +83,6 @@ func ArgMin(x []float64) int {
 	return best
 }
 
-// ArgMax returns the index of the largest element, breaking ties toward the
-// lowest index. It returns -1 for an empty vector.
-func ArgMax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range x {
-		if v > x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // MinIndices returns every index whose value is within tol of the minimum.
 // The mechanism uses this to collect reputation ties before random
 // tie-breaking. It returns nil for an empty vector.
@@ -174,20 +103,6 @@ func MinIndices(x []float64, tol float64) []int {
 		}
 	}
 	return out
-}
-
-// VecEqual reports whether the two vectors have the same length and all
-// elements within tol.
-func VecEqual(x, y []float64, tol float64) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i, v := range x {
-		if math.Abs(v-y[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // Uniform returns the length-n vector with every entry 1/n (the power

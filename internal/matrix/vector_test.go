@@ -8,61 +8,13 @@ import (
 	"gridvo/internal/xrand"
 )
 
-func TestVecSumDot(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{4, 5, 6}
-	if VecSum(x) != 6 {
-		t.Fatalf("VecSum = %v, want 6", VecSum(x))
-	}
-	if VecDot(x, y) != 32 {
-		t.Fatalf("VecDot = %v, want 32", VecDot(x, y))
-	}
-	if VecSum(nil) != 0 {
-		t.Fatal("VecSum(nil) != 0")
-	}
-}
-
-func TestVecDotMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("VecDot mismatch did not panic")
-		}
-	}()
-	VecDot([]float64{1}, []float64{1, 2})
-}
-
-func TestVecCloneIndependent(t *testing.T) {
-	x := []float64{1, 2}
-	c := VecClone(x)
-	c[0] = 9
-	if x[0] != 1 {
-		t.Fatal("VecClone shares storage")
-	}
-}
-
-func TestNorms(t *testing.T) {
-	x := []float64{3, -4}
-	if NormL1(x) != 7 {
-		t.Fatalf("NormL1 = %v, want 7", NormL1(x))
-	}
-	if NormL2(x) != 5 {
-		t.Fatalf("NormL2 = %v, want 5", NormL2(x))
-	}
-	if NormLInf(x) != 4 {
-		t.Fatalf("NormLInf = %v, want 4", NormLInf(x))
-	}
-	if NormLInf(nil) != 0 {
-		t.Fatal("NormLInf(nil) != 0")
-	}
-}
-
 func TestVecNormalizeL1(t *testing.T) {
 	x := VecNormalizeL1([]float64{1, 3})
-	if !VecEqual(x, []float64{0.25, 0.75}, 1e-15) {
+	if x[0] != 0.25 || x[1] != 0.75 {
 		t.Fatalf("VecNormalizeL1 = %v", x)
 	}
 	z := VecNormalizeL1([]float64{0, 0})
-	if !VecEqual(z, []float64{0, 0}, 0) {
+	if z[0] != 0 || z[1] != 0 {
 		t.Fatal("zero vector must stay zero")
 	}
 }
@@ -89,16 +41,13 @@ func TestAvgRelErr(t *testing.T) {
 	}
 }
 
-func TestArgMinMax(t *testing.T) {
+func TestArgMin(t *testing.T) {
 	x := []float64{3, 1, 4, 1, 5}
 	if ArgMin(x) != 1 {
 		t.Fatalf("ArgMin = %d, want 1 (first of ties)", ArgMin(x))
 	}
-	if ArgMax(x) != 4 {
-		t.Fatalf("ArgMax = %d, want 4", ArgMax(x))
-	}
-	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
-		t.Fatal("Arg{Min,Max}(nil) != -1")
+	if ArgMin(nil) != -1 {
+		t.Fatal("ArgMin(nil) != -1")
 	}
 }
 
@@ -132,28 +81,6 @@ func TestUniformVector(t *testing.T) {
 	Uniform(0)
 }
 
-func TestNormTriangleInequalityProperty(t *testing.T) {
-	rng := xrand.New(7)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%16) + 1
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = rng.Uniform(-10, 10)
-			y[i] = rng.Uniform(-10, 10)
-		}
-		sum := make([]float64, n)
-		for i := range sum {
-			sum[i] = x[i] + y[i]
-		}
-		return NormL2(sum) <= NormL2(x)+NormL2(y)+1e-9 &&
-			NormL1(sum) <= NormL1(x)+NormL1(y)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNormalizeL1Property(t *testing.T) {
 	rng := xrand.New(8)
 	f := func(nRaw uint8) bool {
@@ -168,7 +95,11 @@ func TestNormalizeL1Property(t *testing.T) {
 		if !nonzero {
 			return true
 		}
-		return math.Abs(NormL1(x)-1) < 1e-9
+		sum := 0.0
+		for _, v := range x {
+			sum += v
+		}
+		return math.Abs(sum-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

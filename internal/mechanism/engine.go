@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gridvo/internal/assign"
-	"gridvo/internal/coalition"
 	"gridvo/internal/fault"
 )
 
@@ -235,13 +234,6 @@ func (e *Engine) Stats() EngineStats {
 	return e.stats
 }
 
-// CacheLen reports how many distinct coalitions are cached.
-func (e *Engine) CacheLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.cache)
-}
-
 // memberMask returns the coalition bitmask, or false when the member set
 // cannot be keyed (≥64 GSPs — beyond coalition.MaxPlayers the cache is
 // bypassed rather than wrong).
@@ -427,20 +419,6 @@ func projectAssign(parentAssign, parent, child []int) []int {
 		}
 	}
 	return seed
-}
-
-// Value returns the characteristic function v(C) of eq. (15) under the
-// engine: P − C(T,C) when feasible, else 0.
-func (e *Engine) Value(ctx context.Context, members []int) float64 {
-	sol := e.Solve(ctx, members)
-	return e.sc.Value(&sol)
-}
-
-// ValueFunc adapts the engine to coalition.ValueFunc, so coalition.Game
-// construction shares the per-scenario cache instead of owning a second,
-// disjoint memoization of the same NP-hard solves.
-func (e *Engine) ValueFunc(ctx context.Context) coalition.ValueFunc {
-	return func(members []int) float64 { return e.Value(ctx, members) }
 }
 
 // errEngineScenario rejects an engine passed for the wrong scenario — a

@@ -38,8 +38,8 @@ func TestEngineAccountsEveryEvaluation(t *testing.T) {
 	if res.Stats.Nodes <= 0 || res.Stats.WallTime <= 0 {
 		t.Fatalf("engine stats missing solver effort: %+v", res.Stats)
 	}
-	if eng.CacheLen() != len(res.Iterations) {
-		t.Fatalf("cache holds %d coalitions, mechanism visited %d", eng.CacheLen(), len(res.Iterations))
+	if len(eng.cache) != len(res.Iterations) {
+		t.Fatalf("cache holds %d coalitions, mechanism visited %d", len(eng.cache), len(res.Iterations))
 	}
 }
 
@@ -51,7 +51,7 @@ func TestEngineSharedAcrossRulesMatchesUnshared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rvofRef, err := RVOF(sc, xrand.New(4))
+	rvofRef, err := RVOFContext(context.Background(), sc, xrand.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestTVOFAndRVOFContextWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := RVOF(sc, xrand.New(2))
+	d, err := RVOFContext(context.Background(), sc, xrand.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}

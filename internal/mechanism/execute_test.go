@@ -84,20 +84,32 @@ func TestRecordOutcomes(t *testing.T) {
 	if err := RecordOutcomes(hist, members, rep); err != nil {
 		t.Fatal(err)
 	}
-	// Every observer saw provider 3 (index 1 in members) fail.
-	for _, obs := range []int{1, 4} {
-		s, f := hist.Counts(obs, 3)
-		if s != 0 || f != 1 {
-			t.Fatalf("observer %d counts for 3 = %d/%d", obs, s, f)
+	// ApplyTo overwrites exactly the observed pairs, so a 0.9 prior marks
+	// every pair RecordOutcomes left alone. One observation gives weight
+	// 0 after a failure and 1·(1 − 0.5) after a success.
+	g := trust.NewGraph(5)
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 5; j++ {
+			if i != j {
+				g.SetTrust(i, j, 0.9)
+			}
 		}
 	}
-	s, f := hist.Counts(3, 1)
-	if s != 1 || f != 0 {
-		t.Fatalf("observer 3 counts for 1 = %d/%d", s, f)
+	if err := hist.ApplyTo(g); err != nil {
+		t.Fatal(err)
 	}
-	// No self-observations.
-	if s, f := hist.Counts(1, 1); s != 0 || f != 0 {
-		t.Fatal("self-observation recorded")
+	// Every observer saw provider 3 (index 1 in members) fail.
+	for _, obs := range []int{1, 4} {
+		if w := g.Trust(obs, 3); w != 0 {
+			t.Fatalf("observer %d trust in 3 = %v, want 0 after one failure", obs, w)
+		}
+	}
+	if w := g.Trust(3, 1); w != 0.5 {
+		t.Fatalf("observer 3 trust in 1 = %v, want 0.5 after one success", w)
+	}
+	// A non-member observed nothing.
+	if w := g.Trust(0, 1); w != 0.9 {
+		t.Fatalf("non-member 0 trust in 1 = %v, want the 0.9 prior", w)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -197,7 +198,7 @@ func TestTVOFDeterministicGivenSeed(t *testing.T) {
 
 func TestRVOFRunsAndRecordsReputation(t *testing.T) {
 	sc := testScenario(7, 6, 24)
-	res, err := RVOF(sc, xrand.New(4))
+	res, err := RVOFContext(context.Background(), sc, xrand.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}

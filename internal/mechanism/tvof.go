@@ -19,13 +19,9 @@ func TVOFContext(ctx context.Context, sc *Scenario, rng *xrand.RNG) (*Result, er
 	return RunContext(ctx, sc, Options{Eviction: EvictLowestReputation}, rng)
 }
 
-// RVOF runs the Random VO Formation baseline: identical to TVOF except a
-// uniformly random member is evicted each iteration (Section IV-B).
-func RVOF(sc *Scenario, rng *xrand.RNG) (*Result, error) {
-	return Run(sc, Options{Eviction: EvictRandom}, rng)
-}
-
-// RVOFContext is RVOF honoring ctx (see RunContext).
+// RVOFContext runs the Random VO Formation baseline honoring ctx (see
+// RunContext): identical to TVOF except a uniformly random member is
+// evicted each iteration (Section IV-B).
 func RVOFContext(ctx context.Context, sc *Scenario, rng *xrand.RNG) (*Result, error) {
 	return RunContext(ctx, sc, Options{Eviction: EvictRandom}, rng)
 }

@@ -82,7 +82,7 @@ func TestInDegreeHubWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if matrix.ArgMax(x) != 0 {
+	if argMax(x) != 0 {
 		t.Fatalf("in-degree = %v; hub should win", x)
 	}
 }
@@ -104,7 +104,7 @@ func TestClosenessHubWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if matrix.ArgMax(x) != 0 {
+	if argMax(x) != 0 {
 		t.Fatalf("closeness = %v; hub should win", x)
 	}
 }
@@ -123,7 +123,7 @@ func TestBetweennessBridgeWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if matrix.ArgMax(x) != 2 {
+	if argMax(x) != 2 {
 		t.Fatalf("betweenness = %v; bridge (2) should win", x)
 	}
 }
@@ -175,19 +175,16 @@ func TestPageRankRobustOnReducibleGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if matrix.ArgMax(x) != 2 {
+	if argMax(x) != 2 {
 		t.Fatalf("pagerank on chain = %v; node 2 should win", x)
 	}
 }
 
 func TestPowerVsPageRankAgreeOnStrongGraph(t *testing.T) {
-	// On a strongly connected, aperiodic graph the undamped power method
-	// and lightly damped PageRank should produce the same ranking of the
-	// extremes.
+	// On a strongly connected, aperiodic graph (seed 33 draws one) the
+	// undamped power method and lightly damped PageRank should produce the
+	// same ranking of the extremes.
 	g := trust.ErdosRenyi(xrand.New(33), 10, 0.6)
-	if !g.StronglyConnected() {
-		t.Skip("sampled graph not strongly connected")
-	}
 	p, err := Scores(g, CentralityPower)
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +193,8 @@ func TestPowerVsPageRankAgreeOnStrongGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if matrix.ArgMax(p) != matrix.ArgMax(pr) {
+	if argMax(p) != argMax(pr) {
 		t.Fatalf("power argmax %d != pagerank argmax %d\npower=%v\npr=%v",
-			matrix.ArgMax(p), matrix.ArgMax(pr), p, pr)
+			argMax(p), argMax(pr), p, pr)
 	}
 }

@@ -226,15 +226,6 @@ func startVector(n int, init []float64) ([]float64, bool) {
 	return x, true
 }
 
-// Average returns the average global reputation x̄(C) of a set of GSPs
-// given their reputation scores (eq. 7). It returns 0 for an empty vector.
-func Average(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return matrix.VecSum(x) / float64(len(x))
-}
-
 // AverageOf returns the average reputation of the subset idx of a full
 // reputation vector — x̄ over a candidate VO using globally computed
 // scores. It panics on out-of-range indices.

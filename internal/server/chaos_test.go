@@ -40,8 +40,8 @@ func TestSaturatedServerSheds429(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
 		t.Fatalf("429 reply not a JSON error: %v %+v", err, e)
 	}
-	if s.Metrics().Shed() != 1 {
-		t.Fatalf("shed counter = %d, want 1", s.Metrics().Shed())
+	if s.metrics.shed.Load() != 1 {
+		t.Fatalf("shed counter = %d, want 1", s.metrics.shed.Load())
 	}
 
 	// Unlimited routes are exempt from the semaphore.

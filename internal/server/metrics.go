@@ -101,9 +101,6 @@ func (m *Metrics) panicked() { m.panics.Add(1) }
 // retried counts one bounded retry of a fault-degraded solve.
 func (m *Metrics) retried() { m.retries.Add(1) }
 
-// Shed returns the number of load-shedded (429) requests so far.
-func (m *Metrics) Shed() int64 { return m.shed.Load() }
-
 // addEngine folds one request's solver-engine delta into the totals.
 func (m *Metrics) addEngine(s mechanism.EngineStats) {
 	m.engine.solves.Add(s.Solves)
@@ -137,9 +134,6 @@ func (m *Metrics) EngineTotals() mechanism.EngineStats {
 		Degraded:             m.engine.degraded.Load(),
 	}
 }
-
-// InFlight returns the number of requests currently being served.
-func (m *Metrics) InFlight() int64 { return m.inFlight.Load() }
 
 // MetricsSnapshot is the JSON document GET /metrics returns.
 type MetricsSnapshot struct {

@@ -170,12 +170,6 @@ func (s *Server) handle(method, path string, class routeClass, h http.HandlerFun
 	s.mux.HandleFunc(method+" "+path, s.wrap(path, class, h))
 }
 
-// Handler returns the routed handler (for tests and embedding).
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Metrics exposes the server's counters (for tests and embedding).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // statusWriter records the status code a handler wrote.
 type statusWriter struct {
 	http.ResponseWriter

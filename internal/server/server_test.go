@@ -22,7 +22,7 @@ import (
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewServer(s.mux)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -498,7 +498,7 @@ func TestMetricsCountersAdvance(t *testing.T) {
 	if after.InFlight != 1 {
 		t.Fatalf("snapshot should count its own request in flight: %d", after.InFlight)
 	}
-	if got := s.Metrics().InFlight(); got != 0 {
+	if got := s.metrics.inFlight.Load(); got != 0 {
 		t.Fatalf("in-flight gauge leaked: %d", got)
 	}
 }
@@ -540,7 +540,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 
 	// Wait for the request to be in flight, then trigger shutdown.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Metrics().InFlight() == 0 && time.Now().Before(deadline) {
+	for s.metrics.inFlight.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()

@@ -51,7 +51,7 @@ func TestAblationTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := AblationTable(res).RenderString()
+	out := renderTable(AblationTable(res))
 	if !strings.Contains(out, "tvof") || !strings.Contains(out, "avg_reputation") {
 		t.Fatalf("table malformed:\n%s", out)
 	}

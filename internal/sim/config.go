@@ -217,15 +217,9 @@ func (e *Env) finishScenario(sc *mechanism.Scenario, meta ScenarioMeta, rng *xra
 	return adv, meta, nil
 }
 
-// RunPair executes TVOF and RVOF on the same scenario with split RNG
-// streams, as the paper's comparisons do. It is RunPairContext with a
-// background context.
-func (e *Env) RunPair(sc *mechanism.Scenario, size, rep int) (tvof, rvof *mechanism.Result, err error) {
-	return e.RunPairContext(context.Background(), sc, size, rep)
-}
-
-// RunPairContext is RunPair honoring ctx. Both runs share one solve
-// engine for the scenario, so coalitions TVOF already solved (the grand
+// RunPairContext executes TVOF and RVOF on the same scenario with split
+// RNG streams, as the paper's comparisons do, honoring ctx. Both runs
+// share one solve engine for the scenario, so coalitions TVOF already solved (the grand
 // coalition above all, plus any eviction-chain overlap) are cache hits
 // for RVOF rather than repeated IP solves.
 func (e *Env) RunPairContext(ctx context.Context, sc *mechanism.Scenario, size, rep int) (tvof, rvof *mechanism.Result, err error) {
@@ -259,17 +253,4 @@ func (e *Env) RunPairContext(ctx context.Context, sc *mechanism.Scenario, size, 
 		return nil, nil, err
 	}
 	return tvof, rvof, nil
-}
-
-// ScenarioTightness reports how far a scenario's deadline sits above the
-// minimum achievable makespan of the grand coalition
-// (deadline / R||C_max lower bound): 1.0 is the feasibility edge, large
-// values mean a loose deadline. Experiment reports use it to characterize
-// how binding constraint (11) was for a generated scenario.
-func ScenarioTightness(sc *mechanism.Scenario, solver assign.Options) float64 {
-	grand := make([]int, sc.M())
-	for i := range grand {
-		grand[i] = i
-	}
-	return assign.DeadlineTightness(sc.Instance(grand), solver)
 }

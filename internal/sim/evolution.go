@@ -68,15 +68,6 @@ type EvolutionResult struct {
 	FinalTrust *trust.Graph
 }
 
-// MeanReliabilitySeries extracts the per-round selected-VO reliability.
-func (r *EvolutionResult) MeanReliabilitySeries() []float64 {
-	out := make([]float64, len(r.Rounds))
-	for i, rd := range r.Rounds {
-		out[i] = rd.MeanReliability
-	}
-	return out
-}
-
 // RunEvolution executes the repeated-formation experiment on the
 // environment's configuration (GSP count, solver options).
 func (e *Env) RunEvolution(cfg EvolutionConfig) (*EvolutionResult, error) {

@@ -7,6 +7,15 @@ import (
 	"gridvo/internal/stats"
 )
 
+// reliabilitySeries extracts the per-round selected-VO reliability.
+func reliabilitySeries(r *EvolutionResult) []float64 {
+	out := make([]float64, len(r.Rounds))
+	for i, rd := range r.Rounds {
+		out[i] = rd.MeanReliability
+	}
+	return out
+}
+
 func TestRunEvolutionBasics(t *testing.T) {
 	env := quickEnv(t, 30)
 	res, err := env.RunEvolution(EvolutionConfig{
@@ -38,7 +47,7 @@ func TestRunEvolutionBasics(t *testing.T) {
 	if res.FinalTrust == nil || res.FinalTrust.N() != env.Config.NumGSPs {
 		t.Fatal("final trust graph missing")
 	}
-	if got := res.MeanReliabilitySeries(); len(got) != 4 {
+	if got := reliabilitySeries(res); len(got) != 4 {
 		t.Fatalf("series length = %d", len(got))
 	}
 }
@@ -67,7 +76,7 @@ func TestRunEvolutionDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.MeanReliabilitySeries()
+		return reliabilitySeries(res)
 	}
 	a, b := mk(), mk()
 	for i := range a {
@@ -100,7 +109,7 @@ func TestRunEvolutionTVOFLearnsReliability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := res.MeanReliabilitySeries()
+	series := reliabilitySeries(res)
 	// Selections must be enriched toward the reliable half once trust
 	// has been learned: the late-round mean stays above the population
 	// mean (0.5). Round 0 is excluded — before any interactions the

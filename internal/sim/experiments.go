@@ -31,15 +31,10 @@ type SweepResult struct {
 	Stats mechanism.EngineStats
 }
 
-// Sweep runs TVOF and RVOF over every (program size, repetition) pair of
-// the config. progress, when non-nil, receives a line per completed run.
-// It is SweepContext with a background context.
-func (e *Env) Sweep(progress func(string)) (*SweepResult, error) {
-	return e.SweepContext(context.Background(), progress)
-}
-
-// SweepContext is Sweep honoring ctx: per-coalition solves degrade to
-// heuristic incumbents once ctx is done, so a timed-out sweep still
+// SweepContext runs TVOF and RVOF over every (program size, repetition)
+// pair of the config. progress, when non-nil, receives a line per
+// completed run. Per-coalition solves degrade to heuristic incumbents once
+// ctx is done, so a timed-out sweep still
 // returns a complete (if sub-optimal) grid instead of failing.
 func (e *Env) SweepContext(ctx context.Context, progress func(string)) (*SweepResult, error) {
 	out := &SweepResult{}

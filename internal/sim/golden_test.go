@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestGoldenFigureAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tv, rv, err := env.RunPair(sc, 256, rep)
+		tv, rv, err := env.RunPairContext(context.Background(), sc, 256, rep)
 		if err != nil {
 			t.Fatal(err)
 		}

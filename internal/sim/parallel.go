@@ -10,26 +10,19 @@ import (
 	"gridvo/internal/mechanism"
 )
 
-// SweepParallel is Sweep fanned out over a worker pool: every (program
-// size, repetition) cell is an independent job. Results are bit-identical
-// to the serial Sweep because all randomness flows through labeled RNG
-// splits keyed by (size, rep) — xrand.Split is a pure function of the
-// parent state and label, never a mutation — so scheduling order cannot
-// reorder any stream. workers <= 0 selects GOMAXPROCS.
+// SweepParallelContext is SweepContext fanned out over a worker pool:
+// every (program size, repetition) cell is an independent job. Results are
+// bit-identical to the serial sweep because all randomness flows through
+// labeled RNG splits keyed by (size, rep) — xrand.Split is a pure function
+// of the parent state and label, never a mutation — so scheduling order
+// cannot reorder any stream. workers <= 0 selects GOMAXPROCS.
 //
 // progress, when non-nil, is invoked from worker goroutines and must be
-// safe for concurrent use. It is SweepParallelContext with a background
-// context.
-func (e *Env) SweepParallel(workers int, progress func(string)) (*SweepResult, error) {
-	return e.SweepParallelContext(context.Background(), workers, progress)
-}
-
-// SweepParallelContext is SweepParallel honoring ctx: all workers share
-// the context, so a timeout degrades every in-flight solve to its
-// heuristic incumbent and the sweep still returns a complete grid.
-// Engine stats are summed per cell; counter sums commute, so the solve,
-// cache-hit, and node aggregates match the serial SweepContext exactly
-// (WallTime, being measured, varies run to run).
+// safe for concurrent use. All workers share ctx, so a timeout degrades
+// every in-flight solve to its heuristic incumbent and the sweep still
+// returns a complete grid. Engine stats are summed per cell; counter sums
+// commute, so the solve, cache-hit, and node aggregates match the serial
+// SweepContext exactly (WallTime, being measured, varies run to run).
 func (e *Env) SweepParallelContext(ctx context.Context, workers int, progress func(string)) (*SweepResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -9,12 +10,12 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	// The parallel sweep must be bit-identical to the serial one except
 	// for wall-clock timings.
 	serialEnv := quickEnv(t, 40)
-	serial, err := serialEnv.Sweep(nil)
+	serial, err := serialEnv.SweepContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parEnv := quickEnv(t, 40)
-	parallel, err := parEnv.SweepParallel(4, nil)
+	parallel, err := parEnv.SweepParallelContext(context.Background(), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 
 func TestSweepParallelDefaultWorkers(t *testing.T) {
 	env := quickEnv(t, 41)
-	sweep, err := env.SweepParallel(0, nil) // 0 → GOMAXPROCS
+	sweep, err := env.SweepParallelContext(context.Background(), 0, nil) // 0 → GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestSweepParallelProgressThreadSafe(t *testing.T) {
 	env := quickEnv(t, 42)
 	var mu sync.Mutex
 	count := 0
-	_, err := env.SweepParallel(4, func(string) {
+	_, err := env.SweepParallelContext(context.Background(), 4, func(string) {
 		mu.Lock()
 		count++
 		mu.Unlock()
@@ -75,7 +76,7 @@ func TestSweepParallelPropagatesError(t *testing.T) {
 	env := quickEnv(t, 43)
 	// Force failure: a program size the catalog cannot supply.
 	env.Config.ProgramSizes = []int{7}
-	if _, err := env.SweepParallel(2, nil); err == nil {
+	if _, err := env.SweepParallelContext(context.Background(), 2, nil); err == nil {
 		t.Fatal("missing-size sweep succeeded")
 	}
 }

@@ -92,7 +92,7 @@ func TestEvolutionTableRender(t *testing.T) {
 			{Round: 1, MeanReliability: 0, AvgReputation: 0, TrustEdges: 9},
 		},
 	}
-	out := EvolutionTable(r, "evolution test").RenderString()
+	out := renderTable(EvolutionTable(r, "evolution test"))
 	for _, want := range []string{"evolution test", "mean_reliability", "0.8", "10"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("evolution table missing %q:\n%s", want, out)

@@ -1,13 +1,22 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"gridvo/internal/mechanism"
 	"gridvo/internal/swf"
+	"gridvo/internal/tablewriter"
 	"gridvo/internal/xrand"
 )
+
+// renderTable returns a table's ASCII rendering.
+func renderTable(tb *tablewriter.Table) string {
+	var sb strings.Builder
+	_ = tb.Render(&sb) // strings.Builder writes never fail
+	return sb.String()
+}
 
 // quickEnv builds a small, fast environment for tests.
 func quickEnv(t *testing.T, seed uint64) *Env {
@@ -132,7 +141,7 @@ func TestBuildScenarioIndependentOfOrder(t *testing.T) {
 func TestSweepShapes(t *testing.T) {
 	env := quickEnv(t, 5)
 	var progress []string
-	sweep, err := env.Sweep(func(s string) { progress = append(progress, s) })
+	sweep, err := env.SweepContext(context.Background(), func(s string) { progress = append(progress, s) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,17 +226,17 @@ func TestIterationTrace(t *testing.T) {
 
 func TestRenderTables(t *testing.T) {
 	env := quickEnv(t, 8)
-	sweep, err := env.Sweep(nil)
+	sweep, err := env.SweepContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, tb := range map[string]interface{ RenderString() string }{
+	for name, tb := range map[string]*tablewriter.Table{
 		"fig1": Fig1Table(sweep),
 		"fig2": Fig2Table(sweep),
 		"fig3": Fig3Table(sweep),
 		"fig9": Fig9Table(sweep),
 	} {
-		out := tb.RenderString()
+		out := renderTable(tb)
 		if !strings.Contains(out, "32") || len(strings.Split(out, "\n")) < 4 {
 			t.Fatalf("%s table malformed:\n%s", name, out)
 		}
@@ -236,18 +245,18 @@ func TestRenderTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(Fig4Table(f4).RenderString(), "P1") {
+	if !strings.Contains(renderTable(Fig4Table(f4)), "P1") {
 		t.Fatal("fig4 table malformed")
 	}
 	tr, err := env.IterationTrace(32, "B", mechanism.EvictLowestReputation)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := TraceTable(tr, "Fig. 5").RenderString()
+	out := renderTable(TraceTable(tr, "Fig. 5"))
 	if !strings.Contains(out, "program B") || !strings.Contains(out, "*") {
 		t.Fatalf("trace table malformed:\n%s", out)
 	}
-	t1 := Table1(env.Config).RenderString()
+	t1 := renderTable(Table1(env.Config))
 	if !strings.Contains(t1, "number of GSPs") {
 		t.Fatal("Table I malformed")
 	}
@@ -259,7 +268,7 @@ func TestSweepReputationShapeTVOFvsRVOF(t *testing.T) {
 	// test setup we assert the aggregate over all points (individual
 	// points can tie when both pick the same VO).
 	env := quickEnv(t, 9)
-	sweep, err := env.Sweep(nil)
+	sweep, err := env.SweepContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,23 +281,5 @@ func TestSweepReputationShapeTVOFvsRVOF(t *testing.T) {
 	}
 	if tvofTotal < rvofTotal-1e-9 {
 		t.Fatalf("TVOF aggregate reputation %v below RVOF %v", tvofTotal, rvofTotal)
-	}
-}
-
-func TestScenarioTightness(t *testing.T) {
-	env := quickEnv(t, 70)
-	sc, _, err := env.BuildScenario(32, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight := ScenarioTightness(sc, env.Config.Solver)
-	// The grand coalition is feasible by construction, so the deadline
-	// is at or above the true minimum makespan; the R||Cmax bound may
-	// only be lower.
-	if tight < 1-1e-6 {
-		t.Fatalf("tightness %v < 1 on a feasible scenario", tight)
-	}
-	if tight > 1e6 {
-		t.Fatalf("implausible tightness %v", tight)
 	}
 }

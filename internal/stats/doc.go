@@ -1,5 +1,5 @@
 // Package stats provides the descriptive statistics used by the experiment
-// harness: summaries over replicated runs (mean, standard deviation,
-// confidence intervals), histograms, and aggregation of per-seed series into
-// the per-point values reported in the paper's figures.
+// harness: the mean, sample standard deviation and 95% confidence interval
+// of a replicated measurement, the per-point values reported in the
+// paper's figures.
 package stats

@@ -3,42 +3,9 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"gridvo/internal/xrand"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-func TestSummarizeBasic(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 {
-		t.Fatalf("N = %d", s.N)
-	}
-	if !approx(s.Mean, 5, 1e-12) {
-		t.Fatalf("Mean = %v, want 5", s.Mean)
-	}
-	// Sample std with n-1: variance = 32/7.
-	if !approx(s.Std, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Fatalf("Std = %v", s.Std)
-	}
-	if s.Min != 2 || s.Max != 9 || s.Sum != 40 {
-		t.Fatalf("Min/Max/Sum = %v/%v/%v", s.Min, s.Max, s.Sum)
-	}
-	if !approx(s.Median, 4.5, 1e-12) {
-		t.Fatalf("Median = %v, want 4.5", s.Median)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Fatal("empty summary has N != 0")
-	}
-	s := Summarize([]float64{7})
-	if s.N != 1 || s.Mean != 7 || s.Std != 0 || s.Median != 7 {
-		t.Fatalf("single summary = %+v", s)
-	}
-}
 
 func TestMeanStd(t *testing.T) {
 	if Mean(nil) != 0 || Std(nil) != 0 || Std([]float64{5}) != 0 {
@@ -52,46 +19,6 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestMedianDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if Median(xs) != 2 {
-		t.Fatalf("Median = %v", Median(xs))
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Median mutated its input")
-	}
-	if Median(nil) != 0 {
-		t.Fatal("Median(nil) != 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {100, 40}, {50, 25}, {25, 17.5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !approx(got, c.want, 1e-12) {
-			t.Fatalf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("Percentile(nil) != 0")
-	}
-	if Percentile([]float64{3}, 99) != 3 {
-		t.Fatal("Percentile singleton wrong")
-	}
-}
-
-func TestPercentilePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Percentile(101) did not panic")
-		}
-	}()
-	Percentile([]float64{1}, 101)
-}
-
 func TestCI95(t *testing.T) {
 	if CI95(nil) != 0 || CI95([]float64{1}) != 0 {
 		t.Fatal("degenerate CI95 not zero")
@@ -100,98 +27,5 @@ func TestCI95(t *testing.T) {
 	want := 1.96 * Std(xs) / 2
 	if !approx(CI95(xs), want, 1e-12) {
 		t.Fatalf("CI95 = %v, want %v", CI95(xs), want)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 0.5, 1, 1.5, 2, -1, 5}, 0, 2, 4)
-	if h.Under != 1 || h.Over != 1 {
-		t.Fatalf("Under/Over = %d/%d, want 1/1", h.Under, h.Over)
-	}
-	if h.Total() != 5 {
-		t.Fatalf("Total = %d, want 5", h.Total())
-	}
-	// Value exactly at hi must land in the last bin.
-	if h.Counts[3] != 2 { // 1.5 and 2
-		t.Fatalf("Counts = %v", h.Counts)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for i, f := range []func(){
-		func() { NewHistogram(nil, 0, 1, 0) },
-		func() { NewHistogram(nil, 1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d did not panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestHistogramConservationProperty(t *testing.T) {
-	rng := xrand.New(1)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Uniform(-2, 4)
-		}
-		h := NewHistogram(xs, 0, 2, 7)
-		return h.Total()+h.Under+h.Over == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	s := NewSeries("payoff")
-	s.AddPoint(256, 1, 2, 3)
-	s.AppendY(256, 4)
-	s.AppendY(512, 10)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
-	}
-	means := s.Means()
-	if !approx(means[0], 2.5, 1e-12) || means[1] != 10 {
-		t.Fatalf("Means = %v", means)
-	}
-	cis := s.CI95s()
-	if cis[0] <= 0 || cis[1] != 0 {
-		t.Fatalf("CI95s = %v", cis)
-	}
-}
-
-func TestSeriesAddPointCopiesInput(t *testing.T) {
-	ys := []float64{1, 2}
-	s := NewSeries("x")
-	s.AddPoint(1, ys...)
-	ys[0] = 99
-	if s.Y[0][0] != 1 {
-		t.Fatal("AddPoint aliases caller slice")
-	}
-}
-
-func TestSummarizeMatchesComponents(t *testing.T) {
-	rng := xrand.New(2)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%32) + 2
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Uniform(-100, 100)
-		}
-		s := Summarize(xs)
-		return approx(s.Mean, Mean(xs), 1e-9) &&
-			approx(s.Std, Std(xs), 1e-9) &&
-			approx(s.Median, Median(xs), 1e-9) &&
-			s.Min <= s.Median && s.Median <= s.Max
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

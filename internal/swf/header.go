@@ -3,7 +3,6 @@ package swf
 import (
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Structured access to SWF header metadata. The archive's headers are
@@ -72,13 +71,4 @@ func (t *Trace) Meta() Meta {
 		}
 	}
 	return m
-}
-
-// StartTime returns the trace's absolute start time when the header
-// carries UnixStartTime, else the zero time.
-func (t *Trace) StartTime() time.Time {
-	if ts, ok := t.HeaderInt("UnixStartTime"); ok && ts > 0 {
-		return time.Unix(ts, 0).UTC()
-	}
-	return time.Time{}
 }

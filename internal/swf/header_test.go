@@ -3,7 +3,6 @@ package swf
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"gridvo/internal/xrand"
 )
@@ -76,22 +75,6 @@ func TestMeta(t *testing.T) {
 	}
 	if len(m.Note) != 2 || m.Note[0] != "cleaned version" {
 		t.Fatalf("notes = %v", m.Note)
-	}
-}
-
-func TestStartTime(t *testing.T) {
-	tr := parseHeaderTrace(t)
-	got := tr.StartTime()
-	want := time.Unix(1162890797, 0).UTC() // 2006-11-07, the Atlas trace start era
-	if !got.Equal(want) {
-		t.Fatalf("StartTime = %v, want %v", got, want)
-	}
-	if got.Year() != 2006 {
-		t.Fatalf("trace should start in 2006, got %d", got.Year())
-	}
-	empty := &Trace{}
-	if !empty.StartTime().IsZero() {
-		t.Fatal("missing UnixStartTime should give zero time")
 	}
 }
 

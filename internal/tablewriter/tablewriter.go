@@ -35,20 +35,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddFloats appends a row whose first cell is label and remaining cells are
-// the values formatted with the given precision.
-func (t *Table) AddFloats(label string, precision int, values ...float64) {
-	cells := make([]string, 0, len(values)+1)
-	cells = append(cells, label)
-	for _, v := range values {
-		cells = append(cells, strconv.FormatFloat(v, 'f', precision, 64))
-	}
-	t.AddRow(cells...)
-}
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render writes the table as aligned ASCII to w.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.header))
@@ -88,14 +74,6 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-// RenderString returns the ASCII rendering as a string.
-func (t *Table) RenderString() string {
-	var sb strings.Builder
-	// strings.Builder writes never fail.
-	_ = t.Render(&sb)
-	return sb.String()
 }
 
 // RenderCSV writes the header and rows as RFC-4180 CSV to w. The title, if

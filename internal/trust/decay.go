@@ -56,12 +56,6 @@ func NewDecayHistory(n int, retention float64) *DecayHistory {
 	return h
 }
 
-// N returns the number of GSPs covered.
-func (h *DecayHistory) N() int { return h.n }
-
-// Retention returns the per-round evidence retention factor.
-func (h *DecayHistory) Retention() float64 { return h.retention }
-
 // decayTo folds the decay from the pair's last-touched round up to round.
 func (h *DecayHistory) decayTo(requester, provider, round int) error {
 	if requester < 0 || requester >= h.n || provider < 0 || provider >= h.n {
@@ -159,24 +153,3 @@ func (h *DecayHistory) ApplyToAt(g *Graph, round int) error {
 // fully evaporated: exponential decay never reaches exactly zero, but a
 // 1e-12 trust weight is indistinguishable from distrust in every consumer.
 const minGraphWeight = 1e-12
-
-// GraphAt materializes the decayed trust weights at a round; edges whose
-// weight has decayed below minGraphWeight are dropped.
-func (h *DecayHistory) GraphAt(round int) (*Graph, error) {
-	g := NewGraph(h.n)
-	for i := 0; i < h.n; i++ {
-		for j := 0; j < h.n; j++ {
-			if i == j {
-				continue
-			}
-			w, err := h.WeightAt(i, j, round)
-			if err != nil {
-				return nil, err
-			}
-			if w > minGraphWeight {
-				g.SetTrust(i, j, w)
-			}
-		}
-	}
-	return g, nil
-}

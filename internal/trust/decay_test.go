@@ -97,30 +97,35 @@ func TestDecayHistoryErrors(t *testing.T) {
 	}
 }
 
-func TestDecayHistoryGraphAt(t *testing.T) {
+func TestDecayHistoryApplyToAt(t *testing.T) {
 	h := NewDecayHistory(3, 0.5)
 	_ = h.RecordAt(0, 1, true, 0)
 	_ = h.RecordAt(2, 0, true, 0)
-	g, err := h.GraphAt(0)
-	if err != nil {
+	g := NewGraph(3)
+	g.SetTrust(1, 2, 0.7) // an unobserved pair keeps its prior weight
+	if err := h.ApplyToAt(g, 0); err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("edges = %d, want 2", g.NumEdges())
+	if g.NumEdges() != 3 {
+		t.Fatalf("edges = %d, want 3", g.NumEdges())
 	}
-	// Far in the future every edge has decayed to ~0 and disappears.
-	g2, err := h.GraphAt(100)
-	if err != nil {
+	// Far in the future every observed edge has decayed to ~0 and is cleared.
+	if err := h.ApplyToAt(g, 100); err != nil {
 		t.Fatal(err)
 	}
-	if g2.NumEdges() != 0 {
-		t.Fatalf("stale edges survived: %d", g2.NumEdges())
+	if g.NumEdges() != 1 || g.Trust(1, 2) != 0.7 {
+		t.Fatalf("stale edges survived: %d edges", g.NumEdges())
 	}
 }
 
 func TestDecayHistoryConstructorValidation(t *testing.T) {
-	if NewDecayHistory(2, 0).Retention() != DefaultRetention {
-		t.Fatal("zero retention should select the default")
+	def, zero := NewDecayHistory(2, DefaultRetention), NewDecayHistory(2, 0)
+	_ = def.RecordAt(0, 1, true, 0)
+	_ = zero.RecordAt(0, 1, true, 0)
+	wd, _ := def.WeightAt(0, 1, 3)
+	wz, _ := zero.WeightAt(0, 1, 3)
+	if wz != wd {
+		t.Fatalf("zero retention decays to %v, the default to %v", wz, wd)
 	}
 	for i, f := range []func(){
 		func() { NewDecayHistory(-1, 0.5) },
@@ -135,8 +140,5 @@ func TestDecayHistoryConstructorValidation(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-	if NewDecayHistory(2, 0.5).N() != 2 {
-		t.Fatal("N wrong")
 	}
 }

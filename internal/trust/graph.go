@@ -98,9 +98,6 @@ func (g *Graph) Trust(i, j int) float64 {
 	return 0
 }
 
-// HasEdge reports whether i assigns any positive trust to j.
-func (g *Graph) HasEdge(i, j int) bool { return g.Trust(i, j) > 0 }
-
 // Neighbors returns N_i = {j : (i,j) ∈ E}, the GSPs that i has direct trust
 // edges to, in ascending index order.
 func (g *Graph) Neighbors(i int) []int {
@@ -126,28 +123,8 @@ func (g *Graph) VisitNeighbors(i int, fn func(j int, w float64)) {
 	}
 }
 
-// InNeighbors returns the GSPs that have a direct trust edge to j. It scans
-// all adjacency rows (O(n+nnz)); callers that need in-edges for every node
-// should build the reverse adjacency once instead.
-func (g *Graph) InNeighbors(j int) []int {
-	g.checkNode(j)
-	var out []int
-	for i := 0; i < g.n; i++ {
-		if _, ok := g.findEdge(i, j); ok {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // NumEdges returns the number of positive-weight edges.
 func (g *Graph) NumEdges() int { return g.nnz }
-
-// OutDegree returns |N_i|.
-func (g *Graph) OutDegree(i int) int {
-	g.checkNode(i)
-	return len(g.adj[i])
-}
 
 // SetLabels attaches display names to the GSPs. It panics unless exactly n
 // labels are provided.
@@ -381,45 +358,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// StronglyConnected reports whether every node can reach every other node
-// along positive-trust edges; reputations on graphs that are not strongly
-// connected may concentrate all mass on a closed subset, which the
-// diagnostics of the reputation package surface. Both passes are O(n+nnz):
-// the reverse pass builds the transpose adjacency once instead of probing
-// every (v,u) pair.
-func (g *Graph) StronglyConnected() bool {
-	if g.n == 0 {
-		return true
-	}
-	bfs := func(adj [][]int) int {
-		seen := make([]bool, g.n)
-		stack := []int{0}
-		seen[0] = true
-		count := 1
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					count++
-					stack = append(stack, v)
-				}
-			}
-		}
-		return count
-	}
-	fwd := make([][]int, g.n)
-	rev := make([][]int, g.n)
-	for i, row := range g.adj {
-		for _, e := range row {
-			fwd[i] = append(fwd[i], e.to)
-			rev[e.to] = append(rev[e.to], i)
-		}
-	}
-	return bfs(fwd) == g.n && bfs(rev) == g.n
-}
-
 // ErdosRenyi generates a random trust graph with m GSPs where each ordered
 // pair (i,j), i != j, receives an edge independently with probability p;
 // edge weights are uniform in (0, 1]. This is the G(m, p) model the paper
@@ -515,7 +453,7 @@ func EnsureEveryNodeTrusted(rng *xrand.RNG, g *Graph) {
 	// only ever point at nodes already found untrusted (processed in
 	// ascending order with a fresh positive in-degree), so the precomputed
 	// counts remain valid for every later node — the node-by-node draw
-	// sequence is identical to probing InNeighbors per node.
+	// sequence is identical to probing each node's in-edges in turn.
 	indeg := make([]int, g.n)
 	for _, row := range g.adj {
 		for _, e := range row {

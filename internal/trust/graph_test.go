@@ -13,7 +13,7 @@ func TestNewGraphEmpty(t *testing.T) {
 	if g.N() != 4 || g.NumEdges() != 0 {
 		t.Fatalf("N=%d edges=%d, want 4,0", g.N(), g.NumEdges())
 	}
-	if g.HasEdge(0, 1) {
+	if g.Trust(0, 1) != 0 {
 		t.Fatal("edgeless graph claims an edge")
 	}
 }
@@ -29,13 +29,6 @@ func TestSetTrustAndNeighbors(t *testing.T) {
 	nb := g.Neighbors(0)
 	if len(nb) != 2 || nb[0] != 1 || nb[1] != 3 {
 		t.Fatalf("Neighbors(0) = %v, want [1 3]", nb)
-	}
-	in := g.InNeighbors(0)
-	if len(in) != 1 || in[0] != 2 {
-		t.Fatalf("InNeighbors(0) = %v, want [2]", in)
-	}
-	if g.OutDegree(0) != 2 || g.OutDegree(1) != 0 {
-		t.Fatal("OutDegree wrong")
 	}
 	if g.NumEdges() != 3 {
 		t.Fatalf("NumEdges = %d, want 3", g.NumEdges())
@@ -239,8 +232,12 @@ func TestEnsureEveryNodeTrusted(t *testing.T) {
 	g := NewGraph(5)
 	g.SetTrust(0, 1, 1)
 	EnsureEveryNodeTrusted(rng, g)
-	for j := 0; j < 5; j++ {
-		if len(g.InNeighbors(j)) == 0 {
+	trusted := make([]bool, 5)
+	for _, e := range g.Edges() {
+		trusted[e.To] = true
+	}
+	for j, ok := range trusted {
+		if !ok {
 			t.Fatalf("node %d still untrusted", j)
 		}
 	}
@@ -249,28 +246,6 @@ func TestEnsureEveryNodeTrusted(t *testing.T) {
 		if g.Trust(v, v) != 0 {
 			t.Fatal("EnsureEveryNodeTrusted created a self-loop")
 		}
-	}
-}
-
-func TestStronglyConnected(t *testing.T) {
-	ring := NewGraph(3)
-	ring.SetTrust(0, 1, 1)
-	ring.SetTrust(1, 2, 1)
-	ring.SetTrust(2, 0, 1)
-	if !ring.StronglyConnected() {
-		t.Fatal("ring not recognized as strongly connected")
-	}
-	chain := NewGraph(3)
-	chain.SetTrust(0, 1, 1)
-	chain.SetTrust(1, 2, 1)
-	if chain.StronglyConnected() {
-		t.Fatal("chain wrongly strongly connected")
-	}
-	if !NewGraph(0).StronglyConnected() {
-		t.Fatal("empty graph should be vacuously connected")
-	}
-	if !NewGraph(1).StronglyConnected() {
-		t.Fatal("singleton should be strongly connected")
 	}
 }
 

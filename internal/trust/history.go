@@ -45,9 +45,6 @@ func NewHistory(n int) *History {
 	return h
 }
 
-// N returns the number of GSPs covered by the history.
-func (h *History) N() int { return h.n }
-
 // Record logs one interaction in which requester asked provider for
 // resources and provider either delivered them or not. Self-interactions
 // are rejected: a GSP does not rate itself.
@@ -64,11 +61,6 @@ func (h *History) Record(requester, provider int, delivered bool) error {
 		h.failure[requester][provider]++
 	}
 	return nil
-}
-
-// Counts returns (successes, failures) of provider toward requester.
-func (h *History) Counts(requester, provider int) (succ, fail int) {
-	return h.success[requester][provider], h.failure[requester][provider]
 }
 
 // Weight returns the derived direct-trust weight u_{requester,provider}.

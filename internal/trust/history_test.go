@@ -12,7 +12,7 @@ func TestHistoryEmptyWeightZero(t *testing.T) {
 	}
 }
 
-func TestHistoryRecordAndCounts(t *testing.T) {
+func TestHistoryRecordWeights(t *testing.T) {
 	h := NewHistory(3)
 	must := func(err error) {
 		t.Helper()
@@ -23,13 +23,12 @@ func TestHistoryRecordAndCounts(t *testing.T) {
 	must(h.Record(0, 1, true))
 	must(h.Record(0, 1, true))
 	must(h.Record(0, 1, false))
-	s, f := h.Counts(0, 1)
-	if s != 2 || f != 1 {
-		t.Fatalf("counts = %d,%d want 2,1", s, f)
+	// Two successes in three observations: (2/3)·(1 − 0.5³).
+	if got, want := h.Weight(0, 1), 2.0/3*(1-0.125); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("weight = %v, want %v", got, want)
 	}
 	// Direction matters.
-	s, f = h.Counts(1, 0)
-	if s != 0 || f != 0 {
+	if h.Weight(1, 0) != 0 {
 		t.Fatal("reverse direction contaminated")
 	}
 }

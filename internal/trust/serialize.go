@@ -65,22 +65,6 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// WriteJSON writes the graph as indented JSON to w.
-func (g *Graph) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(g)
-}
-
-// ReadJSON parses a graph from r.
-func ReadJSON(r io.Reader) (*Graph, error) {
-	var g Graph
-	if err := json.NewDecoder(r).Decode(&g); err != nil {
-		return nil, err
-	}
-	return &g, nil
-}
-
 // WriteDOT writes the graph in Graphviz DOT format, with edge weights as
 // labels, for visual inspection of small trust graphs.
 func (g *Graph) WriteDOT(w io.Writer) error {

@@ -2,6 +2,7 @@ package trust
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,12 +13,12 @@ import (
 func TestJSONRoundTrip(t *testing.T) {
 	g := ErdosRenyi(xrand.New(5), 12, 0.3)
 	g.SetLabels([]string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"})
-	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(g)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
+	var got Graph
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.N() != g.N() || got.NumEdges() != g.NumEdges() {
@@ -37,12 +38,12 @@ func TestJSONRoundTrip(t *testing.T) {
 func TestJSONRoundTripNoLabels(t *testing.T) {
 	g := NewGraph(2)
 	g.SetTrust(0, 1, 0.25)
-	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(g)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
+	var got Graph
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Label(0) != "G0" {
@@ -61,15 +62,16 @@ func TestReadJSONRejectsBadInput(t *testing.T) {
 		fmt.Sprintf(`{"n": %d, "edges": []}`, MaxEntries+1),
 	}
 	for i, c := range cases {
-		if _, err := ReadJSON(strings.NewReader(c)); err == nil {
+		var g Graph
+		if err := json.Unmarshal([]byte(c), &g); err == nil {
 			t.Fatalf("case %d accepted: %s", i, c)
 		}
 	}
 }
 
 func TestReadJSONEmptyGraph(t *testing.T) {
-	g, err := ReadJSON(strings.NewReader(`{"n": 0, "edges": []}`))
-	if err != nil {
+	var g Graph
+	if err := json.Unmarshal([]byte(`{"n": 0, "edges": []}`), &g); err != nil {
 		t.Fatal(err)
 	}
 	if g.N() != 0 {

@@ -39,32 +39,6 @@ func (p *Program) TotalWork() float64 {
 	return s
 }
 
-// MinTask and MaxTask return the smallest/largest task workload (0 for an
-// empty program).
-func (p *Program) MinTask() float64 {
-	if len(p.Tasks) == 0 {
-		return 0
-	}
-	m := p.Tasks[0]
-	for _, w := range p.Tasks[1:] {
-		if w < m {
-			m = w
-		}
-	}
-	return m
-}
-
-// MaxTask returns the largest task workload (0 for an empty program).
-func (p *Program) MaxTask() float64 {
-	m := 0.0
-	for _, w := range p.Tasks {
-		if w > m {
-			m = w
-		}
-	}
-	return m
-}
-
 // WorkloadBounds are the paper's per-task workload fraction limits.
 const (
 	// MinWorkFrac and MaxWorkFrac bound each task's workload as a
@@ -182,18 +156,4 @@ func (c *Catalog) Pick(rng *xrand.RNG, n int, name string) (*Program, error) {
 	}
 	job := jobs[rng.IntN(len(jobs))]
 	return FromJob(rng, &job, c.ProcGFLOPS, name)
-}
-
-// PickSeries derives count distinct-seeded programs of the same size, as
-// Fig. 4 does with its "10 different programs with 256 tasks".
-func (c *Catalog) PickSeries(rng *xrand.RNG, n, count int, prefix string) ([]*Program, error) {
-	out := make([]*Program, 0, count)
-	for i := 0; i < count; i++ {
-		p, err := c.Pick(rng.SplitN(prefix, i), n, fmt.Sprintf("%s%d", prefix, i+1))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }

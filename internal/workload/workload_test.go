@@ -78,11 +78,8 @@ func TestProgramAggregates(t *testing.T) {
 	if p.TotalWork() != 15 {
 		t.Fatalf("TotalWork = %v", p.TotalWork())
 	}
-	if p.MinTask() != 2 || p.MaxTask() != 8 {
-		t.Fatalf("Min/Max = %v/%v", p.MinTask(), p.MaxTask())
-	}
 	empty := &Program{}
-	if empty.TotalWork() != 0 || empty.MinTask() != 0 || empty.MaxTask() != 0 {
+	if empty.TotalWork() != 0 {
 		t.Fatal("empty program aggregates not zero")
 	}
 }
@@ -158,38 +155,6 @@ func TestCatalogPickMissingSize(t *testing.T) {
 	_, err := c.Pick(xrand.New(1), 7, "x")
 	if !errors.Is(err, ErrNoMatchingJob) {
 		t.Fatalf("err = %v, want ErrNoMatchingJob", err)
-	}
-}
-
-func TestCatalogPickSeries(t *testing.T) {
-	c := newTestCatalog(t)
-	progs, err := c.PickSeries(xrand.New(5), 256, 10, "P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(progs) != 10 {
-		t.Fatalf("series length = %d", len(progs))
-	}
-	names := map[string]bool{}
-	for _, p := range progs {
-		if p.N() != 256 {
-			t.Fatalf("program %s has %d tasks", p.Name, p.N())
-		}
-		names[p.Name] = true
-	}
-	if len(names) != 10 {
-		t.Fatal("program names not unique")
-	}
-	// Different programs should (almost surely) have different workloads.
-	if progs[0].Tasks[0] == progs[1].Tasks[0] && progs[0].Tasks[1] == progs[1].Tasks[1] {
-		t.Fatal("series programs appear identical")
-	}
-}
-
-func TestCatalogPickSeriesPropagatesError(t *testing.T) {
-	c := newTestCatalog(t)
-	if _, err := c.PickSeries(xrand.New(1), 7, 3, "x"); err == nil {
-		t.Fatal("missing size accepted")
 	}
 }
 

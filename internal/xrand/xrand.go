@@ -63,11 +63,6 @@ func (r *RNG) SplitN(label string, i int) *RNG {
 	return child
 }
 
-// Int63 returns a non-negative 63-bit pseudo-random integer.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // IntN returns a uniform integer in [0, n). It panics if n <= 0.
 //
 // The implementation uses Lemire's multiply-shift rejection method, which is
@@ -129,40 +124,6 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Normal returns a normally distributed float64 with the given mean and
-// standard deviation, generated by the Marsaglia polar method.
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// BoundedNormal returns Normal(mean, stddev) resampled until it falls inside
-// [lo, hi]. It panics if hi < lo. Resampling (rather than clamping) keeps
-// the distribution smooth near the bounds.
-func (r *RNG) BoundedNormal(mean, stddev, lo, hi float64) float64 {
-	if hi < lo {
-		panic("xrand: BoundedNormal called with hi < lo")
-	}
-	if stddev <= 0 {
-		return math.Min(hi, math.Max(lo, mean))
-	}
-	for i := 0; i < 1024; i++ {
-		x := r.Normal(mean, stddev)
-		if x >= lo && x <= hi {
-			return x
-		}
-	}
-	// Pathological parameters (bounds many sigmas from the mean): fall back
-	// to uniform so callers still make progress.
-	return r.Uniform(lo, hi)
-}
-
 // LogUniform returns a float64 log-uniformly distributed in [lo, hi]; both
 // bounds must be positive. Log-uniform sampling matches the heavy-tailed
 // shape of job runtimes and sizes in parallel workload traces.
@@ -208,58 +169,4 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.IntN(i + 1)
 		swap(i, j)
 	}
-}
-
-// Pick returns a uniformly chosen element index of a slice of length n,
-// or -1 when n == 0.
-func (r *RNG) Pick(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return r.IntN(n)
-}
-
-// Zipf returns integers in [1, n] following a Zipf distribution with
-// exponent s > 1 is not required; any s > 0 works. Sampling is by inverse
-// transform over the precomputed CDF held in the returned Zipf object.
-type Zipf struct {
-	cdf []float64
-	rng *RNG
-}
-
-// NewZipf builds a Zipf sampler over [1, n] with exponent s. It panics if
-// n <= 0 or s < 0.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("xrand: NewZipf requires n > 0")
-	}
-	if s < 0 {
-		panic("xrand: NewZipf requires s >= 0")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for k := 1; k <= n; k++ {
-		sum += 1 / math.Pow(float64(k), s)
-		cdf[k-1] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, rng: rng}
-}
-
-// Next returns the next Zipf-distributed value in [1, len(cdf)].
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	// Binary search for the first CDF entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
 }

@@ -183,39 +183,6 @@ func TestBoolProbabilities(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := New(29)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Normal(10, 2)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-10) > 0.05 {
-		t.Fatalf("Normal mean = %v, want ~10", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-2) > 0.05 {
-		t.Fatalf("Normal stddev = %v, want ~2", math.Sqrt(variance))
-	}
-}
-
-func TestBoundedNormalStaysInBounds(t *testing.T) {
-	r := New(31)
-	for i := 0; i < 10000; i++ {
-		v := r.BoundedNormal(5, 10, 4, 6)
-		if v < 4 || v > 6 {
-			t.Fatalf("BoundedNormal escaped bounds: %v", v)
-		}
-	}
-	// Degenerate stddev returns the clamped mean.
-	if got := r.BoundedNormal(100, 0, 4, 6); got != 6 {
-		t.Fatalf("BoundedNormal with stddev=0, mean above hi = %v, want 6", got)
-	}
-}
-
 func TestLogUniformRangeAndShape(t *testing.T) {
 	r := New(37)
 	below := 0
@@ -312,38 +279,6 @@ func TestShuffleSwapsAllPositions(t *testing.T) {
 	}
 }
 
-func TestPickEmpty(t *testing.T) {
-	if got := New(1).Pick(0); got != -1 {
-		t.Fatalf("Pick(0) = %d, want -1", got)
-	}
-}
-
-func TestZipfRangeAndMonotoneFrequency(t *testing.T) {
-	r := New(59)
-	z := NewZipf(r, 50, 1.2)
-	counts := make([]int, 51)
-	for i := 0; i < 200000; i++ {
-		v := z.Next()
-		if v < 1 || v > 50 {
-			t.Fatalf("Zipf value %d out of [1,50]", v)
-		}
-		counts[v]++
-	}
-	if counts[1] <= counts[10] || counts[10] <= counts[50] {
-		t.Fatalf("Zipf frequencies not decreasing: c1=%d c10=%d c50=%d",
-			counts[1], counts[10], counts[50])
-	}
-}
-
-func TestZipfPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewZipf(n=0) did not panic")
-		}
-	}()
-	NewZipf(New(1), 0, 1)
-}
-
 func TestUint64NBoundary(t *testing.T) {
 	r := New(61)
 	for i := 0; i < 1000; i++ {
@@ -408,43 +343,6 @@ func TestLogUniformPanics(t *testing.T) {
 		}
 	}()
 	New(1).LogUniform(0, 1)
-}
-
-func TestBoundedNormalPanicsAndFallback(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("BoundedNormal(hi<lo) did not panic")
-			}
-		}()
-		New(1).BoundedNormal(0, 1, 2, 1)
-	}()
-	// Pathological bounds many sigmas away force the uniform fallback.
-	r := New(2)
-	for i := 0; i < 100; i++ {
-		v := r.BoundedNormal(0, 1e-9, 100, 101)
-		if v < 100 || v > 101 {
-			t.Fatalf("fallback escaped bounds: %v", v)
-		}
-	}
-}
-
-func TestNewZipfPanicsOnNegativeExponent(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewZipf(s<0) did not panic")
-		}
-	}()
-	NewZipf(New(1), 5, -1)
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := New(3)
-	for i := 0; i < 1000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
-	}
 }
 
 func TestUint64NPanics(t *testing.T) {
