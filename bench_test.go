@@ -47,7 +47,7 @@ func benchEnv(b *testing.B, seed uint64) *sim.Env {
 func benchSweep(b *testing.B, seed uint64) *sim.SweepResult {
 	b.Helper()
 	env := benchEnv(b, seed)
-	sweep, err := env.SweepContext(context.Background(), nil)
+	sweep, err := env.SweepParallelContext(context.Background(), 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func BenchmarkFig3AvgReputation(b *testing.B) {
 func BenchmarkFig4ParetoPick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env := benchEnv(b, uint64(i+1))
-		r, err := env.Fig4(256, 10)
+		r, err := env.Fig4(context.Background(), 256, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func BenchmarkFig4ParetoPick(b *testing.B) {
 func benchTrace(b *testing.B, tag string, rule mechanism.EvictionRule, metric string) {
 	for i := 0; i < b.N; i++ {
 		env := benchEnv(b, uint64(i+1))
-		tr, err := env.IterationTrace(256, tag, rule)
+		tr, err := env.IterationTrace(context.Background(), 256, tag, rule)
 		if err != nil {
 			b.Fatal(err)
 		}

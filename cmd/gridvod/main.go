@@ -15,23 +15,16 @@
 // requests and queued jobs for up to -drain. Exit codes: 0 after a clean
 // shutdown, 1 on startup or serve errors.
 //
-// # Load generation
+// gridvod has no load-generation mode. perfbench's serve-unique (sync
+// POST /v1/vo/form) and serve-hot (jobs path with dedupe and engine-cache
+// hits) workloads drive an in-process instance open loop and replay every
+// reply; their request mixes are fixed in perfbench/workloads.json:
 //
-// With -loadgen the binary becomes a load generator instead of a daemon:
-// it drives a target (-target URL, or a self-served in-process instance
-// configured by the same serving flags) at -rps for -duration, prints the
-// sustained RPS and latency percentiles, and exits non-zero if the -slo-p99
-// bound (or -require-zero-dropped) is violated. -loadgen-mode selects the
-// path: "sync", "jobs", or "both" (writes the sync-vs-jobs comparison
-// report to -out, e.g. BENCH_PR7.json).
-//
-//	gridvod -loadgen -loadgen-mode jobs -rps 50 -duration 5s -slo-p99 2s
-//	gridvod -loadgen -loadgen-mode both -rps 200 -duration 10s -out BENCH_PR7.json
+//	bash perfbench/run.sh --workload serve-hot --seconds 3
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -44,7 +37,6 @@ import (
 
 	"gridvo/internal/assign"
 	"gridvo/internal/server"
-	"gridvo/internal/workload/loadgen"
 )
 
 func main() {
@@ -64,21 +56,6 @@ func main() {
 		nodeCap    = fs.Int64("nodes", 0, "branch-and-bound node budget per IP solve (0 = default)")
 		drain      = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-
-		genOn    = fs.Bool("loadgen", false, "run as a load generator instead of a daemon")
-		genMode  = fs.String("loadgen-mode", "sync", "load-generator path: sync, jobs, or both (comparison report)")
-		genURL   = fs.String("target", "", "load-generator target base URL (empty = self-serve in-process)")
-		genRPS   = fs.Float64("rps", 50, "load-generator offered request rate")
-		genDur   = fs.Duration("duration", 5*time.Second, "load-generator run length")
-		genLanes = fs.Int("lanes", 0, "load-generator concurrent client lanes (0 = 4x GOMAXPROCS)")
-		genMix   = fs.Int("scenarios", 4, "load-generator distinct scenarios in the request mix")
-		genBurst = fs.Int("burst", 1, "load-generator consecutive duplicate submissions per scenario (dedupe fuel)")
-		genGSPs  = fs.Int("gsps", 6, "load-generator GSPs per generated scenario")
-		genTasks = fs.Int("tasks", 16, "load-generator tasks per generated scenario")
-		genSeed  = fs.Uint64("seed", 1, "load-generator scenario-mix seed")
-		genSLO   = fs.Duration("slo-p99", 0, "assert p99 latency <= this bound (0 = no assertion)")
-		genZero  = fs.Bool("require-zero-dropped", false, "assert no request was dropped, shed, or failed")
-		genOut   = fs.String("out", "", "write the load-generator JSON report here (stdout summary either way)")
 	)
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(1)
@@ -96,24 +73,6 @@ func main() {
 		JobTTL:            *jobTTL,
 		MaxLongPoll:       *maxWait,
 		Solver:            assign.Options{NodeBudget: *nodeCap},
-	}
-
-	if *genOn {
-		os.Exit(runLoadgen(loadgen.Options{
-			BaseURL:            *genURL,
-			Server:             cfg,
-			Mode:               *genMode,
-			RPS:                *genRPS,
-			Duration:           *genDur,
-			Lanes:              *genLanes,
-			Scenarios:          *genMix,
-			Burst:              *genBurst,
-			GSPs:               *genGSPs,
-			Tasks:              *genTasks,
-			Seed:               *genSeed,
-			SLOp99:             *genSLO,
-			RequireZeroDropped: *genZero,
-		}, *genMode, *genOut))
 	}
 
 	srv := server.New(cfg)
@@ -146,64 +105,4 @@ func main() {
 		os.Exit(1)
 	}
 	log.Printf("gridvod: drained and shut down")
-}
-
-// runLoadgen executes the -loadgen path and returns the process exit code:
-// 0 when every asserted SLO held, 1 on violations, 2 on setup errors.
-func runLoadgen(opts loadgen.Options, mode, out string) int {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var report any
-	var violations []string
-	switch mode {
-	case "both":
-		opts.BaseURL = "" // Compare self-serves a fresh instance per side
-		rep, err := loadgen.Compare(ctx, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridvod -loadgen:", err)
-			return 2
-		}
-		report = rep
-		violations = append(rep.Sync.SLOViolations, rep.Jobs.SLOViolations...)
-		fmt.Printf("loadgen both: sync %.1f rps (p99 %.1fms) vs jobs %.1f rps (p99 %.1fms), ratio %.2fx, deduped %d\n",
-			rep.Sync.SustainedRPS, rep.Sync.P99MS,
-			rep.Jobs.SustainedRPS, rep.Jobs.P99MS,
-			rep.RPSRatio, rep.Jobs.DedupedDelta)
-	case "sync", "jobs":
-		res, err := loadgen.Run(ctx, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridvod -loadgen:", err)
-			return 2
-		}
-		report = res
-		violations = res.SLOViolations
-		fmt.Printf("loadgen %s: offered %d, completed %d (%.1f rps sustained), shed %d, failed %d, dropped %d, p50 %.1fms p95 %.1fms p99 %.1fms\n",
-			res.Mode, res.Offered, res.Completed, res.SustainedRPS,
-			res.Shed, res.Failed, res.Dropped, res.P50MS, res.P95MS, res.P99MS)
-	default:
-		fmt.Fprintf(os.Stderr, "gridvod -loadgen: unknown -loadgen-mode %q (want sync, jobs, or both)\n", mode)
-		return 2
-	}
-
-	if out != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridvod -loadgen:", err)
-			return 2
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "gridvod -loadgen:", err)
-			return 2
-		}
-		fmt.Printf("report written to %s\n", out)
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "SLO violation:", v)
-		}
-		return 1
-	}
-	return 0
 }

@@ -55,14 +55,18 @@ func main() {
 // tests).
 var errUsage = errors.New("nothing to do; pass -fig N, -all, -table1, -ablation or -evolution")
 
-// errDeadlineNoVO marks a sweep that timed out before every cell reached a
-// feasible VO; main maps it to exitDeadline so scripts can tell a degraded
-// abort from a clean run.
+// errDeadlineNoVO marks an experiment that failed after its time budget
+// expired, e.g. a sweep cell left without a feasible VO; main maps it to
+// exitDeadline so scripts can tell a degraded abort from a clean run.
 var errDeadlineNoVO = errors.New("time budget expired before a feasible VO was found")
+
+// noteExpired is printed after the results of an experiment that ran past
+// its -timeout (or Ctrl-C): its solves degraded to heuristic incumbents.
+const noteExpired = "note: time budget expired; results use best incumbents found in time"
 
 // run is the testable entry point: parses args, executes the requested
 // experiments, writes results to stdout.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("vosim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -82,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ablate  = fs.Bool("ablation", false, "run the eviction-rule ablation instead of a figure")
 		evol    = fs.Bool("evolution", false, "run the trust-evolution extension (TVOF vs RVOF, with and without decay)")
 		rounds  = fs.Int("rounds", 8, "trust-evolution rounds (with -evolution)")
-		timeout = fs.Duration("timeout", 0, "wall-clock budget for the sweep; on expiry solves degrade to heuristic incumbents (0 = none)")
+		timeout = fs.Duration("timeout", 0, "wall-clock budget for the run; on expiry solves degrade to heuristic incumbents (0 = none)")
 		chaos   = fs.String("chaos", "", `fault-injection chaos sweep: "seed,rate" (e.g. 7,0.3); runs the sweep twice, checks every mechanism invariant, and verifies bit-reproducibility`)
 		advSpec = fs.String("adversary", "", `robustness sweep: "class,param" with class collusion|sybil|whitewash|slander|churn and param the attacker count (slander/churn: the rate, e.g. slander,0.3). Compares adversarial VO formation against the honest baseline twice and verifies bit-reproducibility; combine with -chaos for fault injection on adversarial graphs`)
 		degree  = fs.Float64("trust-degree", 0, "mean out-degree for the sparse Erdős–Rényi trust generator (0 = paper's dense G(n,p) sampler)")
@@ -92,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// Ctrl-C (or -timeout expiry) cancels the solver context: in-flight
-	// IP solves fall back to their heuristic incumbents and the sweep
+	// IP solves fall back to their heuristic incumbents and the run
 	// completes with whatever optimality was reached in time.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -178,6 +182,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return nil
 		}
 	}
+	if !*all && *fig == 0 && !*evol && !*ablate {
+		fs.Usage()
+		return errUsage
+	}
+
+	// Every experiment below polls ctx. One that fails after the budget
+	// expired is an incomplete answer, not an ordinary failure: exit with
+	// the distinguished deadline code instead of pretending a partial
+	// result is one. One that completes anyway says its solves degraded.
+	defer func() {
+		if ctx.Err() == nil {
+			return
+		}
+		if err != nil {
+			err = fmt.Errorf("%w: %v (retry with a larger -timeout)", errDeadlineNoVO, err)
+			return
+		}
+		_, err = fmt.Fprintln(stdout, noteExpired)
+	}()
 
 	if *evol {
 		env, err := sim.NewEnv(cfg)
@@ -192,7 +215,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			{mechanism.EvictRandom, 0},
 			{mechanism.EvictLowestReputation, 0.5},
 		} {
-			r, err := env.RunEvolution(sim.EvolutionConfig{
+			r, err := env.RunEvolution(ctx, sim.EvolutionConfig{
 				Rounds:         *rounds,
 				Rule:           variant.rule,
 				ProgramSize:    traceProgramSize(cfg),
@@ -214,17 +237,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		r, err := env.EvictionAblation(traceProgramSize(cfg), nil)
+		r, err := env.EvictionAblation(ctx, traceProgramSize(cfg), nil)
 		if err != nil {
 			return err
 		}
 		return emit(stdout, sim.AblationTable(r), *csv)
 	}
-	if !*all && *fig == 0 && !*table1 {
-		fs.Usage()
-		return errUsage
-	}
-
 	env, err := sim.NewEnv(cfg)
 	if err != nil {
 		return err
@@ -249,30 +267,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Figs 1, 2, 3, 9 share one sweep.
 	var sweep *sim.SweepResult
 	if figs[1] || figs[2] || figs[3] || figs[9] {
-		if *par == 1 {
-			sweep, err = env.SweepContext(ctx, progress)
-		} else {
-			sweep, err = env.SweepParallelContext(ctx, *par, progress)
-		}
+		sweep, err = env.SweepParallelContext(ctx, *par, progress)
 		if err != nil {
-			// A sweep cell without a final VO under an expired budget is
-			// an incomplete answer, not an ordinary failure: exit with
-			// the distinguished deadline code instead of pretending the
-			// partial grid is a result.
-			if ctx.Err() != nil {
-				return fmt.Errorf("%w: %v (retry with a larger -timeout)", errDeadlineNoVO, err)
-			}
 			return err
 		}
-		fmt.Fprintf(stdout, "solver engine: %s\n", sweep.Stats)
-		if ctx.Err() != nil {
-			fmt.Fprintln(stdout, "note: time budget expired; results use best incumbents found in time")
-		}
-		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "solver engine: %s\n\n", sweep.Stats)
 	}
 	traceSize := traceProgramSize(cfg)
 	runTrace := func(tag string, rule mechanism.EvictionRule, figure string) error {
-		tr, err := env.IterationTrace(traceSize, tag, rule)
+		tr, err := env.IterationTrace(ctx, traceSize, tag, rule)
 		if err != nil {
 			return err
 		}
@@ -297,7 +300,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		case 3:
 			err = emitWithChart(stdout, sim.Fig3Table(sweep), *csv, *plot, func() string { return sim.Fig3Chart(sweep).Render() })
 		case 4:
-			r, ferr := env.Fig4(traceSize, 10)
+			r, ferr := env.Fig4(ctx, traceSize, 10)
 			if ferr != nil {
 				return ferr
 			}

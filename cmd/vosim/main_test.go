@@ -81,6 +81,15 @@ func TestRunTraceFigure(t *testing.T) {
 	}
 }
 
+func TestRunFig4HonoursTimeout(t *testing.T) {
+	// Fig. 4 runs the mechanism outside the sweep; an expired budget must
+	// reach its solves, and the output must say the results degraded.
+	out := runCLI(t, "-quick", "-fig", "4", "-timeout", "1ns")
+	if !strings.Contains(out, "Fig. 4") || !strings.Contains(out, noteExpired) {
+		t.Fatalf("fig4 under an expired budget lacks the expiry note:\n%s", out)
+	}
+}
+
 func TestRunParallelSweepFlag(t *testing.T) {
 	out := runCLI(t, "-quick", "-fig", "3", "-sizes", "32", "-reps", "2", "-nodes", "50000", "-par", "0", "-seed", "8")
 	if !strings.Contains(out, "Fig. 3") {
@@ -219,7 +228,7 @@ func TestBenchPR8SelectionsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := env.SweepContext(context.Background(), nil)
+	res, err := env.SweepParallelContext(context.Background(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -90,14 +91,15 @@ func main() {
 	}
 
 	// --- Part 3: TVOF and stability ------------------------------------
-	res, err := mechanism.TVOF(sc, rng.Split("tvof"))
+	ctx := context.Background()
+	res, err := mechanism.TVOFContext(ctx, sc, rng.Split("tvof"))
 	if err != nil {
 		log.Fatal(err)
 	}
 	final := res.Final()
 	fmt.Printf("\nTVOF selected VO %v: payoff %.2f, avg reputation %.4f\n",
 		final.Members, final.Payoff, final.AvgReputation)
-	stable, who, err := mechanism.StabilityCheck(sc, res, mechanism.Options{}, mechanism.CriterionTotal)
+	stable, who, err := mechanism.StabilityCheckContext(ctx, sc, res, mechanism.Options{}, mechanism.CriterionTotal)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -43,7 +44,7 @@ func main() {
 	for _, rule := range []mechanism.EvictionRule{
 		mechanism.EvictLowestReputation, mechanism.EvictRandom,
 	} {
-		res, err := env.RunEvolution(sim.EvolutionConfig{
+		res, err := env.RunEvolution(context.Background(), sim.EvolutionConfig{
 			Rounds:      rounds,
 			Rule:        rule,
 			ProgramSize: 64,

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,7 +61,7 @@ func main() {
 	hist := trust.NewHistory(m)
 	for round := 1; round <= 3; round++ {
 		fmt.Printf("── round %d ──────────────────────────────\n", round)
-		res, err := mechanism.TVOF(sc, rng.Split(fmt.Sprintf("tvof-%d", round)))
+		res, err := mechanism.TVOFContext(context.Background(), sc, rng.Split(fmt.Sprintf("tvof-%d", round)))
 		if err != nil {
 			log.Fatal(err)
 		}

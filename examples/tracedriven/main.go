@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -72,7 +73,7 @@ func main() {
 	for _, rule := range []mechanism.EvictionRule{
 		mechanism.EvictLowestReputation, mechanism.EvictRandom,
 	} {
-		res, err := mechanism.Run(sc, mechanism.Options{Eviction: rule}, rng.Split("run-"+rule.String()))
+		res, err := mechanism.RunContext(context.Background(), sc, mechanism.Options{Eviction: rule}, rng.Split("run-"+rule.String()))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -120,14 +120,11 @@ func (e *Experiment) Scenario(size, rep int) (*Scenario, error) {
 // Sweep runs TVOF and RVOF over every (program size, repetition) pair of
 // the experiment's config, honoring ctx: on cancellation or deadline
 // expiry the per-coalition solves degrade to heuristic incumbents and the
-// sweep still returns a complete grid. workers > 1 (or 0 for GOMAXPROCS)
-// fans the cells out over a pool with bit-identical results; progress, when
-// non-nil, receives a line per completed run (from worker goroutines when
-// parallel).
+// sweep still returns a complete grid. workers == 1 runs the cells in
+// order; workers > 1 (or 0 for GOMAXPROCS) fans them out over a pool with
+// bit-identical results. progress, when non-nil, receives a line per
+// completed cell (from worker goroutines when parallel).
 func (e *Experiment) Sweep(ctx context.Context, workers int, progress func(string)) (*SweepResult, error) {
-	if workers == 1 {
-		return e.env.SweepContext(ctx, progress)
-	}
 	return e.env.SweepParallelContext(ctx, workers, progress)
 }
 

@@ -8,6 +8,7 @@ package gridvo
 // them rather than any single module's behaviour.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -98,7 +99,7 @@ func TestFullPipelineIntegration(t *testing.T) {
 
 	// 4. Form the VO; cross-check the mechanism's arithmetic against the
 	// assignment verifier and the reputation module.
-	res, err := mechanism.TVOF(sc, rng.Split("tvof"))
+	res, err := mechanism.TVOFContext(context.Background(), sc, rng.Split("tvof"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestFullPipelineIntegration(t *testing.T) {
 			t.Fatalf("severing weighted trust (%v in-mass) left reputation unchanged: %v", bestIn, after[lemon])
 		}
 		// And a re-formed VO must still be valid end to end.
-		res2, err := mechanism.TVOF(sc, rng.Split("tvof2"))
+		res2, err := mechanism.TVOFContext(context.Background(), sc, rng.Split("tvof2"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,10 +21,11 @@ var ctxthreadPackages = map[string]bool{
 // accepting a context. Those loops are exactly where solves burn time,
 // and an entry point that cannot observe cancellation stalls every
 // deadline the service layer promises (SolveCtx's per-request budgets,
-// gridvod's 504 path). The fix is a *Context/*Ctx variant that polls
-// ctx, with the legacy name delegating to it; bounded utility loops can
-// instead carry //gridvolint:ignore ctxthread <reason> on the
-// declaration.
+// gridvod's 504 path). The fix is to take a ctx and poll it, as the
+// *Context/*Ctx entry points do; a context-free twin of such an entry
+// point is a second name that silently drops cancellation, so none is
+// kept. Bounded utility loops can instead carry //gridvolint:ignore
+// ctxthread <reason> on the declaration.
 //
 // Heuristic: only `for {}`, `for cond {}`, and `for i := …; cond; …`
 // loops count (the search/iteration shape in this codebase), and only

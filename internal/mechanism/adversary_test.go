@@ -2,6 +2,7 @@ package mechanism
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -111,7 +112,7 @@ func FuzzAdversarySpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("validated adversarial spec failed to build: %v\n%s", err, enc)
 		}
-		if _, err := Run(sc, Options{
+		if _, err := RunContext(context.Background(), sc, Options{
 			Eviction: EvictLowestReputation,
 			Solver:   assign.Options{NodeBudget: 5000},
 		}, xrand.New(1)); err != nil {
@@ -137,7 +138,7 @@ func TestSybilTwinPruningCounters(t *testing.T) {
 	}
 
 	opts := Options{Eviction: EvictLowestReputation}
-	pruned, err := Run(adv, opts, xrand.New(7))
+	pruned, err := RunContext(context.Background(), adv, opts, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestSybilTwinPruningCounters(t *testing.T) {
 	}
 
 	opts.Solver.DisableTwinPruning = true
-	plain, err := Run(adv, opts, xrand.New(7))
+	plain, err := RunContext(context.Background(), adv, opts, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +180,11 @@ func TestRunChurnEvents(t *testing.T) {
 		{Round: 1, Join: []int{2}, Leave: []int{7}},
 	}
 	opts := Options{Eviction: EvictLowestReputation, Churn: churn}
-	r1, err := Run(sc, opts, xrand.New(9))
+	r1, err := RunContext(context.Background(), sc, opts, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(sc, opts, xrand.New(9))
+	r2, err := RunContext(context.Background(), sc, opts, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +212,11 @@ func TestRunChurnEvents(t *testing.T) {
 
 	// No-op schedule: leaves of absent GSPs and out-of-range joins are
 	// ignored, bitwise.
-	base, err := Run(sc, Options{Eviction: EvictLowestReputation}, xrand.New(9))
+	base, err := RunContext(context.Background(), sc, Options{Eviction: EvictLowestReputation}, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	noop, err := Run(sc, Options{
+	noop, err := RunContext(context.Background(), sc, Options{
 		Eviction: EvictLowestReputation,
 		Churn:    []adversary.ChurnEvent{{Round: 0, Leave: []int{99}, Join: []int{-1, 99}}},
 	}, xrand.New(9))

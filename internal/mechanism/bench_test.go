@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -17,7 +18,7 @@ func BenchmarkTVOF(b *testing.B) {
 		sc := testScenario(uint64(shape.m*1000+shape.n), shape.m, shape.n)
 		b.Run(fmt.Sprintf("m%d_n%d", shape.m, shape.n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := TVOF(sc, xrand.New(uint64(i+1)))
+				res, err := TVOFContext(context.Background(), sc, xrand.New(uint64(i+1)))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -49,7 +50,7 @@ func BenchmarkEvictionRuleAblation(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var rep float64
 			for i := 0; i < b.N; i++ {
-				res, err := Run(sc, c.opts, xrand.New(uint64(i+1)))
+				res, err := RunContext(context.Background(), sc, c.opts, xrand.New(uint64(i+1)))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -69,7 +70,7 @@ func BenchmarkMergeSplitVsTVOF(b *testing.B) {
 	b.Run("tvof", func(b *testing.B) {
 		var payoff float64
 		for i := 0; i < b.N; i++ {
-			res, err := TVOF(sc, xrand.New(uint64(i+1)))
+			res, err := TVOFContext(context.Background(), sc, xrand.New(uint64(i+1)))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -80,7 +81,7 @@ func BenchmarkMergeSplitVsTVOF(b *testing.B) {
 	b.Run("merge-split", func(b *testing.B) {
 		var payoff float64
 		for i := 0; i < b.N; i++ {
-			res, err := MergeSplit(sc, MergeSplitOptions{})
+			res, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -98,11 +99,11 @@ func BenchmarkEngineCache(b *testing.B) {
 	var hitRate, avoided float64
 	for i := 0; i < b.N; i++ {
 		eng := NewEngine(sc, assign.Options{})
-		res, err := Run(sc, Options{Eviction: EvictLowestReputation, Engine: eng}, xrand.New(uint64(i+1)))
+		res, err := RunContext(context.Background(), sc, Options{Eviction: EvictLowestReputation, Engine: eng}, xrand.New(uint64(i+1)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := StabilityCheck(sc, res, Options{}, CriterionAverage); err != nil {
+		if _, _, err := StabilityCheckContext(context.Background(), sc, res, Options{}, CriterionAverage); err != nil {
 			b.Fatal(err)
 		}
 		st := eng.Stats()
@@ -116,13 +117,13 @@ func BenchmarkEngineCache(b *testing.B) {
 // BenchmarkStabilityCheck measures the Definition-1 audit.
 func BenchmarkStabilityCheck(b *testing.B) {
 	sc := testScenario(7, 8, 64)
-	res, err := TVOF(sc, xrand.New(1))
+	res, err := TVOFContext(context.Background(), sc, xrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := StabilityCheck(sc, res, Options{}, CriterionTotal); err != nil {
+		if _, _, err := StabilityCheckContext(context.Background(), sc, res, Options{}, CriterionTotal); err != nil {
 			b.Fatal(err)
 		}
 	}

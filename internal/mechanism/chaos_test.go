@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestChaosPerFaultClass(t *testing.T) {
 				CancelNodes: 1,
 				Latency:     1, // 1ns: fire the sleep path without slowing the suite
 			})
-			res, err := Run(sc, Options{
+			res, err := RunContext(context.Background(), sc, Options{
 				Solver: assign.Options{NodeBudget: 100_000},
 				Inject: inj,
 			}, xrand.New(7))
@@ -109,7 +110,7 @@ func TestChaosMixedDeterminism(t *testing.T) {
 	run := func() (*Result, fault.Stats) {
 		sc := testScenario(11, 6, 18)
 		inj := fault.New(fault.Config{Seed: 99, Rate: 0.5, CancelNodes: 4})
-		res, err := Run(sc, Options{
+		res, err := RunContext(context.Background(), sc, Options{
 			Solver: assign.Options{NodeBudget: 100_000},
 			Inject: inj,
 		}, xrand.New(3))
@@ -144,7 +145,7 @@ func TestChaosFaultedSolvesNotCached(t *testing.T) {
 	eng := NewEngine(sc, assign.Options{NodeBudget: 100_000})
 	inj := fault.New(fault.Config{Seed: 5, Rate: 1, Classes: []fault.Class{fault.Cancel}, CancelNodes: 1})
 	eng.SetInjector(inj)
-	if _, err := Run(sc, Options{Engine: eng}, xrand.New(1)); err != nil {
+	if _, err := RunContext(context.Background(), sc, Options{Engine: eng}, xrand.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	if inj.Stats().Fired == 0 {
@@ -153,14 +154,14 @@ func TestChaosFaultedSolvesNotCached(t *testing.T) {
 	// Disable injection and re-run: everything must be solved fresh (no
 	// fault-touched entries were cached) and to proven optimality.
 	eng.SetInjector(nil)
-	res, err := Run(sc, Options{Engine: eng}, xrand.New(1))
+	res, err := RunContext(context.Background(), sc, Options{Engine: eng}, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Degraded {
 		t.Fatalf("clean re-run degraded — poisoned cache entry: %+v", res.Stats)
 	}
-	clean, err := Run(sc, Options{Solver: assign.Options{NodeBudget: 100_000}}, xrand.New(1))
+	clean, err := RunContext(context.Background(), sc, Options{Solver: assign.Options{NodeBudget: 100_000}}, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func TestEngineAccountsEveryEvaluation(t *testing.T) {
 	sc := testScenario(21, 6, 24)
 	eng := NewEngine(sc, assign.Options{})
-	res, err := Run(sc, Options{Eviction: EvictLowestReputation, Engine: eng}, xrand.New(1))
+	res, err := RunContext(context.Background(), sc, Options{Eviction: EvictLowestReputation, Engine: eng}, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestEngineSharedAcrossRulesMatchesUnshared(t *testing.T) {
 	sc := testScenario(22, 6, 24)
 
 	// Reference: independent runs, no shared cache.
-	tvofRef, err := TVOF(sc, xrand.New(3))
+	tvofRef, err := TVOFContext(context.Background(), sc, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestEngineSharedAcrossRulesMatchesUnshared(t *testing.T) {
 	}
 
 	eng := NewEngine(sc, assign.Options{})
-	tvof, err := Run(sc, Options{Eviction: EvictLowestReputation, Engine: eng}, xrand.New(3))
+	tvof, err := RunContext(context.Background(), sc, Options{Eviction: EvictLowestReputation, Engine: eng}, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rvof, err := Run(sc, Options{Eviction: EvictRandom, Engine: eng}, xrand.New(4))
+	rvof, err := RunContext(context.Background(), sc, Options{Eviction: EvictRandom, Engine: eng}, xrand.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +114,13 @@ func assertSameTrace(t *testing.T, a, b *Result) {
 
 func TestEngineCacheDisabledIdenticalResults(t *testing.T) {
 	sc := testScenario(23, 6, 24)
-	cached, err := TVOF(sc, xrand.New(5))
+	cached, err := TVOFContext(context.Background(), sc, xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := NewEngine(sc, assign.Options{})
 	eng.SetCacheEnabled(false)
-	uncached, err := Run(sc, Options{Eviction: EvictLowestReputation, Engine: eng}, xrand.New(5))
+	uncached, err := RunContext(context.Background(), sc, Options{Eviction: EvictLowestReputation, Engine: eng}, xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +134,10 @@ func TestEngineRejectsForeignScenario(t *testing.T) {
 	scA := testScenario(24, 5, 20)
 	scB := testScenario(25, 5, 20)
 	eng := NewEngine(scA, assign.Options{})
-	if _, err := Run(scB, Options{Engine: eng}, xrand.New(1)); err == nil {
+	if _, err := RunContext(context.Background(), scB, Options{Engine: eng}, xrand.New(1)); err == nil {
 		t.Fatal("engine for scenario A accepted by a run on scenario B")
 	}
-	if _, err := MergeSplit(scB, MergeSplitOptions{Engine: eng}); err == nil {
+	if _, err := MergeSplitContext(context.Background(), scB, MergeSplitOptions{Engine: eng}); err == nil {
 		t.Fatal("merge-split accepted a foreign engine")
 	}
 }
@@ -145,7 +145,7 @@ func TestEngineRejectsForeignScenario(t *testing.T) {
 func TestStabilityCheckZeroFreshSolvesAfterTVOF(t *testing.T) {
 	sc := testScenario(26, 6, 24)
 	eng := NewEngine(sc, assign.Options{})
-	res, err := Run(sc, Options{Eviction: EvictLowestReputation, Engine: eng}, xrand.New(7))
+	res, err := RunContext(context.Background(), sc, Options{Eviction: EvictLowestReputation, Engine: eng}, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestStabilityCheckZeroFreshSolvesAfterTVOF(t *testing.T) {
 		t.Fatal("no final VO")
 	}
 	before := eng.Stats()
-	stable, _, err := StabilityCheck(sc, res, Options{}, CriterionTotal)
+	stable, _, err := StabilityCheckContext(context.Background(), sc, res, Options{}, CriterionTotal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestStabilityCheckZeroFreshSolvesAfterTVOF(t *testing.T) {
 func TestStabilityCheckAverageCriterionReusesCache(t *testing.T) {
 	sc := testScenario(27, 6, 24)
 	eng := NewEngine(sc, assign.Options{})
-	res, err := Run(sc, Options{Eviction: EvictLowestReputation, Engine: eng}, xrand.New(8))
+	res, err := RunContext(context.Background(), sc, Options{Eviction: EvictLowestReputation, Engine: eng}, xrand.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestStabilityCheckAverageCriterionReusesCache(t *testing.T) {
 		t.Skip("degenerate final VO")
 	}
 	before := eng.Stats()
-	if _, _, err := StabilityCheck(sc, res, Options{}, CriterionAverage); err != nil {
+	if _, _, err := StabilityCheckContext(context.Background(), sc, res, Options{}, CriterionAverage); err != nil {
 		t.Fatal(err)
 	}
 	delta := eng.Stats().Sub(before)
@@ -197,18 +197,18 @@ func TestStabilityCheckMatchesLegacyEvaluation(t *testing.T) {
 	// evaluation; force the exhaustive path through a zeroed reputation
 	// entry and compare against the fast path on the same result.
 	sc := testScenario(28, 5, 20)
-	res, err := TVOF(sc, xrand.New(9))
+	res, err := TVOFContext(context.Background(), sc, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fastStable, _, err := StabilityCheck(sc, res, Options{}, CriterionTotal)
+	fastStable, _, err := StabilityCheckContext(context.Background(), sc, res, Options{}, CriterionTotal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	forced := *res
 	forced.GlobalReputation = append([]float64(nil), res.GlobalReputation...)
 	forced.GlobalReputation[res.Final().Members[0]] = 0 // disables the short-circuit
-	slowStable, _, err := StabilityCheck(sc, &forced, Options{}, CriterionTotal)
+	slowStable, _, err := StabilityCheckContext(context.Background(), sc, &forced, Options{}, CriterionTotal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +221,14 @@ func TestStabilityCheckMatchesLegacyEvaluation(t *testing.T) {
 func TestMergeSplitSharedEngineSecondRunAllCached(t *testing.T) {
 	sc := testScenario(29, 5, 20)
 	eng := NewEngine(sc, assign.Options{})
-	first, err := MergeSplit(sc, MergeSplitOptions{Engine: eng})
+	first, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Stats.Solves == 0 {
 		t.Fatal("first merge-split run performed no solves")
 	}
-	second, err := MergeSplit(sc, MergeSplitOptions{Engine: eng})
+	second, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestTVOFAndRVOFContextWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TVOF(sc, xrand.New(1))
+	b, err := TVOFContext(context.Background(), sc, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"context"
 	"testing"
 
 	"gridvo/internal/exec"
@@ -10,7 +11,7 @@ import (
 
 func TestExecuteFinalReliableRun(t *testing.T) {
 	sc := testScenario(31, 5, 20)
-	res, err := TVOF(sc, xrand.New(1))
+	res, err := TVOFContext(context.Background(), sc, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestExecuteFinalDeadlineConsistency(t *testing.T) {
 	// per-GSP loads exactly).
 	for seed := uint64(40); seed < 45; seed++ {
 		sc := testScenario(seed, 6, 24)
-		res, err := TVOF(sc, xrand.New(seed))
+		res, err := TVOFContext(context.Background(), sc, xrand.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func TestExecuteFinalErrors(t *testing.T) {
 	if _, _, err := ExecuteFinal(sc, &Result{Selected: -1}, nil, exec.Options{}, xrand.New(1)); err == nil {
 		t.Fatal("missing final VO accepted")
 	}
-	res, err := TVOF(sc, xrand.New(1))
+	res, err := TVOFContext(context.Background(), sc, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package mechanism
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -61,7 +62,7 @@ func FuzzScenarioSpec(f *testing.F) {
 			return // Build re-validates the materialized scenario
 		}
 		// The mechanism loop must not panic on anything that got this far.
-		res, err := Run(sc, Options{
+		res, err := RunContext(context.Background(), sc, Options{
 			Eviction: EvictLowestReputation,
 			Solver:   assign.Options{NodeBudget: 5000},
 		}, xrand.New(1))

@@ -186,7 +186,7 @@ type Result struct {
 	// without an injector).
 	Faults int64
 	// Engine is the solve engine the run used. It carries the
-	// per-scenario solution cache, so post-hoc analyses (StabilityCheck,
+	// per-scenario solution cache, so post-hoc analyses (StabilityCheckContext,
 	// Pareto extraction, merge-split comparisons) reuse the mechanism's
 	// solves instead of repeating them.
 	Engine *Engine
@@ -220,7 +220,7 @@ func (res *Result) FeasibleCount() int {
 	return c
 }
 
-// Run executes the mechanism of Algorithm 1 on the scenario:
+// RunContext executes the mechanism of Algorithm 1 on the scenario:
 //
 //  1. C ← G (all GSPs), L ← ∅
 //  2. repeat: solve the IP on C; if feasible add C to L;
@@ -229,17 +229,12 @@ func (res *Result) FeasibleCount() int {
 //  4. select from L the VO with the highest individual payoff
 //
 // rng drives tie-breaking (TVOF) and random eviction (RVOF); identical
-// seeds give identical runs. Run is RunContext with a background context.
-func Run(sc *Scenario, opts Options, rng *xrand.RNG) (*Result, error) {
-	return RunContext(context.Background(), sc, opts, rng)
-}
-
-// RunContext is Run honoring ctx: every IP solve polls the context, so
-// cancellation or deadline expiry degrades each iteration to its best
-// incumbent (heuristic-seeded, Optimal == false) instead of hanging — the
-// run still completes and returns a usable result, never an
-// error-and-nothing. All solves route through one Engine (opts.Engine or
-// a fresh one), which the returned Result exposes for post-hoc analyses.
+// seeds give identical runs. Every IP solve polls ctx, so cancellation or
+// deadline expiry degrades each iteration to its best incumbent
+// (heuristic-seeded, Optimal == false) instead of hanging — the run still
+// completes and returns a usable result, never an error-and-nothing. All
+// solves route through one Engine (opts.Engine or a fresh one), which the
+// returned Result exposes for post-hoc analyses.
 //
 //gridvolint:ignore noclock Result.Duration measurement only, never control flow
 func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG) (*Result, error) {

@@ -85,7 +85,7 @@ func TestScenarioAccessors(t *testing.T) {
 
 func TestTVOFBasicRun(t *testing.T) {
 	sc := testScenario(3, 6, 24)
-	res, err := TVOF(sc, xrand.New(1))
+	res, err := TVOFContext(context.Background(), sc, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestTVOFBasicRun(t *testing.T) {
 
 func TestTVOFFinalSelection(t *testing.T) {
 	sc := testScenario(4, 6, 24)
-	res, err := TVOF(sc, xrand.New(2))
+	res, err := TVOFContext(context.Background(), sc, xrand.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestTVOFFinalSelection(t *testing.T) {
 
 func TestTVOFEvictsLowestReputation(t *testing.T) {
 	sc := testScenario(5, 6, 24)
-	res, err := TVOF(sc, xrand.New(3))
+	res, err := TVOFContext(context.Background(), sc, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +178,11 @@ func TestTVOFEvictsLowestReputation(t *testing.T) {
 
 func TestTVOFDeterministicGivenSeed(t *testing.T) {
 	sc := testScenario(6, 6, 24)
-	a, err := TVOF(sc, xrand.New(9))
+	a, err := TVOFContext(context.Background(), sc, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TVOF(sc, xrand.New(9))
+	b, err := TVOFContext(context.Background(), sc, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestTVOFReputationMonotoneOnAverage(t *testing.T) {
 	// recomputation the trend holds in aggregate, so we assert the
 	// average over iterations is non-decreasing from first to last.
 	sc := testScenario(8, 8, 32)
-	res, err := TVOF(sc, xrand.New(5))
+	res, err := TVOFContext(context.Background(), sc, xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestTVOFReputationMonotoneOnAverage(t *testing.T) {
 func TestRunInvalidScenario(t *testing.T) {
 	sc := testScenario(9, 4, 12)
 	sc.Payment = 0
-	if _, err := Run(sc, Options{}, xrand.New(1)); err == nil {
+	if _, err := RunContext(context.Background(), sc, Options{}, xrand.New(1)); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
 }
@@ -249,7 +249,7 @@ func TestRunInvalidScenario(t *testing.T) {
 func TestRunInfeasibleScenario(t *testing.T) {
 	sc := testScenario(10, 4, 12)
 	sc.Deadline = 1e-9 // nothing can run
-	res, err := Run(sc, Options{}, xrand.New(1))
+	res, err := RunContext(context.Background(), sc, Options{}, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestRunInfeasibleScenario(t *testing.T) {
 
 func TestRunKeepAssignments(t *testing.T) {
 	sc := testScenario(11, 5, 20)
-	res, err := Run(sc, Options{KeepAssignments: true}, xrand.New(1))
+	res, err := RunContext(context.Background(), sc, Options{KeepAssignments: true}, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestRunKeepAssignments(t *testing.T) {
 
 func TestRunCentralityAblation(t *testing.T) {
 	sc := testScenario(12, 6, 24)
-	res, err := Run(sc, Options{
+	res, err := RunContext(context.Background(), sc, Options{
 		Eviction:   EvictLowestCentrality,
 		Centrality: reputation.CentralityInDegree,
 	}, xrand.New(1))
@@ -294,7 +294,7 @@ func TestRunCentralityAblation(t *testing.T) {
 
 func TestResultCandidatesAndProductSelection(t *testing.T) {
 	sc := testScenario(13, 6, 24)
-	res, err := TVOF(sc, xrand.New(6))
+	res, err := TVOFContext(context.Background(), sc, xrand.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestResultCandidatesAndProductSelection(t *testing.T) {
 func TestTheorem2ParetoOptimality(t *testing.T) {
 	// The VO selected by TVOF must not be Pareto-dominated within L.
 	sc := testScenario(14, 8, 32)
-	res, err := TVOF(sc, xrand.New(7))
+	res, err := TVOFContext(context.Background(), sc, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,13 +337,13 @@ func TestTheorem2ParetoOptimality(t *testing.T) {
 
 func TestStabilityCheckRuns(t *testing.T) {
 	sc := testScenario(15, 5, 20)
-	res, err := TVOF(sc, xrand.New(8))
+	res, err := TVOFContext(context.Background(), sc, xrand.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Theorem 1 asserts individual stability under the total-reputation
 	// criterion its proof uses; verify on this instance.
-	stable, destabilizer, err := StabilityCheck(sc, res, Options{}, CriterionTotal)
+	stable, destabilizer, err := StabilityCheckContext(context.Background(), sc, res, Options{}, CriterionTotal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,11 +357,11 @@ func TestStabilityCheckAverageCriterionRuns(t *testing.T) {
 	// individual stability can genuinely fail (see CriterionAverage doc);
 	// this test only asserts the check runs and reports coherently.
 	sc := testScenario(15, 5, 20)
-	res, err := TVOF(sc, xrand.New(8))
+	res, err := TVOFContext(context.Background(), sc, xrand.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stable, destabilizer, err := StabilityCheck(sc, res, Options{}, CriterionAverage)
+	stable, destabilizer, err := StabilityCheckContext(context.Background(), sc, res, Options{}, CriterionAverage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestStabilityCheckAverageCriterionRuns(t *testing.T) {
 func TestStabilityCheckDegenerate(t *testing.T) {
 	sc := testScenario(16, 4, 12)
 	res := &Result{Selected: -1}
-	stable, _, err := StabilityCheck(sc, res, Options{}, CriterionTotal)
+	stable, _, err := StabilityCheckContext(context.Background(), sc, res, Options{}, CriterionTotal)
 	if err != nil || !stable {
 		t.Fatal("nil final VO should be vacuously stable")
 	}
@@ -407,7 +407,7 @@ func TestValueFunction(t *testing.T) {
 
 func TestPayoffMatchesValueOverSize(t *testing.T) {
 	sc := testScenario(18, 6, 24)
-	res, err := TVOF(sc, xrand.New(10))
+	res, err := TVOFContext(context.Background(), sc, xrand.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}

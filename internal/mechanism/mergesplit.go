@@ -77,15 +77,9 @@ type MergeSplitResult struct {
 	Duration time.Duration
 }
 
-// MergeSplit runs the baseline on a scenario. It is MergeSplitContext
-// with a background context.
-func MergeSplit(sc *Scenario, opts MergeSplitOptions) (*MergeSplitResult, error) {
-	return MergeSplitContext(context.Background(), sc, opts)
-}
-
-// MergeSplitContext is MergeSplit honoring ctx: the per-coalition IP
-// solves poll the context and degrade to heuristic incumbents on
-// cancellation. All characteristic-function values route through the
+// MergeSplitContext runs the baseline on a scenario honoring ctx: the
+// per-coalition IP solves poll the context and degrade to heuristic
+// incumbents on cancellation. All characteristic-function values route through the
 // shared engine (opts.Engine or a fresh one), whose cache the
 // coalition.Game value function is built on.
 //

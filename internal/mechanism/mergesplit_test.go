@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"context"
 	"testing"
 
 	"gridvo/internal/fault"
@@ -9,7 +10,7 @@ import (
 
 func TestMergeSplitFormsFeasibleVO(t *testing.T) {
 	sc := testScenario(21, 6, 24)
-	res, err := MergeSplit(sc, MergeSplitOptions{})
+	res, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestMergeSplitFormsFeasibleVO(t *testing.T) {
 
 func TestMergeSplitStructureIsPartition(t *testing.T) {
 	sc := testScenario(22, 6, 24)
-	res, err := MergeSplit(sc, MergeSplitOptions{})
+	res, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestMergeSplitStructureIsPartition(t *testing.T) {
 
 func TestMergeSplitSelectedIsInStructure(t *testing.T) {
 	sc := testScenario(23, 5, 20)
-	res, err := MergeSplit(sc, MergeSplitOptions{})
+	res, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func sortedOf(c []int) []int {
 func TestMergeSplitInfeasibleScenario(t *testing.T) {
 	sc := testScenario(24, 4, 12)
 	sc.Deadline = 1e-9
-	res, err := MergeSplit(sc, MergeSplitOptions{})
+	res, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestMergeSplitInfeasibleScenario(t *testing.T) {
 func TestMergeSplitInvalidScenario(t *testing.T) {
 	sc := testScenario(25, 4, 12)
 	sc.Payment = 0
-	if _, err := MergeSplit(sc, MergeSplitOptions{}); err == nil {
+	if _, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{}); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
 }
@@ -116,11 +117,11 @@ func TestMergeSplitVsTVOFComparable(t *testing.T) {
 	// Both mechanisms must produce feasible VOs on the same scenario;
 	// the comparison bench records their relative payoffs.
 	sc := testScenario(26, 6, 24)
-	ms, err := MergeSplit(sc, MergeSplitOptions{})
+	ms, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv, err := TVOF(sc, xrand.New(1))
+	tv, err := TVOFContext(context.Background(), sc, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestMergeSplitVsTVOFComparable(t *testing.T) {
 
 func TestMergeSplitRespectsRoundCap(t *testing.T) {
 	sc := testScenario(27, 6, 24)
-	res, err := MergeSplit(sc, MergeSplitOptions{MaxRounds: 1})
+	res, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{MaxRounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +152,12 @@ func TestMergeSplitRespectsRoundCap(t *testing.T) {
 // the selected coalition's payoff stays non-negative either way.
 func TestMergeSplitUnderFaultInjection(t *testing.T) {
 	sc := testScenario(23, 6, 24)
-	clean, err := MergeSplit(sc, MergeSplitOptions{})
+	clean, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := fault.New(fault.Config{Seed: 17, Rate: 0.6, CancelNodes: 2})
-	faulted, err := MergeSplit(sc, MergeSplitOptions{Inject: inj})
+	faulted, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{Inject: inj})
 	if err != nil {
 		t.Fatalf("merge-split under injection failed hard: %v", err)
 	}
@@ -200,7 +201,7 @@ func TestMergeSplitFaultDeterminism(t *testing.T) {
 	run := func() *MergeSplitResult {
 		sc := testScenario(24, 6, 24)
 		inj := fault.New(fault.Config{Seed: 8, Rate: 0.5, CancelNodes: 2})
-		res, err := MergeSplit(sc, MergeSplitOptions{Inject: inj})
+		res, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{Inject: inj})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -28,7 +29,7 @@ func TestMechanismInvariantsProperty(t *testing.T) {
 		if ruleRaw {
 			opts.Eviction = EvictRandom
 		}
-		res, err := Run(sc, opts, xrand.New(seed))
+		res, err := RunContext(context.Background(), sc, opts, xrand.New(seed))
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

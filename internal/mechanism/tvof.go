@@ -8,19 +8,15 @@ import (
 	"gridvo/internal/xrand"
 )
 
-// TVOF runs the Trust-based VO Formation mechanism (Algorithm 1) with
-// default options: power-method reputation eviction, default solver budget.
-func TVOF(sc *Scenario, rng *xrand.RNG) (*Result, error) {
-	return Run(sc, Options{Eviction: EvictLowestReputation}, rng)
-}
-
-// TVOFContext is TVOF honoring ctx (see RunContext).
+// TVOFContext runs the Trust-based VO Formation mechanism (Algorithm 1)
+// honoring ctx (see RunContext) with default options: power-method
+// reputation eviction, default solver budget.
 func TVOFContext(ctx context.Context, sc *Scenario, rng *xrand.RNG) (*Result, error) {
 	return RunContext(ctx, sc, Options{Eviction: EvictLowestReputation}, rng)
 }
 
 // RVOFContext runs the Random VO Formation baseline honoring ctx (see
-// RunContext): identical to TVOF except a uniformly random member is
+// RunContext): identical to TVOFContext except a uniformly random member is
 // evicted each iteration (Section IV-B).
 func RVOFContext(ctx context.Context, sc *Scenario, rng *xrand.RNG) (*Result, error) {
 	return RunContext(ctx, sc, Options{Eviction: EvictRandom}, rng)
@@ -46,16 +42,10 @@ const (
 	CriterionAverage
 )
 
-// StabilityCheck evaluates Definition 1 (individual stability) for the
-// selected VO of a result under the given reputation criterion: it asks,
-// for each member G, whether the rest would weakly prefer the VO without G
-// with someone strictly preferring it. It is StabilityCheckContext with a
-// background context.
-func StabilityCheck(sc *Scenario, res *Result, opts Options, criterion ReputationCriterion) (stable bool, destabilizer int, err error) {
-	return StabilityCheckContext(context.Background(), sc, res, opts, criterion)
-}
-
-// StabilityCheckContext evaluates Definition 1 reusing everything the
+// StabilityCheckContext evaluates Definition 1 (individual stability) for
+// the selected VO of a result under the given reputation criterion: it
+// asks, for each member G, whether the rest would weakly prefer the VO
+// without G with someone strictly preferring it. It reuses everything the
 // mechanism run already computed: the grand coalition's global reputation
 // (res.GlobalReputation) and the run's solve engine (res.Engine, unless
 // opts.Engine overrides it), so coalitions the mechanism visited — the

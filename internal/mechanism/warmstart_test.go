@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"context"
 	"testing"
 
 	"gridvo/internal/assign"
@@ -46,11 +47,11 @@ func TestWarmStartSelectsIdenticalVOs(t *testing.T) {
 	for _, rule := range []EvictionRule{EvictLowestReputation, EvictRandom} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			sc := testScenario(seed, 5, 16)
-			warm, err := Run(sc, Options{Eviction: rule, Solver: solver}, xrand.New(seed))
+			warm, err := RunContext(context.Background(), sc, Options{Eviction: rule, Solver: solver}, xrand.New(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := Run(sc, Options{Eviction: rule, Solver: solver, NoWarmStart: true}, xrand.New(seed))
+			cold, err := RunContext(context.Background(), sc, Options{Eviction: rule, Solver: solver, NoWarmStart: true}, xrand.New(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,11 +86,11 @@ func TestWarmStartNeverWorseWhenTruncated(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		sc := testScenario(seed, 6, 24)
 		solver := assign.Options{NodeBudget: 50_000} // force truncation
-		warm, err := Run(sc, Options{Solver: solver}, xrand.New(seed))
+		warm, err := RunContext(context.Background(), sc, Options{Solver: solver}, xrand.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := Run(sc, Options{Solver: solver, NoWarmStart: true}, xrand.New(seed))
+		cold, err := RunContext(context.Background(), sc, Options{Solver: solver, NoWarmStart: true}, xrand.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,17 +159,17 @@ func containsStr(s, sub string) bool {
 func TestStabilityCheckWarmVsCold(t *testing.T) {
 	sc := testScenario(5, 5, 16)
 	solver := assign.Options{NodeBudget: -1}
-	res, err := Run(sc, Options{Eviction: EvictLowestReputation, Solver: solver}, xrand.New(5))
+	res, err := RunContext(context.Background(), sc, Options{Eviction: EvictLowestReputation, Solver: solver}, xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// CriterionAverage forces the exhaustive evaluation (warm-started
 	// solves of the final VO minus one member each).
-	warmStable, warmDest, err := StabilityCheck(sc, res, Options{Solver: solver}, CriterionAverage)
+	warmStable, warmDest, err := StabilityCheckContext(context.Background(), sc, res, Options{Solver: solver}, CriterionAverage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldStable, coldDest, err := StabilityCheck(sc, res, Options{Solver: solver, NoWarmStart: true}, CriterionAverage)
+	coldStable, coldDest, err := StabilityCheckContext(context.Background(), sc, res, Options{Solver: solver, NoWarmStart: true}, CriterionAverage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +183,11 @@ func TestStabilityCheckWarmVsCold(t *testing.T) {
 func TestMergeSplitWarmVsCold(t *testing.T) {
 	sc := testScenario(6, 4, 14)
 	solver := assign.Options{NodeBudget: -1}
-	warm, err := MergeSplit(sc, MergeSplitOptions{Solver: solver})
+	warm, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{Solver: solver})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := MergeSplit(sc, MergeSplitOptions{Solver: solver, NoWarmStart: true})
+	cold, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{Solver: solver, NoWarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}

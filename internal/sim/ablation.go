@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"gridvo/internal/mechanism"
@@ -17,7 +18,7 @@ import (
 // AblationRule identifies one contender.
 type AblationRule struct {
 	Name string
-	// Rule/Centrality configure mechanism.Run; MergeSplit selects the
+	// Rule/Centrality configure mechanism.RunContext; MergeSplit selects the
 	// merge-and-split baseline instead.
 	Rule       mechanism.EvictionRule
 	Centrality reputation.Centrality
@@ -54,8 +55,9 @@ type AblationResult struct {
 }
 
 // EvictionAblation runs every contender on the same scenarios (one per
-// repetition) at the given program size.
-func (e *Env) EvictionAblation(size int, rules []AblationRule) (*AblationResult, error) {
+// repetition) at the given program size. Solves poll ctx and degrade to
+// heuristic incumbents once it is done.
+func (e *Env) EvictionAblation(ctx context.Context, size int, rules []AblationRule) (*AblationResult, error) {
 	if len(rules) == 0 {
 		rules = DefaultAblationRules()
 	}
@@ -72,7 +74,7 @@ func (e *Env) EvictionAblation(size int, rules []AblationRule) (*AblationResult,
 		for ri, rule := range rules {
 			row := &rows[ri]
 			if rule.MergeSplit {
-				ms, err := mechanism.MergeSplit(sc, mechanism.MergeSplitOptions{Solver: e.Config.Solver})
+				ms, err := mechanism.MergeSplitContext(ctx, sc, mechanism.MergeSplitOptions{Solver: e.Config.Solver})
 				if err != nil {
 					return nil, err
 				}
@@ -90,7 +92,7 @@ func (e *Env) EvictionAblation(size int, rules []AblationRule) (*AblationResult,
 			opts.Eviction = rule.Rule
 			opts.Centrality = rule.Centrality
 			opts.Solver = e.Config.Solver
-			mres, err := mechanism.Run(sc, opts, e.rng.Split(fmt.Sprintf("abl-%s-%d-%d", rule.Name, size, rep)))
+			mres, err := mechanism.RunContext(ctx, sc, opts, e.rng.Split(fmt.Sprintf("abl-%s-%d-%d", rule.Name, size, rep)))
 			if err != nil {
 				return nil, err
 			}

@@ -1,13 +1,14 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestEvictionAblation(t *testing.T) {
 	env := quickEnv(t, 50)
-	res, err := env.EvictionAblation(32, nil)
+	res, err := env.EvictionAblation(context.Background(), 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestEvictionAblation(t *testing.T) {
 
 func TestEvictionAblationCustomRules(t *testing.T) {
 	env := quickEnv(t, 51)
-	res, err := env.EvictionAblation(32, []AblationRule{{Name: "only-tvof"}})
+	res, err := env.EvictionAblation(context.Background(), 32, []AblationRule{{Name: "only-tvof"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestEvictionAblationCustomRules(t *testing.T) {
 
 func TestAblationTable(t *testing.T) {
 	env := quickEnv(t, 52)
-	res, err := env.EvictionAblation(32, []AblationRule{{Name: "tvof"}})
+	res, err := env.EvictionAblation(context.Background(), 32, []AblationRule{{Name: "tvof"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestAblationTable(t *testing.T) {
 
 func TestEvictionAblationMissingSize(t *testing.T) {
 	env := quickEnv(t, 53)
-	if _, err := env.EvictionAblation(7, nil); err == nil {
+	if _, err := env.EvictionAblation(context.Background(), 7, nil); err == nil {
 		t.Fatal("missing program size accepted")
 	}
 }

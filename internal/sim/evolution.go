@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"gridvo/internal/mechanism"
@@ -69,8 +70,9 @@ type EvolutionResult struct {
 }
 
 // RunEvolution executes the repeated-formation experiment on the
-// environment's configuration (GSP count, solver options).
-func (e *Env) RunEvolution(cfg EvolutionConfig) (*EvolutionResult, error) {
+// environment's configuration (GSP count, solver options). Solves poll ctx
+// and degrade to heuristic incumbents once it is done.
+func (e *Env) RunEvolution(ctx context.Context, cfg EvolutionConfig) (*EvolutionResult, error) {
 	m := e.Config.NumGSPs
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("sim: evolution needs Rounds > 0")
@@ -134,7 +136,7 @@ func (e *Env) RunEvolution(cfg EvolutionConfig) (*EvolutionResult, error) {
 		opts := e.Config.Mechanism
 		opts.Eviction = cfg.Rule
 		opts.Solver = e.Config.Solver
-		mres, err := mechanism.Run(sc, opts, rng.Split(fmt.Sprintf("round-%d", round)))
+		mres, err := mechanism.RunContext(ctx, sc, opts, rng.Split(fmt.Sprintf("round-%d", round)))
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"gridvo/internal/mechanism"
@@ -9,12 +10,12 @@ import (
 
 func TestRunEvolutionDecayValidation(t *testing.T) {
 	env := quickEnv(t, 60)
-	if _, err := env.RunEvolution(EvolutionConfig{
+	if _, err := env.RunEvolution(context.Background(), EvolutionConfig{
 		Rounds: 1, ProgramSize: 32, DecayRetention: 1.5,
 	}); err == nil {
 		t.Fatal("retention outside (0,1) accepted")
 	}
-	if _, err := env.RunEvolution(EvolutionConfig{
+	if _, err := env.RunEvolution(context.Background(), EvolutionConfig{
 		Rounds: 1, ProgramSize: 32, DecayRetention: -0.5,
 	}); err == nil {
 		t.Fatal("negative retention accepted")
@@ -23,7 +24,7 @@ func TestRunEvolutionDecayValidation(t *testing.T) {
 
 func TestRunEvolutionDecayRuns(t *testing.T) {
 	env := quickEnv(t, 61)
-	res, err := env.RunEvolution(EvolutionConfig{
+	res, err := env.RunEvolution(context.Background(), EvolutionConfig{
 		Rounds:         4,
 		Rule:           mechanism.EvictLowestReputation,
 		ProgramSize:    32,
@@ -50,7 +51,7 @@ func TestRunEvolutionDecayEvaporatesTrust(t *testing.T) {
 	// the identical seed/interaction schedule.
 	run := func(retention float64) *EvolutionResult {
 		env := quickEnv(t, 62)
-		res, err := env.RunEvolution(EvolutionConfig{
+		res, err := env.RunEvolution(context.Background(), EvolutionConfig{
 			Rounds:         6,
 			Rule:           mechanism.EvictLowestReputation,
 			ProgramSize:    32,

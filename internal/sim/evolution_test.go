@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"gridvo/internal/mechanism"
@@ -18,7 +19,7 @@ func reliabilitySeries(r *EvolutionResult) []float64 {
 
 func TestRunEvolutionBasics(t *testing.T) {
 	env := quickEnv(t, 30)
-	res, err := env.RunEvolution(EvolutionConfig{
+	res, err := env.RunEvolution(context.Background(), EvolutionConfig{
 		Rounds:      4,
 		Rule:        mechanism.EvictLowestReputation,
 		ProgramSize: 32,
@@ -54,13 +55,13 @@ func TestRunEvolutionBasics(t *testing.T) {
 
 func TestRunEvolutionValidation(t *testing.T) {
 	env := quickEnv(t, 31)
-	if _, err := env.RunEvolution(EvolutionConfig{Rounds: 0, ProgramSize: 32}); err == nil {
+	if _, err := env.RunEvolution(context.Background(), EvolutionConfig{Rounds: 0, ProgramSize: 32}); err == nil {
 		t.Fatal("zero rounds accepted")
 	}
-	if _, err := env.RunEvolution(EvolutionConfig{Rounds: 1, ProgramSize: 0}); err == nil {
+	if _, err := env.RunEvolution(context.Background(), EvolutionConfig{Rounds: 1, ProgramSize: 0}); err == nil {
 		t.Fatal("zero program size accepted")
 	}
-	if _, err := env.RunEvolution(EvolutionConfig{
+	if _, err := env.RunEvolution(context.Background(), EvolutionConfig{
 		Rounds: 1, ProgramSize: 32, Reliability: []float64{0.5},
 	}); err == nil {
 		t.Fatal("wrong-length reliability accepted")
@@ -70,7 +71,7 @@ func TestRunEvolutionValidation(t *testing.T) {
 func TestRunEvolutionDeterministic(t *testing.T) {
 	mk := func() []float64 {
 		env := quickEnv(t, 32)
-		res, err := env.RunEvolution(EvolutionConfig{
+		res, err := env.RunEvolution(context.Background(), EvolutionConfig{
 			Rounds: 3, Rule: mechanism.EvictLowestReputation, ProgramSize: 32,
 		})
 		if err != nil {
@@ -100,7 +101,7 @@ func TestRunEvolutionTVOFLearnsReliability(t *testing.T) {
 			rel[i] = 0.05
 		}
 	}
-	res, err := env.RunEvolution(EvolutionConfig{
+	res, err := env.RunEvolution(context.Background(), EvolutionConfig{
 		Rounds:      6,
 		Rule:        mechanism.EvictLowestReputation,
 		ProgramSize: 32,

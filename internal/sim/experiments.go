@@ -31,49 +31,6 @@ type SweepResult struct {
 	Stats mechanism.EngineStats
 }
 
-// SweepContext runs TVOF and RVOF over every (program size, repetition)
-// pair of the config. progress, when non-nil, receives a line per
-// completed run. Per-coalition solves degrade to heuristic incumbents once
-// ctx is done, so a timed-out sweep still
-// returns a complete (if sub-optimal) grid instead of failing.
-func (e *Env) SweepContext(ctx context.Context, progress func(string)) (*SweepResult, error) {
-	out := &SweepResult{}
-	for _, size := range e.Config.ProgramSizes {
-		pt := SweepPoint{Size: size}
-		for rep := 0; rep < e.Config.Repetitions; rep++ {
-			sc, meta, err := e.BuildScenario(size, rep)
-			if err != nil {
-				return nil, err
-			}
-			tv, rv, err := e.RunPairContext(ctx, sc, size, rep)
-			if err != nil {
-				return nil, err
-			}
-			tf, rf := tv.Final(), rv.Final()
-			if tf == nil || rf == nil {
-				return nil, fmt.Errorf("sim: no final VO at n=%d rep=%d (tvof=%v rvof=%v)",
-					size, rep, tf != nil, rf != nil)
-			}
-			pt.TVOFPayoff = append(pt.TVOFPayoff, tf.Payoff)
-			pt.RVOFPayoff = append(pt.RVOFPayoff, rf.Payoff)
-			pt.TVOFSize = append(pt.TVOFSize, float64(tf.Size()))
-			pt.RVOFSize = append(pt.RVOFSize, float64(rf.Size()))
-			pt.TVOFRep = append(pt.TVOFRep, tf.AvgReputation)
-			pt.RVOFRep = append(pt.RVOFRep, rf.AvgReputation)
-			pt.TVOFSec = append(pt.TVOFSec, tv.Duration.Seconds())
-			pt.RVOFSec = append(pt.RVOFSec, rv.Duration.Seconds())
-			pt.Retries = append(pt.Retries, float64(meta.FeasibilityRetries))
-			out.Stats = out.Stats.Add(tv.Stats).Add(rv.Stats)
-			if progress != nil {
-				progress(fmt.Sprintf("n=%d rep=%d: tvof |C|=%d payoff=%.1f rep=%.3f; rvof |C|=%d payoff=%.1f rep=%.3f",
-					size, rep, tf.Size(), tf.Payoff, tf.AvgReputation, rf.Size(), rf.Payoff, rf.AvgReputation))
-			}
-		}
-		out.Points = append(out.Points, pt)
-	}
-	return out, nil
-}
-
 // Fig4Program is one of the ten 256-task programs of Fig. 4.
 type Fig4Program struct {
 	Name string
@@ -106,8 +63,9 @@ func (r *Fig4Result) AgreementCount() int {
 }
 
 // Fig4 runs TVOF on `count` distinct programs of the given size (the paper
-// uses 10 programs of 256 tasks).
-func (e *Env) Fig4(size, count int) (*Fig4Result, error) {
+// uses 10 programs of 256 tasks). Solves poll ctx and degrade to heuristic
+// incumbents once it is done (see mechanism.RunContext).
+func (e *Env) Fig4(ctx context.Context, size, count int) (*Fig4Result, error) {
 	out := &Fig4Result{}
 	for i := 0; i < count; i++ {
 		sc, _, err := e.BuildScenario(size, 1000+i)
@@ -117,7 +75,7 @@ func (e *Env) Fig4(size, count int) (*Fig4Result, error) {
 		opts := e.Config.Mechanism
 		opts.Eviction = mechanism.EvictLowestReputation
 		opts.Solver = e.Config.Solver
-		res, err := mechanism.Run(sc, opts, e.rng.Split(fmt.Sprintf("fig4-%d-%d", size, i)))
+		res, err := mechanism.RunContext(ctx, sc, opts, e.rng.Split(fmt.Sprintf("fig4-%d-%d", size, i)))
 		if err != nil {
 			return nil, err
 		}
@@ -150,8 +108,9 @@ type TraceResult struct {
 
 // IterationTrace runs one mechanism on one freshly generated program of
 // the given size and records every iteration. programTag distinguishes
-// "A" and "B" (the paper shows two 256-task programs).
-func (e *Env) IterationTrace(size int, programTag string, rule mechanism.EvictionRule) (*TraceResult, error) {
+// "A" and "B" (the paper shows two 256-task programs). Solves poll ctx as
+// in Fig4.
+func (e *Env) IterationTrace(ctx context.Context, size int, programTag string, rule mechanism.EvictionRule) (*TraceResult, error) {
 	rep := 2000
 	for _, c := range programTag {
 		rep = rep*31 + int(c)
@@ -163,7 +122,7 @@ func (e *Env) IterationTrace(size int, programTag string, rule mechanism.Evictio
 	opts := e.Config.Mechanism
 	opts.Eviction = rule
 	opts.Solver = e.Config.Solver
-	res, err := mechanism.Run(sc, opts, e.rng.Split(fmt.Sprintf("trace-%s-%s", programTag, rule)))
+	res, err := mechanism.RunContext(ctx, sc, opts, e.rng.Split(fmt.Sprintf("trace-%s-%s", programTag, rule)))
 	if err != nil {
 		return nil, err
 	}

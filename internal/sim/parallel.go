@@ -4,25 +4,32 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"gridvo/internal/mechanism"
 )
 
-// SweepParallelContext is SweepContext fanned out over a worker pool:
-// every (program size, repetition) cell is an independent job. Results are
-// bit-identical to the serial sweep because all randomness flows through
-// labeled RNG splits keyed by (size, rep) — xrand.Split is a pure function
-// of the parent state and label, never a mutation — so scheduling order
-// cannot reorder any stream. workers <= 0 selects GOMAXPROCS.
+// SweepParallelContext runs TVOF and RVOF over every (program size,
+// repetition) cell of the config on a pool of workers; workers == 1 is the
+// serial sweep and workers <= 0 selects GOMAXPROCS. Results are
+// bit-identical for every worker count because all randomness flows
+// through labeled RNG splits keyed by (size, rep) — xrand.Split is a pure
+// function of the parent state and label, never a mutation — so
+// scheduling order cannot reorder any stream.
 //
-// progress, when non-nil, is invoked from worker goroutines and must be
-// safe for concurrent use. All workers share ctx, so a timeout degrades
-// every in-flight solve to its heuristic incumbent and the sweep still
-// returns a complete grid. Engine stats are summed per cell; counter sums
-// commute, so the solve, cache-hit, and node aggregates match the serial
-// SweepContext exactly (WallTime, being measured, varies run to run).
+// progress, when non-nil, receives a line per completed cell; with more
+// than one worker it is invoked from worker goroutines and must be safe
+// for concurrent use. All workers share ctx, so a timeout degrades every
+// in-flight solve to its heuristic incumbent and the sweep still returns
+// a complete grid. Engine stats are summed per cell; counter sums commute,
+// so the solve, cache-hit, and node aggregates are the same for every
+// worker count (WallTime, being measured, varies run to run).
+//
+// After the first failed cell no further cells are dispatched, and the
+// error returned is that of the earliest failed (size, rep) cell: cells
+// are dispatched in that order, so every cell before a failed one has
+// run.
 func (e *Env) SweepParallelContext(ctx context.Context, workers int, progress func(string)) (*SweepResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -31,7 +38,6 @@ func (e *Env) SweepParallelContext(ctx context.Context, workers int, progress fu
 		sizeIdx, rep int
 	}
 	type cellResult struct {
-		cell cell
 		// One replicate of every SweepPoint metric.
 		tvofPayoff, rvofPayoff float64
 		tvofSize, rvofSize     float64
@@ -48,77 +54,74 @@ func (e *Env) SweepParallelContext(ctx context.Context, workers int, progress fu
 			cells = append(cells, cell{sizeIdx: si, rep: rep})
 		}
 	}
+	results := make([]cellResult, len(cells))
+	run := func(c cell) (out cellResult) {
+		size := e.Config.ProgramSizes[c.sizeIdx]
+		sc, meta, err := e.BuildScenario(size, c.rep)
+		if err != nil {
+			out.err = err
+			return out
+		}
+		tv, rv, err := e.RunPairContext(ctx, sc, size, c.rep)
+		if err != nil {
+			out.err = err
+			return out
+		}
+		tf, rf := tv.Final(), rv.Final()
+		if tf == nil || rf == nil {
+			out.err = fmt.Errorf("sim: no final VO at n=%d rep=%d (tvof=%v rvof=%v)",
+				size, c.rep, tf != nil, rf != nil)
+			return out
+		}
+		out.tvofPayoff, out.rvofPayoff = tf.Payoff, rf.Payoff
+		out.tvofSize, out.rvofSize = float64(tf.Size()), float64(rf.Size())
+		out.tvofRep, out.rvofRep = tf.AvgReputation, rf.AvgReputation
+		out.tvofSec, out.rvofSec = tv.Duration.Seconds(), rv.Duration.Seconds()
+		out.retries = float64(meta.FeasibilityRetries)
+		out.stats = tv.Stats.Add(rv.Stats)
+		if progress != nil {
+			progress(fmt.Sprintf("n=%d rep=%d: tvof |C|=%d payoff=%.1f rep=%.3f; rvof |C|=%d payoff=%.1f rep=%.3f",
+				size, c.rep, tf.Size(), tf.Payoff, tf.AvgReputation, rf.Size(), rf.Payoff, rf.AvgReputation))
+		}
+		return out
+	}
 
-	jobs := make(chan cell)
-	results := make(chan cellResult, len(cells))
+	jobs := make(chan int)
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range jobs {
-				size := e.Config.ProgramSizes[c.sizeIdx]
-				out := cellResult{cell: c}
-				sc, meta, err := e.BuildScenario(size, c.rep)
-				if err != nil {
-					out.err = err
-					results <- out
-					continue
+			for i := range jobs {
+				results[i] = run(cells[i])
+				if results[i].err != nil {
+					failed.Store(true)
 				}
-				tv, rv, err := e.RunPairContext(ctx, sc, size, c.rep)
-				if err != nil {
-					out.err = err
-					results <- out
-					continue
-				}
-				tf, rf := tv.Final(), rv.Final()
-				if tf == nil || rf == nil {
-					out.err = fmt.Errorf("sim: no final VO at n=%d rep=%d", size, c.rep)
-					results <- out
-					continue
-				}
-				out.tvofPayoff, out.rvofPayoff = tf.Payoff, rf.Payoff
-				out.tvofSize, out.rvofSize = float64(tf.Size()), float64(rf.Size())
-				out.tvofRep, out.rvofRep = tf.AvgReputation, rf.AvgReputation
-				out.tvofSec, out.rvofSec = tv.Duration.Seconds(), rv.Duration.Seconds()
-				out.retries = float64(meta.FeasibilityRetries)
-				out.stats = tv.Stats.Add(rv.Stats)
-				if progress != nil {
-					progress(fmt.Sprintf("n=%d rep=%d done (|C|=%d)", size, c.rep, tf.Size()))
-				}
-				results <- out
 			}
 		}()
 	}
-	for _, c := range cells {
-		jobs <- c
+	for i := range cells {
+		if failed.Load() {
+			break
+		}
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	close(results)
 
-	collected := make([]cellResult, 0, len(cells))
-	for r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		collected = append(collected, r)
-	}
-	// Deterministic ordering: sort by (size index, rep) so the replicate
-	// slices match the serial Sweep exactly.
-	sort.Slice(collected, func(a, b int) bool {
-		if collected[a].cell.sizeIdx != collected[b].cell.sizeIdx {
-			return collected[a].cell.sizeIdx < collected[b].cell.sizeIdx
-		}
-		return collected[a].cell.rep < collected[b].cell.rep
-	})
-
+	// Cells were dispatched in (size index, rep) order, so reading the
+	// results in that order meets the earliest failed cell before any
+	// cell that was never dispatched.
 	out := &SweepResult{Points: make([]SweepPoint, len(e.Config.ProgramSizes))}
 	for si, size := range e.Config.ProgramSizes {
 		out.Points[si].Size = size
 	}
-	for _, r := range collected {
-		pt := &out.Points[r.cell.sizeIdx]
+	for i, r := range results {
+		if r.err != nil {
+			return nil, r.err
+		}
+		pt := &out.Points[cells[i].sizeIdx]
 		pt.TVOFPayoff = append(pt.TVOFPayoff, r.tvofPayoff)
 		pt.RVOFPayoff = append(pt.RVOFPayoff, r.rvofPayoff)
 		pt.TVOFSize = append(pt.TVOFSize, r.tvofSize)

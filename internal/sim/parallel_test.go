@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -10,7 +11,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	// The parallel sweep must be bit-identical to the serial one except
 	// for wall-clock timings.
 	serialEnv := quickEnv(t, 40)
-	serial, err := serialEnv.SweepContext(context.Background(), nil)
+	serial, err := serialEnv.SweepParallelContext(context.Background(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,5 +79,18 @@ func TestSweepParallelPropagatesError(t *testing.T) {
 	env.Config.ProgramSizes = []int{7}
 	if _, err := env.SweepParallelContext(context.Background(), 2, nil); err == nil {
 		t.Fatal("missing-size sweep succeeded")
+	}
+}
+
+func TestSweepParallelReturnsEarliestCellError(t *testing.T) {
+	// Both unsupplied sizes fail; whichever worker finishes first, the
+	// sweep must report the earlier cell in (size, rep) order.
+	for _, workers := range []int{1, 4} {
+		env := quickEnv(t, 44)
+		env.Config.ProgramSizes = []int{32, 7, 9}
+		_, err := env.SweepParallelContext(context.Background(), workers, nil)
+		if err == nil || !strings.Contains(err.Error(), "size 7") {
+			t.Fatalf("workers=%d: error %v, want the size-7 cell's", workers, err)
+		}
 	}
 }

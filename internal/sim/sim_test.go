@@ -89,7 +89,7 @@ func TestBuildScenarioFeasibleGrandCoalition(t *testing.T) {
 	}
 	// By construction the grand coalition must be feasible: the first
 	// TVOF iteration must be feasible.
-	res, err := mechanism.TVOF(sc, xrand.New(1))
+	res, err := mechanism.TVOFContext(context.Background(), sc, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestBuildScenarioIndependentOfOrder(t *testing.T) {
 func TestSweepShapes(t *testing.T) {
 	env := quickEnv(t, 5)
 	var progress []string
-	sweep, err := env.SweepContext(context.Background(), func(s string) { progress = append(progress, s) })
+	sweep, err := env.SweepParallelContext(context.Background(), 1, func(s string) { progress = append(progress, s) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSweepShapes(t *testing.T) {
 
 func TestFig4(t *testing.T) {
 	env := quickEnv(t, 6)
-	r, err := env.Fig4(32, 4)
+	r, err := env.Fig4(context.Background(), 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFig4(t *testing.T) {
 
 func TestIterationTrace(t *testing.T) {
 	env := quickEnv(t, 7)
-	tr, err := env.IterationTrace(32, "A", mechanism.EvictLowestReputation)
+	tr, err := env.IterationTrace(context.Background(), 32, "A", mechanism.EvictLowestReputation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestIterationTrace(t *testing.T) {
 		t.Fatal("selected iteration not feasible")
 	}
 	// RVOF trace on the same program tag must be reproducible.
-	tr2, err := env.IterationTrace(32, "A", mechanism.EvictRandom)
+	tr2, err := env.IterationTrace(context.Background(), 32, "A", mechanism.EvictRandom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestIterationTrace(t *testing.T) {
 
 func TestRenderTables(t *testing.T) {
 	env := quickEnv(t, 8)
-	sweep, err := env.SweepContext(context.Background(), nil)
+	sweep, err := env.SweepParallelContext(context.Background(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,14 +241,14 @@ func TestRenderTables(t *testing.T) {
 			t.Fatalf("%s table malformed:\n%s", name, out)
 		}
 	}
-	f4, err := env.Fig4(32, 2)
+	f4, err := env.Fig4(context.Background(), 32, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(renderTable(Fig4Table(f4)), "P1") {
 		t.Fatal("fig4 table malformed")
 	}
-	tr, err := env.IterationTrace(32, "B", mechanism.EvictLowestReputation)
+	tr, err := env.IterationTrace(context.Background(), 32, "B", mechanism.EvictLowestReputation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestSweepReputationShapeTVOFvsRVOF(t *testing.T) {
 	// test setup we assert the aggregate over all points (individual
 	// points can tie when both pick the same VO).
 	env := quickEnv(t, 9)
-	sweep, err := env.SweepContext(context.Background(), nil)
+	sweep, err := env.SweepParallelContext(context.Background(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
