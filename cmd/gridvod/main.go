@@ -13,7 +13,7 @@
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests and queued jobs for up to -drain. Exit codes: 0 after a clean
-// shutdown, 1 on startup or serve errors.
+// shutdown, 1 on startup or serve errors, 2 on a bad flag.
 //
 // gridvod has no load-generation mode. perfbench's serve-unique (sync
 // POST /v1/vo/form) and serve-hot (jobs path with dedupe and engine-cache
@@ -48,7 +48,6 @@ func main() {
 		maxBody    = fs.Int64("max-body", 8<<20, "maximum request body bytes (413 beyond)")
 		inflight   = fs.Int("inflight", 0, "maximum concurrent synchronous solve requests (0 = 2x GOMAXPROCS)")
 		engines    = fs.Int("engines", 64, "scenario solve-engine LRU size")
-		shards     = fs.Int("shards", 0, "engine-LRU shard count, rounded to a power of two (0 = smallest power of two >= GOMAXPROCS)")
 		queue      = fs.Int("queue", 0, "async job queue depth; full queue sheds submits with 429 (0 = 256)")
 		workers    = fs.Int("workers", 0, "async job worker-pool size (0 = GOMAXPROCS)")
 		jobTTL     = fs.Duration("job-ttl", 0, "how long finished jobs stay pollable before GC (0 = 5m)")
@@ -57,22 +56,21 @@ func main() {
 		drain      = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 	)
-	if err := fs.Parse(os.Args[1:]); err != nil {
-		os.Exit(1)
-	}
+	// Under flag.ExitOnError a bad flag exits 2 inside Parse, so it never
+	// returns an error here.
+	_ = fs.Parse(os.Args[1:])
 
 	cfg := server.Config{
-		DefaultTimeout:    *timeout,
-		MaxTimeout:        *maxTimeout,
-		MaxBodyBytes:      *maxBody,
-		MaxInFlight:       *inflight,
-		EngineCacheSize:   *engines,
-		EngineCacheShards: *shards,
-		JobQueueDepth:     *queue,
-		JobWorkers:        *workers,
-		JobTTL:            *jobTTL,
-		MaxLongPoll:       *maxWait,
-		Solver:            assign.Options{NodeBudget: *nodeCap},
+		DefaultTimeout:  *timeout,
+		MaxTimeout:      *maxTimeout,
+		MaxBodyBytes:    *maxBody,
+		MaxInFlight:     *inflight,
+		EngineCacheSize: *engines,
+		JobQueueDepth:   *queue,
+		JobWorkers:      *workers,
+		JobTTL:          *jobTTL,
+		MaxLongPoll:     *maxWait,
+		Solver:          assign.Options{NodeBudget: *nodeCap},
 	}
 
 	srv := server.New(cfg)

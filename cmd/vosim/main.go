@@ -105,6 +105,21 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
+	// onExpiry is deferred once the invocation is validated: every
+	// experiment after it polls ctx. One that fails after the budget
+	// expired is an incomplete answer, not an ordinary failure: exit with
+	// the distinguished deadline code instead of pretending a partial
+	// result is one. One that completes anyway says its solves degraded.
+	onExpiry := func() {
+		if ctx.Err() == nil {
+			return
+		}
+		if err != nil {
+			err = fmt.Errorf("%w: %v (retry with a larger -timeout)", errDeadlineNoVO, err)
+			return
+		}
+		_, err = fmt.Fprintln(stdout, noteExpired)
+	}
 
 	cfg := sim.DefaultConfig(*seed)
 	if *quick {
@@ -164,13 +179,19 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			}
 		}
 		if *chaos != "" {
+			fseed, rate, err := parseChaosSpec(*chaos)
+			if err != nil {
+				return err
+			}
+			defer onExpiry()
 			// Composition: the chaos sweep's scenarios are generated
 			// through the adversary layer (empty ropts when -adversary is
 			// not given), then fault-injected as usual.
 			cfg.Adversary = ropts.Attack
 			cfg.Churn = ropts.Churn
-			return runChaos(ctx, cfg, *chaos, stdout, stderr, progress)
+			return runChaos(ctx, cfg, fault.Config{Seed: fseed, Rate: rate}, stdout, stderr, progress)
 		}
+		defer onExpiry()
 		return runAdversary(ctx, cfg, ropts, stdout, *csv, progress)
 	}
 
@@ -187,20 +208,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return errUsage
 	}
 
-	// Every experiment below polls ctx. One that fails after the budget
-	// expired is an incomplete answer, not an ordinary failure: exit with
-	// the distinguished deadline code instead of pretending a partial
-	// result is one. One that completes anyway says its solves degraded.
-	defer func() {
-		if ctx.Err() == nil {
-			return
-		}
-		if err != nil {
-			err = fmt.Errorf("%w: %v (retry with a larger -timeout)", errDeadlineNoVO, err)
-			return
-		}
-		_, err = fmt.Fprintln(stdout, noteExpired)
-	}()
+	defer onExpiry()
 
 	if *evol {
 		env, err := sim.NewEnv(cfg)
@@ -352,12 +360,7 @@ func parseChaosSpec(spec string) (seed uint64, rate float64, err error) {
 // injection, the second proves the fault schedule and all results are
 // bit-reproducible (identical fingerprints). Violations or a fingerprint
 // mismatch exit non-zero.
-func runChaos(ctx context.Context, cfg sim.Config, spec string, stdout, stderr io.Writer, progress func(string)) error {
-	fseed, rate, err := parseChaosSpec(spec)
-	if err != nil {
-		return err
-	}
-	fcfg := fault.Config{Seed: fseed, Rate: rate}
+func runChaos(ctx context.Context, cfg sim.Config, fcfg fault.Config, stdout, stderr io.Writer, progress func(string)) error {
 	first, err := sim.ChaosSweep(ctx, cfg, fcfg, progress)
 	if err != nil {
 		return err
@@ -367,7 +370,7 @@ func runChaos(ctx context.Context, cfg sim.Config, spec string, stdout, stderr i
 		return err
 	}
 	fmt.Fprintf(stdout, "chaos sweep: %d cells, %d runs (%d degraded, %d feasible), injector seed %d rate %g\n",
-		first.Cells, first.Runs, first.DegradedRuns, first.FeasibleRuns, fseed, rate)
+		first.Cells, first.Runs, first.DegradedRuns, first.FeasibleRuns, fcfg.Seed, fcfg.Rate)
 	fmt.Fprintf(stdout, "faults: %s\n", first.FaultStats)
 	fmt.Fprintf(stdout, "fingerprint: %016x\n", first.Fingerprint)
 	if n := len(first.Violations); n > 0 {

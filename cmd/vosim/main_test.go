@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -87,6 +88,18 @@ func TestRunFig4HonoursTimeout(t *testing.T) {
 	out := runCLI(t, "-quick", "-fig", "4", "-timeout", "1ns")
 	if !strings.Contains(out, "Fig. 4") || !strings.Contains(out, noteExpired) {
 		t.Fatalf("fig4 under an expired budget lacks the expiry note:\n%s", out)
+	}
+}
+
+func TestRunChaosAndAdversaryHonourTimeout(t *testing.T) {
+	// The fault and robustness sweeps poll the budget too: an expired one
+	// either completes with the expiry note or maps to the deadline error.
+	for _, mode := range [][]string{{"-chaos", "7,0.3"}, {"-adversary", "sybil,4"}} {
+		var stdout, stderr bytes.Buffer
+		err := run(append(mode, "-sizes", "32", "-reps", "1", "-timeout", "1ns"), &stdout, &stderr)
+		if !errors.Is(err, errDeadlineNoVO) && !(err == nil && strings.Contains(stdout.String(), noteExpired)) {
+			t.Errorf("%s under an expired budget: err %v, stdout:\n%s", mode[0], err, stdout.String())
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"gridvo"
 )
@@ -38,8 +39,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("\nTVOF explored %d VOs (%d feasible) in %s\n",
-		len(res.Iterations), res.FeasibleCount(), res.Duration)
+	// Wall-clock time goes to stderr so stdout is the same on every run.
+	fmt.Printf("\nTVOF explored %d VOs (%d feasible)\n", len(res.Iterations), res.FeasibleCount())
+	fmt.Fprintf(os.Stderr, "TVOF ran in %s\n", res.Duration)
 	for i := range res.Iterations {
 		rec := &res.Iterations[i]
 		marker := " "

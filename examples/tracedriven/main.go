@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"gridvo/internal/assign"
 	"gridvo/internal/grid"
@@ -78,9 +79,10 @@ func main() {
 			log.Fatal(err)
 		}
 		final := res.Final()
-		fmt.Printf("%-5s: final |C|=%2d payoff=%9.2f avg_reputation=%.4f (%d iterations, %s)\n",
-			rule, final.Size(), final.Payoff, final.AvgReputation,
-			len(res.Iterations), res.Duration.Round(1000))
+		fmt.Printf("%-5s: final |C|=%2d payoff=%9.2f avg_reputation=%.4f (%d iterations)\n",
+			rule, final.Size(), final.Payoff, final.AvgReputation, len(res.Iterations))
+		// Wall-clock time goes to stderr so stdout is the same on every run.
+		fmt.Fprintf(os.Stderr, "%s ran in %s\n", rule, res.Duration.Round(1000))
 	}
 	fmt.Println("\nTVOF keeps the high-reputation core; RVOF matches payoff but not reputation.")
 }

@@ -54,7 +54,7 @@ func BenchmarkLocalSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, base)
-		localSearchBuf(in, work, 0, load, count)
+		localSearchBuf(in, work, load, count)
 	}
 }
 

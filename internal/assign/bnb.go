@@ -17,9 +17,6 @@ type Options struct {
 	// DisableHeuristics skips incumbent seeding (tests use this to
 	// exercise the raw search).
 	DisableHeuristics bool
-	// LocalSearchPasses bounds the improvement passes applied to
-	// heuristic incumbents; zero selects a sensible default.
-	LocalSearchPasses int
 	// CtxCheckEvery is the number of nodes explored between
 	// context-cancellation checks; zero selects DefaultCtxCheckEvery.
 	// Tests use small values to cancel at precise points.
@@ -235,7 +232,7 @@ func seedIncumbents(in *Instance, opts Options, s *searcher) {
 			if a == nil {
 				continue
 			}
-			localSearchBuf(in, a, opts.LocalSearchPasses, hb.load, hb.count)
+			localSearchBuf(in, a, hb.load, hb.count)
 			if verifyBuf(in, a, hb.load, hb.count) != nil {
 				continue
 			}
@@ -248,7 +245,7 @@ func seedIncumbents(in *Instance, opts Options, s *searcher) {
 		}
 	}
 	if opts.SeedAssign != nil {
-		if a := repairSeedBuf(in, opts.SeedAssign, opts.LocalSearchPasses, hb); a != nil {
+		if a := repairSeedBuf(in, opts.SeedAssign, hb); a != nil {
 			s.seedAccepted = 1
 			if c := TotalCost(in, a); c < s.bestCost {
 				s.bestCost = c

@@ -429,13 +429,16 @@ func repairCoverage(in *Instance, assign []int, load []float64, count []int) boo
 	return true
 }
 
+// localSearchPasses bounds the improvement passes localSearchBuf applies.
+const localSearchPasses = 64
+
 // localSearchBuf improves an assignment in place with single-task
 // relocations: move a task to a GSP where it is cheaper, if the target has
 // deadline capacity and the source keeps at least one task. Passes repeat
-// until a full pass finds no improvement (or maxPasses). Returns the
-// improved cost. load and count (len k) are caller-provided and fully
+// until a full pass finds no improvement (or localSearchPasses). Returns
+// the improved cost. load and count (len k) are caller-provided and fully
 // overwritten, so the solver's seeding loop runs it without allocating.
-func localSearchBuf(in *Instance, assign []int, maxPasses int, load []float64, count []int) float64 {
+func localSearchBuf(in *Instance, assign []int, load []float64, count []int) float64 {
 	k, n := in.NumGSPs(), in.NumTasks()
 	for g := 0; g < k; g++ {
 		load[g] = 0
@@ -445,10 +448,7 @@ func localSearchBuf(in *Instance, assign []int, maxPasses int, load []float64, c
 		load[g] += in.Time[g][t]
 		count[g]++
 	}
-	if maxPasses <= 0 {
-		maxPasses = 64
-	}
-	for pass := 0; pass < maxPasses; pass++ {
+	for pass := 0; pass < localSearchPasses; pass++ {
 		improved := false
 		for t := 0; t < n; t++ {
 			cur := assign[t]

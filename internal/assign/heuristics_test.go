@@ -105,7 +105,7 @@ func TestLocalSearchImproves(t *testing.T) {
 	// task1→1 (7), task2→0 (9) = 24.
 	a := []int{1, 1, 0}
 	before := TotalCost(in, a)
-	after := localSearchBuf(in, a, 0, make([]float64, in.NumGSPs()), make([]int, in.NumGSPs()))
+	after := localSearchBuf(in, a, make([]float64, in.NumGSPs()), make([]int, in.NumGSPs()))
 	if after > before {
 		t.Fatalf("localSearchBuf made it worse: %v → %v", before, after)
 	}
@@ -126,7 +126,7 @@ func TestLocalSearchKeepsCoverage(t *testing.T) {
 		Deadline: 10,
 	}
 	a := []int{0, 1}
-	localSearchBuf(in, a, 0, make([]float64, in.NumGSPs()), make([]int, in.NumGSPs()))
+	localSearchBuf(in, a, make([]float64, in.NumGSPs()), make([]int, in.NumGSPs()))
 	if err := Verify(in, a); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestLocalSearchRespectsDeadline(t *testing.T) {
 		Deadline: 10,
 	}
 	a := []int{0, 1, 1}
-	localSearchBuf(in, a, 0, make([]float64, in.NumGSPs()), make([]int, in.NumGSPs()))
+	localSearchBuf(in, a, make([]float64, in.NumGSPs()), make([]int, in.NumGSPs()))
 	if err := Verify(in, a); err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func maxTimes(in *Instance, buf *[]float64) []float64 {
 // constructive heuristics use, and the result is polished by local search
 // and verified against all constraints (budget included). Deterministic:
 // ties break toward lower indices throughout.
-func repairSeedBuf(in *Instance, seed []int, localSearchPasses int, hb *heurBufs) []int {
+func repairSeedBuf(in *Instance, seed []int, hb *heurBufs) []int {
 	k, n := in.NumGSPs(), in.NumTasks()
 	if len(seed) != n || k == 0 || n < k {
 		return nil
@@ -189,7 +189,7 @@ func repairSeedBuf(in *Instance, seed []int, localSearchPasses int, hb *heurBufs
 	if !repairCoverage(in, assign, load, count) {
 		return nil
 	}
-	localSearchBuf(in, assign, localSearchPasses, load, count)
+	localSearchBuf(in, assign, load, count)
 	if verifyBuf(in, assign, load, count) != nil {
 		return nil
 	}

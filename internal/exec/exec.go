@@ -18,35 +18,10 @@ type Provider struct {
 	Reliability float64
 }
 
-// Policy selects what happens to tasks orphaned by a failed provider.
-type Policy int
-
-const (
-	// Reschedule moves orphaned tasks to the least-loaded surviving
-	// provider (greedy, at failure time).
-	Reschedule Policy = iota
-	// Abandon drops orphaned tasks; the run then misses its contract.
-	Abandon
-)
-
-// String returns the policy name.
-func (p Policy) String() string {
-	switch p {
-	case Reschedule:
-		return "reschedule"
-	case Abandon:
-		return "abandon"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
 // Options configure a simulation run.
 type Options struct {
 	// Deadline is the contract deadline in seconds (must be positive).
 	Deadline float64
-	// Policy for orphaned tasks; the zero value is Reschedule.
-	Policy Policy
 }
 
 // Report is the outcome of one simulated execution.
@@ -214,12 +189,10 @@ func Run(rng *xrand.RNG, tasks []float64, assign []int, providers []Provider, op
 				current[e.provider] = -1
 			}
 			queues[e.provider] = nil
-			if opts.Policy == Abandon {
-				break
-			}
+			// Orphans move, one by one, to the least-loaded surviving
+			// provider by projected finish (greedy, at failure time).
 			rep.Rescheduled += len(orphans)
 			for _, t := range orphans {
-				// Least-loaded surviving provider by projected finish.
 				best := -1
 				for g := 0; g < k; g++ {
 					if !alive[g] {

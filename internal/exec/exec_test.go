@@ -99,29 +99,6 @@ func TestRunFailureWithReschedule(t *testing.T) {
 	}
 }
 
-func TestRunFailureWithAbandon(t *testing.T) {
-	// Provider 1's single task spans the whole deadline window, so its
-	// renege (drawn strictly inside the window) always interrupts it.
-	tasks := []float64{10, 10}
-	providers := []Provider{
-		{SpeedGFLOPS: 10, Reliability: 1},
-		{SpeedGFLOPS: 0.01, Reliability: 0},
-	}
-	rep, err := Run(xrand.New(4), tasks, []int{0, 1}, providers, Options{Deadline: 1000, Policy: Abandon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Completed {
-		t.Fatal("abandoned tasks cannot complete the run")
-	}
-	if rep.Rescheduled != 0 {
-		t.Fatal("abandon policy rescheduled")
-	}
-	if rep.TasksCompleted != 1 {
-		t.Fatalf("completed = %d, want 1", rep.TasksCompleted)
-	}
-}
-
 func TestRunAllProvidersFail(t *testing.T) {
 	providers := []Provider{
 		{SpeedGFLOPS: 1e-6, Reliability: 0}, // so slow the failure always lands mid-task
@@ -224,14 +201,5 @@ func TestBusyTimeConservation(t *testing.T) {
 	got := rep.BusySec[0] + rep.BusySec[1]
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("busy total = %v, want %v", got, want)
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if Reschedule.String() != "reschedule" || Abandon.String() != "abandon" {
-		t.Fatal("policy strings wrong")
-	}
-	if Policy(9).String() == "" {
-		t.Fatal("unknown policy empty")
 	}
 }

@@ -46,28 +46,6 @@ func VecDiffNormL2(x, y []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// AvgRelErr returns the average of |xᵢ−yᵢ|/|yᵢ| over components with
-// yᵢ ≠ 0; components where yᵢ == 0 contribute |xᵢ| instead (absolute
-// error), so the metric is defined for every input. This is the "average
-// relative error" stopping rule the paper's prose describes.
-func AvgRelErr(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("matrix: AvgRelErr length mismatch %d vs %d", len(x), len(y)))
-	}
-	if len(x) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, v := range x {
-		if y[i] != 0 {
-			s += math.Abs(v-y[i]) / math.Abs(y[i])
-		} else {
-			s += math.Abs(v)
-		}
-	}
-	return s / float64(len(x))
-}
-
 // ArgMin returns the index of the smallest element, breaking ties toward
 // the lowest index. It returns -1 for an empty vector.
 func ArgMin(x []float64) int {

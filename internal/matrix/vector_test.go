@@ -26,21 +26,6 @@ func TestVecDiffNormL2(t *testing.T) {
 	}
 }
 
-func TestAvgRelErr(t *testing.T) {
-	got := AvgRelErr([]float64{2, 3}, []float64{1, 3})
-	if math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("AvgRelErr = %v, want 0.5", got)
-	}
-	// Zero reference component falls back to absolute error.
-	got = AvgRelErr([]float64{2}, []float64{0})
-	if got != 2 {
-		t.Fatalf("AvgRelErr with zero ref = %v, want 2", got)
-	}
-	if AvgRelErr(nil, nil) != 0 {
-		t.Fatal("AvgRelErr(nil,nil) != 0")
-	}
-}
-
 func TestArgMin(t *testing.T) {
 	x := []float64{3, 1, 4, 1, 5}
 	if ArgMin(x) != 1 {

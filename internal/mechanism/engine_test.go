@@ -137,9 +137,6 @@ func TestEngineRejectsForeignScenario(t *testing.T) {
 	if _, err := RunContext(context.Background(), scB, Options{Engine: eng}, xrand.New(1)); err == nil {
 		t.Fatal("engine for scenario A accepted by a run on scenario B")
 	}
-	if _, err := MergeSplitContext(context.Background(), scB, MergeSplitOptions{Engine: eng}); err == nil {
-		t.Fatal("merge-split accepted a foreign engine")
-	}
 }
 
 func TestStabilityCheckZeroFreshSolvesAfterTVOF(t *testing.T) {
@@ -216,31 +213,6 @@ func TestStabilityCheckMatchesLegacyEvaluation(t *testing.T) {
 		t.Fatal("fast path reports instability under CriterionTotal")
 	}
 	_ = slowStable // exhaustive path ran without error; zeroed member changes the game, not the API contract
-}
-
-func TestMergeSplitSharedEngineSecondRunAllCached(t *testing.T) {
-	sc := testScenario(29, 5, 20)
-	eng := NewEngine(sc, assign.Options{})
-	first, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{Engine: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Stats.Solves == 0 {
-		t.Fatal("first merge-split run performed no solves")
-	}
-	second, err := MergeSplitContext(context.Background(), sc, MergeSplitOptions{Engine: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Stats.Solves != 0 {
-		t.Fatalf("second run on a warm engine performed %d fresh solves", second.Stats.Solves)
-	}
-	if second.Selected == nil && first.Selected != nil {
-		t.Fatal("warm-engine run lost the selected coalition")
-	}
-	if second.Payoff != first.Payoff {
-		t.Fatalf("warm-engine payoff %v differs from cold %v", second.Payoff, first.Payoff)
-	}
 }
 
 func TestRunContextCancelledStillUsable(t *testing.T) {

@@ -44,10 +44,10 @@ type engineItem struct {
 	eng *Engine
 }
 
-// DefaultCacheShards returns the default shard count: the smallest power
-// of two ≥ GOMAXPROCS, clamped to [1, 64] — enough shards that workers
-// rarely collide, few enough that per-shard capacity stays useful.
-func DefaultCacheShards() int {
+// defaultCacheShards returns the shard count: the smallest power of two
+// ≥ GOMAXPROCS, clamped to [1, 64] — enough shards that workers rarely
+// collide, few enough that per-shard capacity stays useful.
+func defaultCacheShards() int {
 	return ceilPow2(runtime.GOMAXPROCS(0), 64)
 }
 
@@ -62,17 +62,20 @@ func ceilPow2(n, max int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// NewEngineCache builds a cache holding at most capacity engines across
-// shards shards. capacity < 1 selects 1; shards is rounded up to a power
-// of two in [1, 256] (0 selects DefaultCacheShards). Each shard holds
-// ⌈capacity/shards⌉ entries, so the worst-case live total slightly
-// exceeds capacity when capacity does not divide evenly.
-func NewEngineCache(capacity, shards int) *EngineCache {
+// NewEngineCache builds a cache holding at most capacity engines
+// (capacity < 1 selects 1) across defaultCacheShards shards, capped by
+// capacity. Each shard holds ⌈capacity/shards⌉ entries, so the worst-case
+// live total slightly exceeds capacity when capacity does not divide
+// evenly.
+func NewEngineCache(capacity int) *EngineCache {
+	return newEngineCache(capacity, defaultCacheShards())
+}
+
+// newEngineCache is NewEngineCache with an explicit shard count, rounded
+// up to a power of two in [1, 256] and then down to at most capacity.
+func newEngineCache(capacity, shards int) *EngineCache {
 	if capacity < 1 {
 		capacity = 1
-	}
-	if shards == 0 {
-		shards = DefaultCacheShards()
 	}
 	shards = ceilPow2(shards, 256)
 	if shards > capacity {

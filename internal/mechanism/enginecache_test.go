@@ -22,7 +22,7 @@ func cacheSpec(t testing.TB, i int) *Scenario {
 }
 
 func TestEngineCacheHitMissAndCollisionGuard(t *testing.T) {
-	c := NewEngineCache(8, 2)
+	c := newEngineCache(8, 2)
 	a, b := cacheSpec(t, 0), cacheSpec(t, 1)
 	ka, kb := ScenarioKey(a), ScenarioKey(b)
 	if ka == kb {
@@ -53,7 +53,7 @@ func TestEngineCacheHitMissAndCollisionGuard(t *testing.T) {
 func TestEngineCacheEvictsPerShardLRU(t *testing.T) {
 	// One shard, capacity 2: the third insert evicts the least recently
 	// used of the first two.
-	c := NewEngineCache(2, 1)
+	c := newEngineCache(2, 1)
 	scs := make([]*Scenario, 3)
 	keys := make([]uint64, 3)
 	for i := range scs {
@@ -76,18 +76,20 @@ func TestEngineCacheEvictsPerShardLRU(t *testing.T) {
 
 func TestEngineCacheShardRounding(t *testing.T) {
 	for _, tc := range []struct{ capacity, shards, wantShards int }{
-		{64, 0, DefaultCacheShards()},
 		{64, 3, 4},
 		{64, 16, 16},
 		{1, 16, 1}, // shards never exceed capacity
 		{3, 16, 2}, // rounded down to a power of two ≤ capacity
 		{64, 999, 64},
 	} {
-		c := NewEngineCache(tc.capacity, tc.shards)
+		c := newEngineCache(tc.capacity, tc.shards)
 		if got := len(c.shards); got != tc.wantShards {
-			t.Errorf("NewEngineCache(%d, %d): %d shards, want %d",
+			t.Errorf("newEngineCache(%d, %d): %d shards, want %d",
 				tc.capacity, tc.shards, got, tc.wantShards)
 		}
+	}
+	if got := len(NewEngineCache(64).shards); got != defaultCacheShards() {
+		t.Errorf("NewEngineCache(64): %d shards, want %d", got, defaultCacheShards())
 	}
 }
 
@@ -95,7 +97,7 @@ func TestEngineCacheShardRounding(t *testing.T) {
 // goroutines — the race detector's target (CI runs -race over the module).
 func TestEngineCacheConcurrent(t *testing.T) {
 	const scenarios = 8
-	c := NewEngineCache(scenarios, 4)
+	c := newEngineCache(scenarios, 4)
 	scs := make([]*Scenario, scenarios)
 	keys := make([]uint64, scenarios)
 	for i := range scs {
@@ -132,10 +134,10 @@ func TestEngineCacheConcurrent(t *testing.T) {
 // BenchmarkEngineCacheParallel measures lookup throughput under
 // cross-core contention — the workload the per-shard mutexes exist for.
 func BenchmarkEngineCacheParallel(b *testing.B) {
-	for _, shards := range []int{1, DefaultCacheShards()} {
+	for _, shards := range []int{1, defaultCacheShards()} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			const scenarios = 16
-			c := NewEngineCache(64, shards)
+			c := newEngineCache(64, shards)
 			scs := make([]*Scenario, scenarios)
 			keys := make([]uint64, scenarios)
 			for i := range scs {

@@ -50,15 +50,8 @@ type Options struct {
 	Eviction EvictionRule
 	// Centrality is the score used by EvictLowestCentrality.
 	Centrality reputation.Centrality
-	// Reputation configures the power method (Algorithm 2); the zero
-	// value selects the defaults.
-	Reputation reputation.Options
 	// Solver configures the assignment branch-and-bound.
 	Solver assign.Options
-	// TieTolerance treats reputation scores within this distance of the
-	// minimum as tied (the paper breaks exact ties randomly; floating
-	// point needs a tolerance). Zero selects 1e-12.
-	TieTolerance float64
 	// KeepAssignments retains the task assignment of every feasible
 	// iteration (memory ∝ iterations × n); when false only the selected
 	// VO's assignment is kept.
@@ -98,14 +91,10 @@ type Options struct {
 	Inject *fault.Injector
 }
 
-func (o *Options) fillDefaults() {
-	if o.TieTolerance == 0 {
-		o.TieTolerance = 1e-12
-	}
-	if o.Reputation.IsZero() {
-		o.Reputation = reputation.DefaultOptions()
-	}
-}
+// tieTolerance treats reputation scores within this distance of the
+// minimum as tied (the paper breaks exact ties randomly; floating point
+// needs a tolerance).
+const tieTolerance = 1e-12
 
 // IterationRecord captures one iteration of the mechanism loop — the data
 // behind Figs. 5–8 of the paper.
@@ -241,7 +230,6 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	opts.fillDefaults()
 	start := time.Now()
 
 	eng, err := engineFor(sc, &opts)
@@ -252,10 +240,12 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 
 	// Injection state: the engine's injector (installed by engineFor from
 	// opts.Inject, or earlier by the caller) also serves the reputation
-	// solves and the loop's own trust hook; firedBefore anchors the
-	// per-run fault count on a shared injector.
+	// solves (Algorithm 2 with its default options) and the loop's own
+	// trust hook; firedBefore anchors the per-run fault count on a shared
+	// injector.
 	inj := eng.Injector()
-	opts.Reputation.Inject = inj
+	ro := reputation.DefaultOptions()
+	ro.Inject = inj
 	firedBefore := inj.Stats().Fired
 	degraded := false
 
@@ -263,7 +253,7 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 
 	// Global reputation of every GSP in the full trust graph, computed
 	// once; eq. (7) averages over its restriction to each VO.
-	global, globalDiag, err := reputation.Global(sc.Trust, opts.Reputation)
+	global, globalDiag, err := reputation.Global(sc.Trust, ro)
 	if err != nil {
 		return nil, fmt.Errorf("mechanism: global reputation: %w", err)
 	}
@@ -339,7 +329,7 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 				scoreTrust.ClearOutgoing(int(plan.Pick % uint64(scoreTrust.N())))
 			}
 			var diag reputation.Diagnostics
-			scores, diag, err = evictionScores(scoreTrust, opts, init, coldIters)
+			scores, diag, err = evictionScores(scoreTrust, opts, ro, init, coldIters)
 			if err != nil {
 				return nil, fmt.Errorf("mechanism: reputation on %d-member VO: %w", len(members), err)
 			}
@@ -487,26 +477,22 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 // or symmetrically average into — the fixed point while a perturbed start
 // oscillates indefinitely, so a warm attempt that has not converged within
 // the budget is abandoned and the iteration restarts cold with the full
-// configured bound. Total work is thus at most warmBudget over a cold
-// solve, and typically far below one.
-func evictionScores(g *trust.Graph, opts Options, init []float64, warmBudget int) ([]float64, reputation.Diagnostics, error) {
+// bound of ro. Total work is thus at most warmBudget over a cold solve,
+// and typically far below one.
+func evictionScores(g *trust.Graph, opts Options, ro reputation.Options, init []float64, warmBudget int) ([]float64, reputation.Diagnostics, error) {
 	if opts.Eviction == EvictLowestCentrality {
 		x, err := reputation.Scores(g, opts.Centrality)
 		return x, reputation.Diagnostics{}, err
 	}
-	ro := opts.Reputation
-	ro.InitialVector = init
+	warm := ro
+	warm.InitialVector = init
 	if init != nil && warmBudget > 0 {
-		if ro.MaxIter == 0 || warmBudget < ro.MaxIter {
-			ro.MaxIter = warmBudget
-		}
+		warm.MaxIter = warmBudget
 	}
-	x, diag, err := reputation.Global(g, ro)
+	x, diag, err := reputation.Global(g, warm)
 	if err != nil || !diag.Warm || diag.Converged {
 		return x, diag, err
 	}
-	ro.InitialVector = nil
-	ro.MaxIter = opts.Reputation.MaxIter
 	xc, diagc, err := reputation.Global(g, ro)
 	diagc.Iterations += diag.Iterations
 	diagc.Warm = false
@@ -518,7 +504,7 @@ func pickEviction(scores []float64, opts Options, rng *xrand.RNG) int {
 	if opts.Eviction == EvictRandom {
 		return rng.IntN(len(scores))
 	}
-	ties := matrix.MinIndices(scores, opts.TieTolerance)
+	ties := matrix.MinIndices(scores, tieTolerance)
 	if len(ties) == 1 {
 		return ties[0]
 	}

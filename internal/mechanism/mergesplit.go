@@ -7,7 +7,6 @@ import (
 
 	"gridvo/internal/assign"
 	"gridvo/internal/coalition"
-	"gridvo/internal/fault"
 	"gridvo/internal/reputation"
 )
 
@@ -25,28 +24,18 @@ import (
 //     least the per-member payoff they had (with the leaver weakly
 //     better off on its own).
 //
-// The process stops at a merge/split-stable structure (or after MaxRounds)
-// and the feasible coalition with the highest per-member payoff executes
-// the program, making the result directly comparable with TVOF's.
+// The process stops at a merge/split-stable structure (or after 4·m
+// rounds) and the feasible coalition with the highest per-member payoff
+// executes the program, making the result directly comparable with
+// TVOF's.
 
 // MergeSplitOptions configure the baseline.
 type MergeSplitOptions struct {
 	// Solver configures the per-coalition IP solves.
 	Solver assign.Options
-	// MaxRounds bounds merge/split rounds; zero selects 4·m.
-	MaxRounds int
-	// Reputation configures the scores recorded for the final VO.
-	Reputation reputation.Options
-	// Engine, when non-nil, is the shared per-scenario solve engine —
-	// pass the engine of a TVOF/RVOF run on the same scenario and the
-	// nested coalitions both mechanisms evaluate are solved once.
-	Engine *Engine
 	// NoWarmStart disables incumbent inheritance for the merge/split
 	// candidate solves (see Options.NoWarmStart).
 	NoWarmStart bool
-	// Inject, when non-nil, installs the deterministic fault injector on
-	// the engine before the run (see Options.Inject).
-	Inject *fault.Injector
 }
 
 // MergeSplitResult reports the outcome of the merge-and-split process.
@@ -65,9 +54,8 @@ type MergeSplitResult struct {
 	Rounds int
 	// Evaluations is the number of distinct coalition IP solves.
 	Evaluations int
-	// Stats is the solver-engine delta attributable to this run (fresh
-	// solves, cache hits against coalitions other mechanisms on the
-	// shared engine already solved, nodes, solver wall time).
+	// Stats is the run's solver-engine totals (fresh solves, cache hits,
+	// nodes, solver wall time).
 	Stats EngineStats
 	// Degraded reports that at least one coalition evaluation fell below
 	// the exact tier (truncated search, cancellation, or rejected input);
@@ -79,9 +67,9 @@ type MergeSplitResult struct {
 
 // MergeSplitContext runs the baseline on a scenario honoring ctx: the
 // per-coalition IP solves poll the context and degrade to heuristic
-// incumbents on cancellation. All characteristic-function values route through the
-// shared engine (opts.Engine or a fresh one), whose cache the
-// coalition.Game value function is built on.
+// incumbents on cancellation. All characteristic-function values route
+// through a fresh engine, whose cache the coalition.Game value function is
+// built on.
 //
 //gridvolint:ignore noclock Result.Duration measurement only, never control flow
 func MergeSplitContext(ctx context.Context, sc *Scenario, opts MergeSplitOptions) (*MergeSplitResult, error) {
@@ -91,16 +79,7 @@ func MergeSplitContext(ctx context.Context, sc *Scenario, opts MergeSplitOptions
 	start := time.Now()
 	m := sc.M()
 
-	eng := opts.Engine
-	if eng == nil {
-		eng = NewEngine(sc, opts.Solver)
-	} else if eng.sc != sc {
-		return nil, errEngineScenario
-	}
-	if opts.Inject != nil {
-		eng.SetInjector(opts.Inject)
-	}
-	statsBefore := eng.Stats()
+	eng := NewEngine(sc, opts.Solver)
 
 	// parentHint, when set around a candidate evaluation, names the
 	// coalition whose cached solution should seed the solve: a merge
@@ -120,11 +99,6 @@ func MergeSplitContext(ctx context.Context, sc *Scenario, opts MergeSplitOptions
 		return game.Value(members) / float64(len(members))
 	}
 
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 4 * m
-	}
-
 	// Singletons.
 	structure := make([][]int, m)
 	for i := 0; i < m; i++ {
@@ -132,7 +106,7 @@ func MergeSplitContext(ctx context.Context, sc *Scenario, opts MergeSplitOptions
 	}
 
 	res := &MergeSplitResult{}
-	for round := 0; round < maxRounds; round++ {
+	for round := 0; round < 4*m; round++ {
 		changed := false
 
 		// Merge: find the best improving pair.
@@ -226,17 +200,13 @@ func MergeSplitContext(ctx context.Context, sc *Scenario, opts MergeSplitOptions
 	res.Payoff = bestShare
 	res.Evaluations = game.CacheSize()
 	if res.Selected != nil {
-		repOpts := opts.Reputation
-		if repOpts.IsZero() {
-			repOpts = reputation.DefaultOptions()
-		}
-		global, _, err := reputation.Global(sc.Trust, repOpts)
+		global, _, err := reputation.Global(sc.Trust, reputation.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
 		res.AvgReputation = reputation.AverageOf(global, res.Selected)
 	}
-	res.Stats = eng.Stats().Sub(statsBefore)
+	res.Stats = eng.Stats()
 	res.Degraded = res.Stats.Degraded > 0
 	res.Duration = time.Since(start)
 	return res, nil

@@ -59,14 +59,13 @@ const (
 // evaluation (|C| candidate coalitions) runs only for CriterionAverage or
 // degenerate reputation vectors.
 func StabilityCheckContext(ctx context.Context, sc *Scenario, res *Result, opts Options, criterion ReputationCriterion) (stable bool, destabilizer int, err error) {
-	opts.fillDefaults()
 	final := res.Final()
 	if final == nil || len(final.Members) <= 1 {
 		return true, -1, nil
 	}
 	global := res.GlobalReputation
 	if global == nil {
-		global, _, err = reputation.Global(sc.Trust, opts.Reputation)
+		global, _, err = reputation.Global(sc.Trust, reputation.DefaultOptions())
 		if err != nil {
 			return false, -1, err
 		}

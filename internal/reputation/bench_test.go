@@ -27,27 +27,6 @@ func BenchmarkPowerMethod(b *testing.B) {
 	}
 }
 
-// BenchmarkStopRuleAblation compares the two convergence tests the paper
-// describes (pseudocode norm-difference vs prose average-relative-error).
-func BenchmarkStopRuleAblation(b *testing.B) {
-	g := benchGraph(16, 0.1)
-	for _, rule := range []StopRule{StopNormDiff, StopAvgRelErr} {
-		b.Run(rule.String(), func(b *testing.B) {
-			opts := DefaultOptions()
-			opts.Stop = rule
-			var iters int
-			for i := 0; i < b.N; i++ {
-				_, diag, err := Global(g, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				iters = diag.Iterations
-			}
-			b.ReportMetric(float64(iters), "iterations")
-		})
-	}
-}
-
 // BenchmarkDampingAblation compares the paper's undamped power method with
 // the damped (PageRank-style) variant on the sparse p = 0.1 graphs where
 // reducibility matters.

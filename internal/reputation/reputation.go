@@ -10,33 +10,9 @@ import (
 	"gridvo/internal/trust"
 )
 
-// StopRule selects the convergence test of the power iteration.
-type StopRule int
-
-const (
-	// StopNormDiff stops when ‖x^{q+1} − x^q‖₂ < ε — the rule in the
-	// pseudocode of Algorithm 2 (line 6–7).
-	StopNormDiff StopRule = iota
-	// StopAvgRelErr stops when the average relative error between
-	// x^{q+1} and x^q is below ε — the rule described in the paper's
-	// prose ("the average relative error ... smaller than the given
-	// threshold").
-	StopAvgRelErr
-)
-
-// String returns the rule name for logs and experiment metadata.
-func (s StopRule) String() string {
-	switch s {
-	case StopNormDiff:
-		return "norm-diff"
-	case StopAvgRelErr:
-		return "avg-rel-err"
-	default:
-		return fmt.Sprintf("StopRule(%d)", int(s))
-	}
-}
-
-// Options parameterize the power method.
+// Options parameterize the power method. The iteration stops when
+// ‖x^{q+1} − x^q‖₂ < ε — the rule in the pseudocode of Algorithm 2
+// (lines 6–7).
 type Options struct {
 	// Epsilon is the convergence threshold ε. Zero selects DefaultEpsilon.
 	Epsilon float64
@@ -46,9 +22,6 @@ type Options struct {
 	// mechanisms keep running with the best available scores, matching
 	// how a real deployment would behave.
 	MaxIter int
-	// Stop selects the convergence test; the zero value is StopNormDiff,
-	// matching the pseudocode.
-	Stop StopRule
 	// Damping, when in (0,1), mixes a uniform teleport into every step:
 	// x ← (1−d)·Aᵀx + d·(1/n). The paper's method is the undamped d = 0;
 	// damping is provided for ablations on sparse graphs where the
@@ -74,15 +47,6 @@ type Options struct {
 	// exhaustion already takes, now exercisable on demand. The nil default
 	// costs a single pointer check.
 	Inject *fault.Injector
-}
-
-// IsZero reports whether every option holds its zero value. The mechanism
-// layers use it to substitute defaults (Options carries a slice, so the
-// struct is not comparable with ==).
-func (o *Options) IsZero() bool {
-	return o.Epsilon == 0 && o.MaxIter == 0 && o.Stop == StopNormDiff &&
-		o.Damping == 0 && !o.DanglingUniform && o.InitialVector == nil &&
-		o.Inject == nil
 }
 
 // DefaultEpsilon is the convergence threshold used when Options.Epsilon is
@@ -182,13 +146,7 @@ func PowerIterate(a *matrix.CSR, opts Options) ([]float64, Diagnostics) {
 			}
 		}
 		matrix.VecNormalizeL1(next)
-		var delta float64
-		switch opts.Stop {
-		case StopAvgRelErr:
-			delta = matrix.AvgRelErr(next, x)
-		default:
-			delta = matrix.VecDiffNormL2(next, x)
-		}
+		delta := matrix.VecDiffNormL2(next, x)
 		x, next = next, x
 		diag.Iterations = q + 1
 		diag.Delta = delta

@@ -245,14 +245,10 @@ type FormResponse struct {
 	// tier of the degradation ladder (truncated or cancelled search,
 	// non-converged power iteration, rejected input): the VO returned is
 	// feasible but not proven optimal. Partial implies Degraded; Degraded
-	// alone (e.g. under injected faults, with 200 status) means the
-	// request budget was NOT the cause.
+	// alone (e.g. a power iteration that did not converge, with 200
+	// status) means the request budget was NOT the cause.
 	Degraded bool `json:"degraded"`
-	// Retries counts bounded retries performed for injected transient
-	// faults before this reply.
-	Retries int `json:"retries,omitempty"`
-	// Engine reports this run's fresh solves vs cache hits (summed over
-	// retries, when any).
+	// Engine reports this run's fresh solves vs cache hits.
 	Engine     EngineStatsJSON `json:"engine"`
 	DurationMS float64         `json:"duration_ms"`
 }
@@ -342,8 +338,8 @@ type JobStatusResponse struct {
 // JobsSnapshot is the async tier's block in GET /metrics.
 type JobsSnapshot struct {
 	// Queued / Deduped / Requeued count lifetime submissions enqueued,
-	// coalesced onto an in-flight duplicate, and re-enqueued because a
-	// leader's result was fault-touched (unshareable).
+	// coalesced onto an in-flight duplicate, and re-enqueued because their
+	// leader failed.
 	Queued   int64 `json:"jobs_queued"`
 	Deduped  int64 `json:"jobs_deduped"`
 	Requeued int64 `json:"jobs_requeued"`

@@ -70,67 +70,29 @@ func (s *Server) engineFor(sc *mechanism.Scenario) (*mechanism.Scenario, *mechan
 		return csc, eng, key
 	}
 	eng := mechanism.NewEngine(sc, s.cfg.Solver)
-	if s.cfg.Inject != nil {
-		eng.SetInjector(s.cfg.Inject)
-	}
 	s.engines.Add(key, sc, eng)
 	return sc, eng, key
-}
-
-// formRun is one completed VO-formation solve: the wire response plus the
-// facts the caller needs that the response doesn't carry verbatim.
-type formRun struct {
-	resp FormResponse
-	// faults counts injected faults that fired during the final attempt —
-	// the job tier's "never share a fault-touched result" signal.
-	faults int64
-	// partial reports deadline expiry (the sync path's 504 signal).
-	partial bool
 }
 
 // solveForm runs one VO formation (Algorithm 1) to completion under ctx —
 // the shared back half of the sync handler and the async job worker, so
 // both paths produce bitwise-identical responses for identical requests.
-func (s *Server) solveForm(ctx context.Context, sc *mechanism.Scenario, rule gridvo.Rule, req *FormRequest) (*formRun, error) {
+func (s *Server) solveForm(ctx context.Context, sc *mechanism.Scenario, rule gridvo.Rule, req *FormRequest) (*FormResponse, error) {
 	start := time.Now()
 	_, eng, _ := s.engineFor(sc)
 
-	// Bounded retry with backoff: a run degraded by *injected* transient
-	// faults (res.Faults > 0) is retried against the now-warmer engine
-	// cache while the request deadline allows. Runs degraded only by the
-	// deadline itself are never retried — that budget is already spent.
-	var res *gridvo.Result
-	var stats mechanism.EngineStats
-	var err error
-	retries := 0
-	for attempt := 0; ; attempt++ {
-		res, err = gridvo.FormVOEngine(ctx, eng, rule, req.Seed)
-		if err != nil {
-			return nil, err
-		}
-		stats = stats.Add(res.Stats)
-		if !res.Degraded || res.Faults == 0 || attempt >= s.cfg.MaxRetries || ctx.Err() != nil {
-			break
-		}
-		retries++
-		s.metrics.retried()
-		select {
-		case <-time.After(s.cfg.RetryBackoff << uint(attempt)):
-		case <-ctx.Done():
-		}
+	res, err := gridvo.FormVOEngine(ctx, eng, rule, req.Seed)
+	if err != nil {
+		return nil, err
 	}
-	s.metrics.addEngine(stats)
+	s.metrics.addEngine(res.Stats)
 
-	partial := ctx.Err() != nil
-	run := &formRun{faults: res.Faults, partial: partial}
-	resp := &run.resp
-	*resp = FormResponse{
+	resp := &FormResponse{
 		Rule:             res.Rule.String(),
 		GlobalReputation: res.GlobalReputation,
-		Partial:          partial,
+		Partial:          ctx.Err() != nil,
 		Degraded:         res.Degraded,
-		Retries:          retries,
-		Engine:           engineStatsJSON(stats),
+		Engine:           engineStatsJSON(res.Stats),
 		DurationMS:       float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if final := res.Final(); final != nil {
@@ -165,7 +127,7 @@ func (s *Server) solveForm(ctx context.Context, sc *mechanism.Scenario, rule gri
 			}
 		}
 	}
-	return run, nil
+	return resp, nil
 }
 
 // handleForm runs one VO formation (Algorithm 1) on a scenario,
@@ -182,18 +144,18 @@ func (s *Server) handleForm(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.solveContext(r, req.TimeoutMS)
 	defer cancel()
-	run, err := s.solveForm(ctx, sc, rule, &req)
+	resp, err := s.solveForm(ctx, sc, rule, &req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	status := http.StatusOK
-	if run.partial {
+	if resp.Partial {
 		// The budget expired mid-run: the reply still carries the best
 		// incumbents found, but flags them as not proven optimal.
 		status = http.StatusGatewayTimeout
 	}
-	writeJSON(w, status, run.resp)
+	writeJSON(w, status, resp)
 }
 
 // handleAssign solves one coalition assignment IP (eqs. 9-14) directly.

@@ -24,8 +24,8 @@ import (
 //
 // A coalesced (deduped) submission stays queued, attached to the leader's
 // in-flight solve, and jumps straight to the leader's terminal state when
-// the shared result is clean. If the leader's run was fault-touched or
-// failed, followers are re-enqueued (never shared) — see finish.
+// the leader's run returns a result. If the leader failed, followers are
+// re-enqueued (never shared) — see finish.
 type JobState string
 
 const (
@@ -196,14 +196,12 @@ func (m *jobManager) completeLocked(j *job, now time.Time, state JobState, resp 
 	close(j.done)
 }
 
-// finish completes a leader job and resolves its followers. A clean
-// result (no injected fault fired, no failure) is shared with every
-// coalesced follower — that is the dedupe payoff. A fault-touched or
-// failed run is NEVER shared (the job-tier extension of the PR 4 rule
-// that fault-touched solves are never cached): the first follower is
-// promoted to leader and re-enqueued for a fresh solve, with the
-// remaining followers re-attached to it.
-func (m *jobManager) finish(j *job, now time.Time, resp *FormResponse, faults int64, errMsg string) {
+// finish completes a leader job and resolves its followers. A result is
+// shared with every coalesced follower — that is the dedupe payoff. A
+// failed run is never shared: the first follower is promoted to leader
+// and re-enqueued for a fresh solve, with the remaining followers
+// re-attached to it.
+func (m *jobManager) finish(j *job, now time.Time, resp *FormResponse, errMsg string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.running--
@@ -226,7 +224,7 @@ func (m *jobManager) finish(j *job, now time.Time, resp *FormResponse, faults in
 	if len(followers) == 0 {
 		return
 	}
-	if errMsg == "" && faults == 0 {
+	if errMsg == "" {
 		for _, f := range followers {
 			m.completeLocked(f, now, state, resp, "")
 		}
@@ -234,7 +232,7 @@ func (m *jobManager) finish(j *job, now time.Time, resp *FormResponse, faults in
 	}
 	if m.closed {
 		for _, f := range followers {
-			m.completeLocked(f, now, JobFailed, nil, "server draining; leader result was not shareable")
+			m.completeLocked(f, now, JobFailed, nil, "server draining; leader failed")
 		}
 		return
 	}
@@ -246,7 +244,7 @@ func (m *jobManager) finish(j *job, now time.Time, resp *FormResponse, faults in
 		m.requeuedTotal++
 	default:
 		for _, f := range followers {
-			m.completeLocked(f, now, JobFailed, nil, "queue full re-enqueueing after unshareable (fault-touched) result")
+			m.completeLocked(f, now, JobFailed, nil, "queue full re-enqueueing after a failed leader")
 		}
 	}
 }
@@ -363,15 +361,15 @@ func (s *Server) runJob(j *job) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.metrics.panicked()
-			s.jobs.finish(j, time.Now(), nil, 0, fmt.Sprintf("worker panic: %v", rec))
+			s.jobs.finish(j, time.Now(), nil, fmt.Sprintf("worker panic: %v", rec))
 		}
 	}()
-	run, err := s.solveForm(ctx, j.sc, j.rule, &j.req)
+	resp, err := s.solveForm(ctx, j.sc, j.rule, &j.req)
 	if err != nil {
-		s.jobs.finish(j, time.Now(), nil, 0, err.Error())
+		s.jobs.finish(j, time.Now(), nil, err.Error())
 		return
 	}
-	s.jobs.finish(j, time.Now(), &run.resp, run.faults, "")
+	s.jobs.finish(j, time.Now(), resp, "")
 }
 
 // handleJobSubmit accepts a VO-formation job: validate and build the

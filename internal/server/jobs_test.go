@@ -306,10 +306,10 @@ func TestJobDrainCompletesQueued(t *testing.T) {
 	}
 }
 
-// TestJobFaultTouchedNeverShared drives the manager directly: a leader
-// whose run was fault-touched must not share its result — the first
-// follower is promoted and re-enqueued for a fresh solve.
-func TestJobFaultTouchedNeverShared(t *testing.T) {
+// TestJobFailedLeaderNeverShared drives the manager directly: a leader
+// whose run failed must not share its outcome — the first follower is
+// promoted and re-enqueued for a fresh solve.
+func TestJobFailedLeaderNeverShared(t *testing.T) {
 	m := newJobManager(4, time.Minute)
 	now := time.Unix(0, 0)
 	req := FormRequest{Seed: 1}
@@ -328,18 +328,17 @@ func TestJobFaultTouchedNeverShared(t *testing.T) {
 	<-m.queue // worker would have dequeued the leader
 	m.start(lead, now)
 
-	tainted := &FormResponse{Feasible: true, Degraded: true}
-	m.finish(lead, now, tainted, 3, "") // 3 injected faults fired
-	if lead.state != JobDegraded {
-		t.Fatalf("leader state %s, want degraded", lead.state)
+	m.finish(lead, now, nil, "solver exploded")
+	if lead.state != JobFailed {
+		t.Fatalf("leader state %s, want failed", lead.state)
 	}
-	// f1 was promoted to a fresh leader, f2 re-attached to it; neither got
-	// the tainted result.
-	if f1.state.terminal() || f1.result != nil {
-		t.Fatalf("promoted follower inherited tainted result: %s %v", f1.state, f1.result)
+	// f1 was promoted to a fresh leader, f2 re-attached to it; neither
+	// inherited the failure.
+	if f1.state.terminal() || f1.errMsg != "" {
+		t.Fatalf("promoted follower inherited the failure: %s %q", f1.state, f1.errMsg)
 	}
-	if f2.state.terminal() || f2.result != nil {
-		t.Fatalf("re-attached follower inherited tainted result: %s %v", f2.state, f2.result)
+	if f2.state.terminal() || f2.errMsg != "" {
+		t.Fatalf("re-attached follower inherited the failure: %s %q", f2.state, f2.errMsg)
 	}
 	requeued := <-m.queue
 	if requeued != f1 {
@@ -347,12 +346,12 @@ func TestJobFaultTouchedNeverShared(t *testing.T) {
 	}
 	m.start(f1, now)
 	clean := &FormResponse{Feasible: true}
-	m.finish(f1, now, clean, 0, "")
+	m.finish(f1, now, clean, "")
 	if f1.state != JobDone || f2.state != JobDone {
-		t.Fatalf("clean retry states %s / %s, want done", f1.state, f2.state)
+		t.Fatalf("fresh solve states %s / %s, want done", f1.state, f2.state)
 	}
 	if f2.result != clean {
-		t.Fatal("follower did not share the clean retry result")
+		t.Fatal("follower did not share the fresh leader's result")
 	}
 	snap := m.snapshot(1)
 	if snap.Deduped != 2 || snap.Requeued != 1 {
@@ -370,7 +369,7 @@ func TestJobTTLGC(t *testing.T) {
 	}
 	<-m.queue
 	m.start(j, t0)
-	m.finish(j, t0, &FormResponse{Feasible: true}, 0, "")
+	m.finish(j, t0, &FormResponse{Feasible: true}, "")
 	if m.get(j.id) == nil {
 		t.Fatal("terminal job GC'd before TTL")
 	}

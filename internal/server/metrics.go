@@ -26,11 +26,10 @@ type Metrics struct {
 	inFlight  atomic.Int64
 	responses [6]atomic.Int64 // status class: index 2 = 2xx, 4 = 4xx, 5 = 5xx
 
-	// shed / panics / retries count load-shedded requests (429), handler
-	// panics contained by the middleware, and bounded solve retries.
-	shed    atomic.Int64
-	panics  atomic.Int64
-	retries atomic.Int64
+	// shed / panics count load-shedded requests (429) and handler panics
+	// contained by the middleware.
+	shed   atomic.Int64
+	panics atomic.Int64
 
 	engine struct {
 		solves          atomic.Int64
@@ -98,9 +97,6 @@ func (m *Metrics) shedded() { m.shed.Add(1) }
 // panicked counts a handler panic contained by the middleware.
 func (m *Metrics) panicked() { m.panics.Add(1) }
 
-// retried counts one bounded retry of a fault-degraded solve.
-func (m *Metrics) retried() { m.retries.Add(1) }
-
 // addEngine folds one request's solver-engine delta into the totals.
 func (m *Metrics) addEngine(s mechanism.EngineStats) {
 	m.engine.solves.Add(s.Solves)
@@ -155,12 +151,11 @@ type MetricsSnapshot struct {
 	// Jobs is the async tier: queue occupancy, worker pool, dedupe and
 	// terminal-state counters.
 	Jobs JobsSnapshot `json:"jobs"`
-	// ShedTotal / PanicsTotal / RetriesTotal count 429 load-shed rejections,
-	// contained handler panics, and bounded solve retries.
-	ShedTotal    int64           `json:"shed_total"`
-	PanicsTotal  int64           `json:"panics_total"`
-	RetriesTotal int64           `json:"retries_total"`
-	Latency      LatencySnapshot `json:"latency_ms"`
+	// ShedTotal / PanicsTotal count 429 load-shed rejections and contained
+	// handler panics.
+	ShedTotal   int64           `json:"shed_total"`
+	PanicsTotal int64           `json:"panics_total"`
+	Latency     LatencySnapshot `json:"latency_ms"`
 }
 
 // LatencySnapshot is the request latency histogram in milliseconds.
@@ -187,7 +182,6 @@ func (m *Metrics) Snapshot(cache mechanism.CacheStats, jobs JobsSnapshot, routes
 		Jobs:          jobs,
 		ShedTotal:     m.shed.Load(),
 		PanicsTotal:   m.panics.Load(),
-		RetriesTotal:  m.retries.Load(),
 	}
 	// Emit routes in sorted order (the gridvolint maporder pattern):
 	// encoding/json happens to sort map keys today, but the snapshot's

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"gridvo/internal/assign"
-	"gridvo/internal/fault"
 	"gridvo/internal/mechanism"
 	"gridvo/internal/trust"
 )
@@ -35,11 +34,6 @@ type Config struct {
 	MaxInFlight int
 	// EngineCacheSize bounds the scenario-engine LRU. 0 selects 64.
 	EngineCacheSize int
-	// EngineCacheShards splits the engine LRU into independently locked
-	// shards (rounded up to a power of two) so concurrent workers contend
-	// per shard, not on one process-wide mutex. 0 selects
-	// mechanism.DefaultCacheShards (smallest power of two ≥ GOMAXPROCS).
-	EngineCacheShards int
 	// JobQueueDepth bounds the async job queue drained by the worker
 	// pool; a full queue sheds new submissions with 429. 0 selects 256.
 	JobQueueDepth int
@@ -55,20 +49,6 @@ type Config struct {
 	// Solver configures the branch-and-bound of every engine the server
 	// creates.
 	Solver assign.Options
-	// Inject, when non-nil, installs the deterministic fault injector on
-	// every engine the server creates — the chaos-testing path; nil (the
-	// production default) is a no-op.
-	Inject *fault.Injector
-	// MaxRetries bounds the bounded-retry-with-backoff loop applied to
-	// /v1/vo/form when a run degrades because injected faults fired: the
-	// run is repeated (against the now-warmer engine cache) up to this
-	// many extra times while the request deadline allows. 0 disables
-	// retries. Real deadline expiry is never retried — the budget is
-	// already spent.
-	MaxRetries int
-	// RetryBackoff is the base delay between retries, doubled each
-	// attempt; 0 selects 5ms.
-	RetryBackoff time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -83,9 +63,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.EngineCacheSize == 0 {
 		c.EngineCacheSize = 64
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 5 * time.Millisecond
 	}
 	if c.JobQueueDepth == 0 {
 		c.JobQueueDepth = 256
@@ -141,7 +118,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		metrics: NewMetrics(),
-		engines: mechanism.NewEngineCache(cfg.EngineCacheSize, cfg.EngineCacheShards),
+		engines: mechanism.NewEngineCache(cfg.EngineCacheSize),
 		store:   trust.NewStore(0),
 		jobs:    newJobManager(cfg.JobQueueDepth, cfg.JobTTL),
 		sem:     make(chan struct{}, cfg.MaxInFlight),

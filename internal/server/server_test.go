@@ -178,7 +178,7 @@ func TestFormHappyPathAndEngineReuse(t *testing.T) {
 	if err := json.Unmarshal(data, &first); err != nil {
 		t.Fatal(err)
 	}
-	if !first.Feasible || len(first.Members) == 0 || first.Partial {
+	if !first.Feasible || len(first.Members) == 0 || first.Partial || first.Degraded {
 		t.Fatalf("first run malformed: %+v", first)
 	}
 	if first.Engine.Solves == 0 {

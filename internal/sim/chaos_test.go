@@ -81,16 +81,12 @@ func TestChaosSweepSeedSensitivity(t *testing.T) {
 }
 
 // TestChaosSweepRateZeroIsClean: a zero-rate injector is a no-op — nothing
-// fires, nothing degrades, and the sweep is violation-free.
+// fires, the sweep is violation-free, and its outcome does not depend on
+// the fault seed. Degraded runs stay possible (the tiny near-periodic
+// trust graphs can exhaust MaxIter), but they must not come from the
+// injector, so a second seed reproduces them exactly.
 func TestChaosSweepRateZeroIsClean(t *testing.T) {
 	cfg := chaosConfig(9)
-	// Remove the legitimate (non-injected) degradation sources so any
-	// degraded run would have to come from the injector, which must stay
-	// silent at rate 0: lift the node budget and damp the power iteration
-	// (the tiny near-periodic trust graphs otherwise exhaust MaxIter).
-	cfg.Solver.NodeBudget = 0
-	cfg.Mechanism.Reputation.Damping = 0.15
-	cfg.Mechanism.Reputation.DanglingUniform = true
 	rep, err := ChaosSweep(context.Background(), cfg, fault.Config{Seed: 3, Rate: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -98,11 +94,16 @@ func TestChaosSweepRateZeroIsClean(t *testing.T) {
 	if rep.FaultStats.Fired != 0 {
 		t.Fatalf("rate-0 injector fired %d faults", rep.FaultStats.Fired)
 	}
-	if rep.DegradedRuns != 0 {
-		t.Fatalf("clean sweep reported %d degraded runs", rep.DegradedRuns)
-	}
 	if len(rep.Violations) != 0 {
 		t.Fatalf("clean sweep reported violations: %v", rep.Violations)
+	}
+	other, err := ChaosSweep(context.Background(), cfg, fault.Config{Seed: 4, Rate: 0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fingerprint != other.Fingerprint || rep.DegradedRuns != other.DegradedRuns {
+		t.Fatalf("rate-0 sweep depends on the fault seed: fingerprint %x vs %x, degraded %d vs %d",
+			rep.Fingerprint, other.Fingerprint, rep.DegradedRuns, other.DegradedRuns)
 	}
 }
 

@@ -35,11 +35,6 @@ type Config struct {
 	// Repetitions is the number of independent runs averaged per point
 	// (Section IV-B: 10).
 	Repetitions int
-	// MaxFeasibilityRetries bounds deadline/payment resampling when the
-	// grand coalition is infeasible ("the values for deadline and
-	// payment were generated in such a way that there exists a feasible
-	// solution in each experiment").
-	MaxFeasibilityRetries int
 	// Trace supplies the jobs; nil generates the synthetic Atlas trace.
 	Trace *swf.Trace
 	// TraceJobs bounds the synthetic trace size when Trace is nil (0
@@ -67,14 +62,19 @@ type Config struct {
 // DefaultConfig returns the Table I setup.
 func DefaultConfig(seed uint64) Config {
 	return Config{
-		Seed:                  seed,
-		NumGSPs:               grid.DefaultNumGSPs,
-		TrustEdgeProb:         0.1,
-		ProgramSizes:          []int{256, 512, 1024, 2048, 4096, 8192},
-		Repetitions:           10,
-		MaxFeasibilityRetries: 64,
+		Seed:          seed,
+		NumGSPs:       grid.DefaultNumGSPs,
+		TrustEdgeProb: 0.1,
+		ProgramSizes:  []int{256, 512, 1024, 2048, 4096, 8192},
+		Repetitions:   10,
 	}
 }
+
+// maxFeasibilityRetries bounds deadline/payment resampling when the grand
+// coalition is infeasible ("the values for deadline and payment were
+// generated in such a way that there exists a feasible solution in each
+// experiment").
+const maxFeasibilityRetries = 64
 
 // QuickConfig returns a reduced setup (small programs, few repetitions)
 // for tests and smoke runs.
@@ -168,11 +168,7 @@ func (e *Env) BuildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, e
 		grand[i] = i
 	}
 	dpRNG := rng.Split("dp")
-	retries := cfg.MaxFeasibilityRetries
-	if retries <= 0 {
-		retries = 64
-	}
-	for attempt := 0; attempt < retries; attempt++ {
+	for attempt := 0; attempt < maxFeasibilityRetries; attempt++ {
 		sc.Deadline = grid.Deadline(dpRNG, prog)
 		sc.Payment = grid.Payment(dpRNG, prog.N())
 		sol := assign.Solve(sc.Instance(grand), cfg.Solver)
@@ -190,13 +186,13 @@ func (e *Env) BuildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, e
 		sc.Deadline *= 1.5
 		sol := assign.Solve(sc.Instance(grand), cfg.Solver)
 		if sol.Feasible {
-			meta.FeasibilityRetries = retries
+			meta.FeasibilityRetries = maxFeasibilityRetries
 			meta.DeadlineEscalations = esc
 			return e.finishScenario(sc, meta, rng)
 		}
 	}
 	return nil, meta, fmt.Errorf("sim: no feasible deadline/payment for n=%d rep=%d after %d retries and escalation",
-		size, rep, retries)
+		size, rep, maxFeasibilityRetries)
 }
 
 // finishScenario applies the configured adversary to a freshly generated

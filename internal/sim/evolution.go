@@ -29,8 +29,6 @@ type EvolutionConfig struct {
 	Rule mechanism.EvictionRule
 	// ProgramSize picks the per-round application size.
 	ProgramSize int
-	// PriorTrust seeds round 0; nil starts from an Erdős–Rényi graph.
-	PriorTrust *trust.Graph
 	// DecayRetention, when in (0,1), switches the trust accounting to
 	// the time-decaying model of Azzedin & Maheswaran with the given
 	// per-round retention — the related-work variant the paper critiques
@@ -94,14 +92,8 @@ func (e *Env) RunEvolution(ctx context.Context, cfg EvolutionConfig) (*Evolution
 		return nil, fmt.Errorf("sim: %d reliabilities for %d GSPs", len(rel), m)
 	}
 
-	cur := cfg.PriorTrust
-	if cur == nil {
-		cur = trust.ErdosRenyi(rng.Split("prior"), m, 0.3)
-	} else if cur.N() != m {
-		return nil, fmt.Errorf("sim: prior trust over %d GSPs, want %d", cur.N(), m)
-	} else {
-		cur = cur.Clone()
-	}
+	// Round 0 starts from an Erdős–Rényi prior.
+	cur := trust.ErdosRenyi(rng.Split("prior"), m, 0.3)
 	if cfg.DecayRetention < 0 || cfg.DecayRetention >= 1 {
 		if cfg.DecayRetention != 0 {
 			return nil, fmt.Errorf("sim: decay retention %v outside (0,1)", cfg.DecayRetention)

@@ -34,66 +34,46 @@ const (
 	LargeRunTimeSec = 7200
 )
 
+// Published marginals of the Atlas log the generator reproduces.
+const (
+	atlasCompletedFrac float64 = 21915.0 / 43778.0 // ≈ 0.5006
+	atlasLargeFrac     float64 = 0.13              // P(runtime > 7200s | completed)
+	atlasMinProcs      int     = 8
+	atlasMaxProcs      int     = 8832
+	atlasSpanSeconds   int64   = 18_400_000 // Nov 2006 – Jun 2007
+	atlasMaxRunTimeSec float64 = 250_000    // ~2.9 days
+	// atlasCPUDensity is the exponent γ of the job-size → CPU-density
+	// correlation: a job's average CPU time per processor is its wall
+	// runtime scaled by (procs/atlasMaxProcs)^γ. The archive publishes
+	// only marginal distributions; the joint (CPU time | size) relation
+	// is calibrated to γ = 0.3 so that larger programs are relatively
+	// more compute-dense — the property that makes the final VO size
+	// grow with the task count as in the paper's Fig. 2 (capability
+	// clusters like Atlas run their big allocations as long
+	// compute-dense science jobs).
+	atlasCPUDensity float64 = 0.3
+)
+
 // GenOptions parameterize the synthetic Atlas trace. The zero value of any
 // field selects the published Atlas value.
 type GenOptions struct {
-	NumJobs       int     // default 43778
-	CompletedFrac float64 // default 0.5006 (21915/43778)
-	LargeFrac     float64 // default 0.13: P(runtime > 7200s | completed)
-	MinProcs      int     // default 8
-	MaxProcs      int     // default 8832
-	SpanSeconds   int64   // default 18.4e6 (Nov 2006 – Jun 2007)
-	MaxRunTimeSec float64 // default 250000 (~2.9 days)
+	NumJobs int // default 43778
 	// GuaranteeSizes lists processor counts that must each be hit by at
 	// least MinPerSize large completed jobs, so program extraction for
 	// the experiment sizes never fails. Default: 256…8192 powers of two.
 	GuaranteeSizes []int
 	MinPerSize     int // default 12 (> the 10 programs Fig. 4 needs)
-	// CPUDensity is the exponent γ of the job-size → CPU-density
-	// correlation: a job's average CPU time per processor is its wall
-	// runtime scaled by (procs/MaxProcs)^γ. The archive publishes only
-	// marginal distributions; the joint (CPU time | size) relation is
-	// calibrated to γ = 0.3 so that larger programs are relatively more
-	// compute-dense — the property that makes the final VO size grow
-	// with the task count as in the paper's Fig. 2 (capability clusters
-	// like Atlas run their big allocations as long compute-dense science
-	// jobs). Zero selects the 0.3 default; negative disables the
-	// correlation (CPU time ≈ runtime at every size).
-	CPUDensity float64
 }
 
 func (o *GenOptions) fillDefaults() {
 	if o.NumJobs == 0 {
 		o.NumJobs = 43778
 	}
-	if o.CompletedFrac == 0 {
-		o.CompletedFrac = 21915.0 / 43778.0
-	}
-	if o.LargeFrac == 0 {
-		o.LargeFrac = 0.13
-	}
-	if o.MinProcs == 0 {
-		o.MinProcs = 8
-	}
-	if o.MaxProcs == 0 {
-		o.MaxProcs = 8832
-	}
-	if o.SpanSeconds == 0 {
-		o.SpanSeconds = 18_400_000
-	}
-	if o.MaxRunTimeSec == 0 {
-		o.MaxRunTimeSec = 250_000
-	}
 	if o.GuaranteeSizes == nil {
 		o.GuaranteeSizes = []int{256, 512, 1024, 2048, 4096, 8192}
 	}
 	if o.MinPerSize == 0 {
 		o.MinPerSize = 12
-	}
-	if o.CPUDensity == 0 {
-		o.CPUDensity = 0.3
-	} else if o.CPUDensity < 0 {
-		o.CPUDensity = 0
 	}
 }
 
@@ -135,20 +115,20 @@ func GenerateAtlas(rng *xrand.RNG, opts GenOptions) *Trace {
 	}
 	for len(slots) < opts.NumJobs {
 		s := slot{
-			procs:     sampleProcs(rng, opts),
-			completed: rng.Bool(opts.CompletedFrac),
+			procs:     sampleProcs(rng),
+			completed: rng.Bool(atlasCompletedFrac),
 		}
-		s.large = rng.Bool(opts.LargeFrac)
+		s.large = rng.Bool(atlasLargeFrac)
 		slots = append(slots, s)
 	}
 	// Shuffle so the guaranteed jobs are not clustered at the trace head.
 	rng.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
 
-	meanInterarrival := float64(opts.SpanSeconds) / float64(max(opts.NumJobs, 1))
+	meanInterarrival := float64(atlasSpanSeconds) / float64(max(opts.NumJobs, 1))
 	submit := int64(0)
 	t.Jobs = make([]Job, 0, len(slots))
 	for i, s := range slots {
-		runtime := sampleRunTime(rng, opts, s.large)
+		runtime := sampleRunTime(rng, s.large)
 		status := StatusCompleted
 		if !s.completed {
 			if rng.Bool(0.7) {
@@ -160,10 +140,7 @@ func GenerateAtlas(rng *xrand.RNG, opts GenOptions) *Trace {
 				runtime = 0
 			}
 		}
-		density := 1.0
-		if opts.CPUDensity > 0 {
-			density = math.Pow(float64(s.procs)/float64(opts.MaxProcs), opts.CPUDensity)
-		}
+		density := math.Pow(float64(s.procs)/float64(atlasMaxProcs), atlasCPUDensity)
 		avgCPU := runtime * rng.Uniform(0.85, 1.0) * density
 		j := Job{
 			JobNumber:     i + 1,
@@ -194,12 +171,12 @@ func GenerateAtlas(rng *xrand.RNG, opts GenOptions) *Trace {
 // sampleProcs draws an allocation size: mostly power-of-two ladder values
 // (the dominant pattern in the Atlas log), otherwise an arbitrary multiple
 // of 8 within range (Atlas nodes have 8 cores).
-func sampleProcs(rng *xrand.RNG, opts GenOptions) int {
+func sampleProcs(rng *xrand.RNG) int {
 	if rng.Bool(0.7) {
 		ladder := []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
 		var valid []int
 		for _, v := range ladder {
-			if v >= opts.MinProcs && v <= opts.MaxProcs {
+			if v >= atlasMinProcs && v <= atlasMaxProcs {
 				valid = append(valid, v)
 			}
 		}
@@ -212,15 +189,15 @@ func sampleProcs(rng *xrand.RNG, opts GenOptions) int {
 			return valid[idx]
 		}
 	}
-	nodes := rng.UniformInt((opts.MinProcs+7)/8, opts.MaxProcs/8)
+	nodes := rng.UniformInt((atlasMinProcs+7)/8, atlasMaxProcs/8)
 	return nodes * 8
 }
 
 // sampleRunTime draws a runtime conditioned on the large/small coin:
 // log-uniform within the corresponding band so both bands have heavy tails.
-func sampleRunTime(rng *xrand.RNG, opts GenOptions, large bool) float64 {
+func sampleRunTime(rng *xrand.RNG, large bool) float64 {
 	if large {
-		return rng.LogUniform(LargeRunTimeSec, opts.MaxRunTimeSec)
+		return rng.LogUniform(LargeRunTimeSec, atlasMaxRunTimeSec)
 	}
 	return rng.LogUniform(10, LargeRunTimeSec-1)
 }

@@ -26,13 +26,10 @@ var testOnlyAPI = map[string]string{
 var implicit = map[string]bool{"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 	"Error": true, "Unwrap": true, "String": true, "MarshalJSON": true, "UnmarshalJSON": true, "ServeHTTP": true}
 
-// TestInternalAPIHasNonTestCaller is the regrowth gate for test-only API: an
-// exported function in non-test internal/ code (analysis aside) must be named
-// by a non-test file of the module or perfbench other than its declaration, or
-// be in testOnlyAPI, which also lists names a type-checked scan finds (CSR.At).
-func TestInternalAPIHasNonTestCaller(t *testing.T) {
-	// uses counts each identifier's occurrences minus its declarations.
-	fset, uses, declared := token.NewFileSet(), map[string]int{}, map[string]token.Position{}
+// walkNonTest parses every non-test Go file of the module and perfbench and
+// hands it to visit with its directory, "" outside internal/.
+func walkNonTest(t *testing.T, fset *token.FileSet, visit func(pkg string, f *ast.File)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -47,26 +44,41 @@ func TestInternalAPIHasNonTestCaller(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name]++
-			}
-			return true
-		})
-		pkg, internal := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
-				uses[fd.Name.Name]--
-				if internal && pkg != "analysis" && !(fd.Recv != nil && implicit[fd.Name.Name]) {
-					declared[pkg+"."+fd.Name.Name] = fset.Position(fd.Pos())
-				}
-			}
+		if pkg, ok := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/"); ok {
+			visit(pkg, f)
+		} else {
+			visit("", f)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestInternalAPIHasNonTestCaller is the regrowth gate for test-only API: an
+// exported function in non-test internal/ code (analysis aside) must be named
+// by a non-test file of the module or perfbench other than its declaration, or
+// be in testOnlyAPI, which also lists names a type-checked scan finds (CSR.At).
+func TestInternalAPIHasNonTestCaller(t *testing.T) {
+	// uses counts each identifier's occurrences minus its declarations.
+	fset, uses, declared := token.NewFileSet(), map[string]int{}, map[string]token.Position{}
+	walkNonTest(t, fset, func(pkg string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				uses[id.Name]++
+			}
+			return true
+		})
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+				uses[fd.Name.Name]--
+				if pkg != "" && pkg != "analysis" && !(fd.Recv != nil && implicit[fd.Name.Name]) {
+					declared[pkg+"."+fd.Name.Name] = fset.Position(fd.Pos())
+				}
+			}
+		}
+	})
 	for key, pos := range declared {
 		if _, ok := testOnlyAPI[key]; !ok && uses[key[strings.LastIndex(key, ".")+1:]] <= 0 {
 			t.Errorf("%s: %s has no non-test caller; delete it, move it into a _test.go file, or list it in testOnlyAPI with its reason", pos, key)
@@ -75,6 +87,92 @@ func TestInternalAPIHasNonTestCaller(t *testing.T) {
 	for key := range testOnlyAPI {
 		if _, ok := declared[key]; !ok {
 			t.Errorf("testOnlyAPI lists %s, which is not declared under internal/", key)
+		}
+	}
+}
+
+// testOnlyKnob lists, as <dir under internal/>.<Type>.<Field>, the exported
+// option fields only tests set, each with the reason it stays.
+var testOnlyKnob = map[string]string{
+	"assign.Options.DisableHeuristics":        "raw-search reference for the branch-and-bound tests",
+	"assign.Options.DisableTwinPruning":       "reference for the pruning-identity property tests",
+	"assign.Options.CtxCheckEvery":            "hook that cancels a search at a precise node in the cancellation tests",
+	"assign.Options.AssignBuf":                "zero-alloc steady-state mode pinned by TestSolveSteadyStateZeroAllocs",
+	"mechanism.Options.NoWarmStart":           "cold reference for the warm-start identity tests",
+	"mechanism.MergeSplitOptions.NoWarmStart": "cold reference for the merge-split warm-start identity test",
+	"fault.Config.Classes":                    "isolates one fault class in the chaos tests",
+	"fault.Config.CancelNodes":                "sets the truncation point of injected cancels in the chaos tests",
+	"sim.Config.Mechanism":                    "carries ChaosSweep's injector; the harness sets the eviction rule per run",
+}
+
+// TestOptionFieldHasNonTestWriter is the regrowth gate for knobs without a
+// caller: every exported field of an exported …Options or …Config struct in
+// non-test internal/ code (analysis aside) must be written by a non-test file
+// outside its package, or be in testOnlyKnob. A write is a key in a composite
+// literal of the type, or any selector of the field's name assigned to.
+func TestOptionFieldHasNonTestWriter(t *testing.T) {
+	fset, fields := token.NewFileSet(), map[string]token.Position{}
+	// writers lists the writing packages per <Type>.<Key> of a literal of an
+	// imported type and per selector name assigned to. Both match by name,
+	// as the caller gate does, without type-checking.
+	writers := map[string][]string{}
+	walkNonTest(t, fset, func(pkg string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				name := n.Name.Name
+				if ok && pkg != "" && pkg != "analysis" && n.Name.IsExported() &&
+					(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							if id.IsExported() {
+								fields[pkg+"."+name+"."+id.Name] = fset.Position(id.Pos())
+							}
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				if sel, ok := n.Type.(*ast.SelectorExpr); ok {
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								writers[sel.Sel.Name+"."+id.Name] = append(writers[sel.Sel.Name+"."+id.Name], pkg)
+							}
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					ast.Inspect(lhs, func(n ast.Node) bool {
+						if sel, ok := n.(*ast.SelectorExpr); ok {
+							writers[sel.Sel.Name] = append(writers[sel.Sel.Name], pkg)
+						}
+						return true
+					})
+				}
+			}
+			return true
+		})
+	})
+	written := func(key string) bool {
+		owner, typeField, _ := strings.Cut(key, ".")
+		_, field, _ := strings.Cut(typeField, ".")
+		for _, pkg := range append(writers[typeField], writers[field]...) {
+			if pkg != owner {
+				return true
+			}
+		}
+		return false
+	}
+	for key, pos := range fields {
+		if _, ok := testOnlyKnob[key]; !ok && !written(key) {
+			t.Errorf("%s: %s has no non-test writer outside its package; delete it with the path it selects, or list it in testOnlyKnob with its reason", pos, key)
+		}
+	}
+	for key := range testOnlyKnob {
+		if _, ok := fields[key]; !ok {
+			t.Errorf("testOnlyKnob lists %s, which is not an option field under internal/", key)
 		}
 	}
 }
