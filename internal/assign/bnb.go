@@ -266,11 +266,14 @@ type searcher struct {
 	cap      float64 // budget constraint (payment), +Inf if none
 	deadline float64 // Instance.Deadline, hoisted off the hot loop
 
-	order    []int     // tasks in branching order (descending max time)
-	gspOrder [][]int   // per ordered-task: GSPs by ascending cost
+	order []int // tasks in branching order (descending max time)
+	// gspOrder[pos*k+r] is the r-th cheapest GSP for ordered task pos.
+	// int32 halves the largest index buffer (k·n entries, 512 KB at 16
+	// GSPs and 8192 tasks), which matters when two searches run at once.
+	gspOrder []int32
 	sufMin   []float64 // sufMin[idx] = Σ_{q>=idx} min_g cost(g, order[q])
 	// posCost/posTime mirror Cost/Time in (position, cost-rank) layout:
-	// posCost[pos*k+r] = Cost[gspOrder[pos][r]][order[pos]]. The DFS inner
+	// posCost[pos*k+r] = Cost[gspOrder[pos*k+r]][order[pos]]. The DFS inner
 	// loop reads them sequentially instead of chasing row pointers; the
 	// values are bit-identical copies, so the search trajectory cannot
 	// change.
@@ -349,16 +352,12 @@ func (s *searcher) prepare() {
 	sc.taskSort.ids, sc.taskSort.key = s.order, s.maxT
 	sort.Stable(&sc.taskSort)
 
-	// gspOrder rows share one flat backing array (better locality, one
+	// gspOrder is one flat array of k-wide rows (better locality, one
 	// allocation). Every row is reset to the identity permutation before
 	// sorting so pooled leftovers cannot perturb the stable sort. The
 	// cheapest rank of each row doubles as the per-task minimum summed by
 	// the Σ-min suffix bound.
-	flat := growInts(&sc.gspFlat, s.n*s.k)
-	if cap(sc.gspRows) < s.n {
-		sc.gspRows = make([][]int, s.n)
-	}
-	s.gspOrder = sc.gspRows[:s.n]
+	s.gspOrder = growInt32s(&sc.gspFlat, s.n*s.k)
 	s.posCost = growFloats(&sc.posCost, s.n*s.k)
 	s.posTime = growFloats(&sc.posTime, s.n*s.k)
 	costRow := growFloats(&sc.costRow, s.k)
@@ -366,13 +365,12 @@ func (s *searcher) prepare() {
 	s.sufMin[s.n] = 0
 	for pos := s.n - 1; pos >= 0; pos-- {
 		t := s.order[pos]
-		gs := flat[pos*s.k : (pos+1)*s.k : (pos+1)*s.k]
+		gs := s.gspOrder[pos*s.k : (pos+1)*s.k : (pos+1)*s.k]
 		for g := range gs {
-			gs[g] = g
+			gs[g] = int32(g)
 			costRow[g] = in.Cost[g][t]
 		}
 		sortIDsByKeyAsc(gs, costRow)
-		s.gspOrder[pos] = gs
 		pc := s.posCost[pos*s.k : (pos+1)*s.k]
 		pt := s.posTime[pos*s.k : (pos+1)*s.k]
 		for r, g := range gs {
@@ -508,7 +506,7 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 	base := pos * s.k
 	pc := s.posCost[base : base+s.k]
 	pt := s.posTime[base : base+s.k]
-	gs := s.gspOrder[pos]
+	gs := s.gspOrder[base : base+s.k]
 	sufNext := s.sufMin[pos+1]
 	dl := s.deadline + Eps
 	st := s.st
@@ -558,7 +556,7 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 		if st[g].count == 1 {
 			s.uncovered--
 		}
-		s.assign[pos] = g
+		s.assign[pos] = int(g)
 		s.dfs(pos+1, nc)
 		st[g].load -= tt
 		st[g].count--

@@ -16,8 +16,7 @@ import (
 type searchScratch struct {
 	order   []int
 	maxT    []float64
-	gspFlat []int
-	gspRows [][]int
+	gspFlat []int32
 	sufMin  []float64
 	gstate  []gspState
 	assign  []int
@@ -60,7 +59,7 @@ func (s *taskByTimeDesc) Less(i, j int) bool { return s.key[s.ids[i]] > s.key[s.
 // produces exactly what sort.Stable over the same data did — without the
 // sort.Interface dispatch, which dominated the cost at the k ≤ 16 row
 // lengths prepare() sorts.
-func sortIDsByKeyAsc(ids []int, key []float64) {
+func sortIDsByKeyAsc(ids []int32, key []float64) {
 	for i := 1; i < len(ids); i++ {
 		id := ids[i]
 		kv := key[id]
@@ -78,6 +77,15 @@ func sortIDsByKeyAsc(ids []int, key []float64) {
 func growInts(buf *[]int, n int) []int {
 	if cap(*buf) < n {
 		*buf = make([]int, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// growInt32s is growInts for int32 slices.
+func growInt32s(buf *[]int32, n int) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf

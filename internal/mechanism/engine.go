@@ -14,8 +14,8 @@ import (
 
 // EngineStats aggregates solver-engine activity: how many coalition
 // evaluations hit the IP solver, how many were served from the cache, and
-// what the fresh solves cost. All counters are cumulative; Result.Stats
-// carries the per-run delta.
+// what the fresh solves cost. Engine.Stats counters are cumulative over
+// every caller; Result.Stats carries the counters of one run only.
 type EngineStats struct {
 	// Solves counts fresh IP solves performed by the engine.
 	Solves int64
@@ -113,28 +113,6 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 	}
 }
 
-// Sub returns the fieldwise difference (for per-run deltas on a shared
-// engine).
-func (s EngineStats) Sub(o EngineStats) EngineStats {
-	return EngineStats{
-		Solves:               s.Solves - o.Solves,
-		CacheHits:            s.CacheHits - o.CacheHits,
-		WarmStarts:           s.WarmStarts - o.WarmStarts,
-		SeedAccepted:         s.SeedAccepted - o.SeedAccepted,
-		SeedWins:             s.SeedWins - o.SeedWins,
-		Nodes:                s.Nodes - o.Nodes,
-		PrunedBySymmetry:     s.PrunedBySymmetry - o.PrunedBySymmetry,
-		PrunedByDominance:    s.PrunedByDominance - o.PrunedByDominance,
-		WallTime:             s.WallTime - o.WallTime,
-		PowerIterations:      s.PowerIterations - o.PowerIterations,
-		PowerIterationsSaved: s.PowerIterationsSaved - o.PowerIterationsSaved,
-		Degraded:             s.Degraded - o.Degraded,
-		Reformations:         s.Reformations - o.Reformations,
-		ChurnJoins:           s.ChurnJoins - o.ChurnJoins,
-		ChurnLeaves:          s.ChurnLeaves - o.ChurnLeaves,
-	}
-}
-
 // String renders the stats for the cmds' summaries.
 func (s EngineStats) String() string {
 	out := fmt.Sprintf("%d solves (%d warm-started), %d cache hits (%.1f%% hit rate), %d nodes, %s solver time, %d power iterations (%d saved)",
@@ -172,8 +150,43 @@ type Engine struct {
 
 	mu      sync.Mutex
 	noCache bool
-	cache   map[uint64]assign.Solution
+	cache   map[uint64]cached
 	stats   EngineStats
+}
+
+// cached is one memoized solution. Its assignment is packed into int8 —
+// a keyable coalition has at most 64 members, so every local index fits —
+// an eighth of the []int's memory: 8 KB instead of 64 KB per entry at
+// 8192 tasks.
+type cached struct {
+	sol    assign.Solution // Assign is nil; assign holds it
+	assign []int8
+}
+
+// pack stores a solution in cached form.
+func pack(sol assign.Solution) cached {
+	var p []int8
+	if len(sol.Assign) > 0 {
+		p = make([]int8, len(sol.Assign))
+		for j, g := range sol.Assign {
+			p[j] = int8(g)
+		}
+	}
+	sol.Assign = nil
+	return cached{sol: sol, assign: p}
+}
+
+// unpack returns the solution with a fresh assignment slice, so callers
+// can retain it without aliasing each other.
+func (c cached) unpack() assign.Solution {
+	sol := c.sol
+	if len(c.assign) > 0 {
+		sol.Assign = make([]int, len(c.assign))
+		for j, g := range c.assign {
+			sol.Assign[j] = int(g)
+		}
+	}
+	return sol
 }
 
 // NewEngine creates the solve engine for a scenario with the given solver
@@ -187,7 +200,7 @@ func NewEngine(sc *Scenario, solverOpts assign.Options) *Engine {
 		sc:     sc,
 		solver: assign.DefaultSolver(),
 		opts:   solverOpts,
-		cache:  map[uint64]assign.Solution{},
+		cache:  map[uint64]cached{},
 	}
 }
 
@@ -269,6 +282,14 @@ func (e *Engine) Solve(ctx context.Context, members []int) assign.Solution {
 // one. Cache misses with an unusable parent degrade silently to a cold
 // solve.
 func (e *Engine) SolveWithParent(ctx context.Context, members, parent []int) assign.Solution {
+	return e.solve(ctx, members, parent, nil)
+}
+
+// solve is SolveWithParent that also counts the evaluation into run, the
+// calling mechanism run's own stats (nil for callers that keep none).
+// Every counter moves under e.mu, so concurrent runs on one engine each
+// count exactly their own work and the runs' counters sum to the totals.
+func (e *Engine) solve(ctx context.Context, members, parent []int, run *EngineStats) assign.Solution {
 	// Fault hook: one visit per coalition evaluation. EmptyCoalition
 	// replaces the member set; PoisonCost corrupts the instance below.
 	// Either way the degraded result is returned explicitly and never
@@ -283,29 +304,26 @@ func (e *Engine) SolveWithParent(ctx context.Context, members, parent []int) ass
 	// invalid instance as a caller bug and panics). Both come back as an
 	// explicit infeasible solution instead of an error or a panic.
 	if len(members) == 0 && e.sc.N() > 0 {
-		e.mu.Lock()
-		e.stats.Degraded++
-		e.mu.Unlock()
+		e.note(run, EngineStats{Degraded: 1})
 		return assign.Solution{Optimal: true}
 	}
 
 	mask, keyable := memberMask(members)
-	var seed []int
+	var seed []int8
 	e.mu.Lock()
 	if keyable && !e.noCache {
-		if sol, ok := e.cache[mask]; ok {
-			e.stats.CacheHits++
+		if c, ok := e.cache[mask]; ok {
+			e.tally(run, EngineStats{CacheHits: 1})
 			e.mu.Unlock()
-			sol.Assign = append([]int(nil), sol.Assign...)
-			return sol
+			return c.unpack()
 		}
 	}
 	if parent != nil && !e.noCache {
 		if pmask, ok := memberMask(parent); ok {
 			// Cached entries are immutable once stored, so projecting
 			// from the stored assignment outside the lock is safe.
-			if psol, ok := e.cache[pmask]; ok && psol.Feasible {
-				seed = psol.Assign
+			if pc, ok := e.cache[pmask]; ok && pc.sol.Feasible {
+				seed = pc.assign
 			}
 		}
 	}
@@ -324,35 +342,72 @@ func (e *Engine) SolveWithParent(ctx context.Context, members, parent []int) ass
 		// (degraded, infeasible, uncached) rather than let the solver
 		// panic. Clean solves skip this re-validation entirely.
 		if err := in.Validate(); err != nil {
-			e.mu.Lock()
-			e.stats.Degraded++
-			e.mu.Unlock()
+			e.note(run, EngineStats{Degraded: 1})
 			return assign.Solution{}
 		}
 	}
 	sol := e.solver.SolveCtx(ctx, in, opts)
 
-	e.mu.Lock()
-	e.stats.Solves++
+	d := EngineStats{
+		Solves:            1,
+		Nodes:             sol.Stats.Nodes,
+		PrunedBySymmetry:  sol.Stats.PrunedBySymmetry,
+		PrunedByDominance: sol.Stats.PrunedByDominance,
+		WallTime:          sol.Stats.WallTime,
+	}
 	if opts.SeedAssign != nil {
-		e.stats.WarmStarts++
-		e.stats.SeedAccepted += sol.Stats.SeedAccepted
-		e.stats.SeedWins += sol.Stats.SeedWins
+		d.WarmStarts = 1
+		d.SeedAccepted = sol.Stats.SeedAccepted
+		d.SeedWins = sol.Stats.SeedWins
 	}
-	e.stats.Nodes += sol.Stats.Nodes
-	e.stats.PrunedBySymmetry += sol.Stats.PrunedBySymmetry
-	e.stats.PrunedByDominance += sol.Stats.PrunedByDominance
-	e.stats.WallTime += sol.Stats.WallTime
 	if !sol.Optimal {
-		e.stats.Degraded++
+		d.Degraded = 1
 	}
+	e.mu.Lock()
+	e.tally(run, d)
 	if keyable && !e.noCache && !sol.Stats.Interrupted() && !plan.Fired() {
-		cached := sol
-		cached.Assign = append([]int(nil), sol.Assign...)
-		e.cache[mask] = cached
+		e.cache[mask] = pack(sol)
 	}
 	e.mu.Unlock()
 	return sol
+}
+
+// Adopt stores sol as the cached solution of the coalition members, as if
+// the engine had solved it: a caller that already solved that instance
+// with the engine's solver options (sim's feasibility check of the grand
+// coalition) hands the solution over instead of having it solved again.
+// Nothing is counted — the solve was not the engine's. Adopt refuses, and
+// reports false, when the search was interrupted (such a solution is
+// deadline-dependent and never cached), when the coalition cannot be keyed
+// or the cache is disabled, and when the coalition is already cached.
+func (e *Engine) Adopt(members []int, sol assign.Solution) bool {
+	mask, keyable := memberMask(members)
+	if !keyable || sol.Stats.Interrupted() {
+		return false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, ok := e.cache[mask]; ok || e.noCache {
+		return false
+	}
+	e.cache[mask] = pack(sol)
+	return true
+}
+
+// tally adds one update d to the engine totals and, when run is non-nil,
+// to that run's own stats. Callers hold e.mu.
+func (e *Engine) tally(run *EngineStats, d EngineStats) {
+	e.stats = e.stats.Add(d)
+	if run != nil {
+		*run = run.Add(d)
+	}
+}
+
+// note is tally for callers that do not hold e.mu.
+func (e *Engine) note(run *EngineStats, d EngineStats) {
+	e.mu.Lock()
+	e.tally(run, d)
+	e.mu.Unlock()
 }
 
 // poisonCost returns a copy of the instance with one cost entry set to NaN
@@ -377,25 +432,17 @@ func poisonCost(in *assign.Instance, pick uint64) *assign.Instance {
 }
 
 // noteChurn folds one churned round's membership changes into the engine
-// stats: the round counts as a re-formation, attributed like notePower to
-// the run that observed it.
-func (e *Engine) noteChurn(joins, leaves int) {
-	e.mu.Lock()
-	e.stats.Reformations++
-	e.stats.ChurnJoins += int64(joins)
-	e.stats.ChurnLeaves += int64(leaves)
-	e.mu.Unlock()
+// stats and run's: the round counts as a re-formation.
+func (e *Engine) noteChurn(run *EngineStats, joins, leaves int) {
+	e.note(run, EngineStats{Reformations: 1, ChurnJoins: int64(joins), ChurnLeaves: int64(leaves)})
 }
 
 // notePower folds one reputation solve's power-method activity into the
-// engine stats: iters multiply steps performed, saved steps avoided by a
-// warm start (see EngineStats.PowerIterationsSaved for the estimate's
-// semantics).
-func (e *Engine) notePower(iters, saved int) {
-	e.mu.Lock()
-	e.stats.PowerIterations += int64(iters)
-	e.stats.PowerIterationsSaved += int64(saved)
-	e.mu.Unlock()
+// engine stats and run's: iters multiply steps performed, saved steps
+// avoided by a warm start (see EngineStats.PowerIterationsSaved for the
+// estimate's semantics).
+func (e *Engine) notePower(run *EngineStats, iters, saved int) {
+	e.note(run, EngineStats{PowerIterations: int64(iters), PowerIterationsSaved: int64(saved)})
 }
 
 // projectAssign maps a parent coalition's task assignment onto a child
@@ -404,13 +451,14 @@ func (e *Engine) notePower(iters, saved int) {
 // orphan marker the solver's seed repair reassigns. parent and child are
 // ascending global GSP indices; parentAssign is indexed by task with
 // parent-local values.
-func projectAssign(parentAssign, parent, child []int) []int {
+func projectAssign(parentAssign []int8, parent, child []int) []int {
 	local := map[int]int{}
 	for cl, g := range child {
 		local[g] = cl
 	}
 	seed := make([]int, len(parentAssign))
-	for j, pl := range parentAssign {
+	for j, p := range parentAssign {
+		pl := int(p)
 		seed[j] = -1
 		if pl >= 0 && pl < len(parent) {
 			if cl, ok := local[parent[pl]]; ok {
@@ -428,8 +476,8 @@ var errEngineScenario = errors.New("mechanism: engine belongs to a different sce
 // engineFor returns the engine a mechanism entry point should use: the
 // one the caller passed via Options, else a fresh engine for the
 // scenario. Options.Inject, when set, is installed on the engine either
-// way (callers sharing an engine across concurrent runs must install the
-// injector themselves, before any run starts).
+// way unless it already is (callers sharing an engine across concurrent
+// runs must install the injector before any run starts).
 func engineFor(sc *Scenario, opts *Options) (*Engine, error) {
 	eng := opts.Engine
 	if eng != nil {
@@ -439,7 +487,7 @@ func engineFor(sc *Scenario, opts *Options) (*Engine, error) {
 	} else {
 		eng = NewEngine(sc, opts.Solver)
 	}
-	if opts.Inject != nil {
+	if opts.Inject != nil && eng.inject != opts.Inject {
 		eng.SetInjector(opts.Inject)
 	}
 	return eng, nil

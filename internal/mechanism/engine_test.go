@@ -157,8 +157,8 @@ func TestStabilityCheckZeroFreshSolvesAfterTVOF(t *testing.T) {
 	if !stable {
 		t.Fatal("TVOF VO not stable under CriterionTotal")
 	}
-	if delta := eng.Stats().Sub(before); delta.Solves != 0 {
-		t.Fatalf("stability check performed %d fresh solves after a full TVOF run", delta.Solves)
+	if solves := eng.Stats().Solves - before.Solves; solves != 0 {
+		t.Fatalf("stability check performed %d fresh solves after a full TVOF run", solves)
 	}
 }
 
@@ -177,15 +177,15 @@ func TestStabilityCheckAverageCriterionReusesCache(t *testing.T) {
 	if _, _, err := StabilityCheckContext(context.Background(), sc, res, Options{}, CriterionAverage); err != nil {
 		t.Fatal(err)
 	}
-	delta := eng.Stats().Sub(before)
+	after := eng.Stats()
 	// The `before` outcome of every comparison is the selected VO itself,
 	// which the mechanism already solved: at least one cache hit.
-	if delta.CacheHits < 1 {
-		t.Fatalf("stability check re-solved coalitions the mechanism already visited: %+v", delta)
+	if hits := after.CacheHits - before.CacheHits; hits < 1 {
+		t.Fatalf("stability check re-solved coalitions the mechanism already visited: %d hits", hits)
 	}
 	// At most one fresh solve per departure candidate.
-	if c := int64(len(final.Members)); delta.Solves > c {
-		t.Fatalf("stability check performed %d fresh solves for %d candidates", delta.Solves, c)
+	if solves, c := after.Solves-before.Solves, int64(len(final.Members)); solves > c {
+		t.Fatalf("stability check performed %d fresh solves for %d candidates", solves, c)
 	}
 }
 

@@ -158,10 +158,12 @@ type Result struct {
 	// GlobalReputation is the grand coalition's global reputation vector
 	// (one entry per GSP), the x of eq. (6) on the full trust graph.
 	GlobalReputation []float64
-	// Stats aggregates the solver-engine activity attributable to this
-	// run: fresh solves, cache hits (solves avoided), branch-and-bound
-	// nodes, and solver wall time. On a shared engine this is the
-	// per-run delta, not the engine's cumulative total.
+	// Stats aggregates the solver-engine activity of this run: fresh
+	// solves, cache hits (solves avoided), branch-and-bound nodes, and
+	// solver wall time. The engine counts each evaluation into the run
+	// that made it, so on a shared engine — even under concurrent runs —
+	// this is the run's own work, and the Stats of all runs on an engine
+	// sum to its totals.
 	Stats EngineStats
 	// Degraded reports that some layer of this run fell below the exact
 	// tier of the degradation ladder: an IP solve returned a non-optimal
@@ -224,9 +226,17 @@ func (res *Result) FeasibleCount() int {
 // completes and returns a usable result, never an error-and-nothing. All
 // solves route through one Engine (opts.Engine or a fresh one), which the
 // returned Result exposes for post-hoc analyses.
+func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG) (*Result, error) {
+	return run(ctx, sc, opts, rng, nil)
+}
+
+// run is RunContext as one side of a pair (see RunPairContext): side,
+// when non-nil, is told of every engine lookup the run makes, so a
+// follower can wait for its leader. A nil side is a solo run.
 //
 //gridvolint:ignore noclock Result.Duration measurement only, never control flow
-func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG) (*Result, error) {
+func run(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG, side *pairSide) (*Result, error) {
+	defer side.finish()
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -236,7 +246,9 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 	if err != nil {
 		return nil, err
 	}
-	statsBefore := eng.Stats()
+	// A follower that must not overlap its leader at all waits here,
+	// before its first injector visit and its first fault count.
+	side.start()
 
 	// Injection state: the engine's injector (installed by engineFor from
 	// opts.Inject, or earlier by the caller) also serves the reputation
@@ -250,6 +262,13 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 	degraded := false
 
 	res := &Result{Rule: opts.Eviction, Selected: -1, SelectedByProduct: -1, Engine: eng}
+	// Every engine lookup of the run goes through solve, which counts the
+	// run's own work into res.Stats and lets a pair order its lookups.
+	solve := func(members, parent []int) assign.Solution {
+		side.before(members)
+		defer side.after()
+		return eng.solve(ctx, members, parent, &res.Stats)
+	}
 
 	// Global reputation of every GSP in the full trust graph, computed
 	// once; eq. (7) averages over its restriction to each VO.
@@ -261,7 +280,7 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 		degraded = true
 	}
 	res.GlobalReputation = global
-	eng.notePower(globalDiag.Iterations, 0)
+	eng.notePower(&res.Stats, globalDiag.Iterations, 0)
 
 	// members holds the current VO as global GSP indices, ascending.
 	members := make([]int, sc.M())
@@ -290,7 +309,7 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 		// through the shared engine; after the first iteration the parent
 		// coalition's cached solution is projected in as the starting
 		// incumbent.
-		sol := eng.SolveWithParent(ctx, members, parentMembers)
+		sol := solve(members, parentMembers)
 		rec.Feasible = sol.Feasible
 		rec.SolverOptimal = sol.Optimal
 		rec.SolverGap = sol.Gap()
@@ -313,7 +332,7 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 		var scores []float64
 		if firstIter := len(res.Iterations) == 0; firstIter && warm && opts.Eviction != EvictLowestCentrality {
 			scores = global
-			eng.notePower(0, coldIters)
+			eng.notePower(&res.Stats, 0, coldIters)
 		} else {
 			var init []float64
 			if warm {
@@ -340,7 +359,7 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 			if diag.Warm && coldIters > diag.Iterations {
 				saved = coldIters - diag.Iterations
 			}
-			eng.notePower(diag.Iterations, saved)
+			eng.notePower(&res.Stats, diag.Iterations, saved)
 		}
 		rec.Reputation = scores
 		rec.AvgReputation = reputation.AverageOf(global, members)
@@ -423,7 +442,7 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 				}
 			}
 			if joins > 0 || leaves > 0 {
-				eng.noteChurn(joins, leaves)
+				eng.noteChurn(&res.Stats, joins, leaves)
 				// Re-induce the VO trust graph from the full scenario
 				// graph. Subgraph composes (a Subgraph of a Subgraph is
 				// the Subgraph of the intersection), so for pure
@@ -456,8 +475,7 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 		}
 	}
 
-	selectFinal(ctx, eng, res, opts)
-	res.Stats = eng.Stats().Sub(statsBefore)
+	selectFinal(res, solve)
 	res.Degraded = degraded || res.Stats.Degraded > 0
 	res.Faults = inj.Stats().Fired - firedBefore
 	res.Duration = time.Since(start)
@@ -511,8 +529,9 @@ func pickEviction(scores []float64, opts Options, rng *xrand.RNG) int {
 	return ties[rng.IntN(len(ties))]
 }
 
-// selectFinal applies Algorithm 1 line 14 and the Fig. 4 comparator.
-func selectFinal(ctx context.Context, eng *Engine, res *Result, opts Options) {
+// selectFinal applies Algorithm 1 line 14 and the Fig. 4 comparator;
+// solve is the run's engine lookup.
+func selectFinal(res *Result, solve func(members, parent []int) assign.Solution) {
 	bestPayoff, bestProduct := -1, -1
 	for i := range res.Iterations {
 		rec := &res.Iterations[i]
@@ -533,7 +552,7 @@ func selectFinal(ctx context.Context, eng *Engine, res *Result, opts Options) {
 	// KeepAssignments was off: re-request it from the engine — a cache
 	// hit, since the mechanism loop just solved this coalition.
 	if bestPayoff >= 0 && res.Iterations[bestPayoff].Assignment == nil {
-		sol := eng.Solve(ctx, res.Iterations[bestPayoff].Members)
+		sol := solve(res.Iterations[bestPayoff].Members, nil)
 		if sol.Feasible {
 			res.Iterations[bestPayoff].Assignment = sol.Assign
 		}

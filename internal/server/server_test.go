@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -554,5 +555,95 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	}
 	if res.code != http.StatusOK {
 		t.Fatalf("in-flight request got status %d", res.code)
+	}
+}
+
+// TestConcurrentFormsCountOwnEngineWork: two form requests with different
+// seeds run at the same time on one cached scenario. Each reply's engine
+// block must count only its own run's work, so the two sum to the engine's
+// own totals, as do the /metrics engine totals.
+func TestConcurrentFormsCountOwnEngineWork(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	// An explicit cost matrix makes the scenario independent of the
+	// request seed, so both requests resolve to one engine.
+	spec := mechanism.SampleSpec(3)
+	sc, err := spec.Build(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Cost = sc.Cost
+	// The first two solves wait for each other, so both runs are inside
+	// the engine at once; later solves are slowed so neither run can
+	// finish before the other's first solve is counted.
+	var mu sync.Mutex
+	arrived := 0
+	both := make(chan struct{})
+	registerEngine(t, s, spec, 3, assign.SolverFunc(func(ctx context.Context, in *assign.Instance, opts assign.Options) assign.Solution {
+		mu.Lock()
+		arrived++
+		n := arrived
+		if n == 2 {
+			close(both)
+		}
+		mu.Unlock()
+		if n <= 2 {
+			select {
+			case <-both:
+			case <-time.After(5 * time.Second):
+			}
+		} else {
+			time.Sleep(5 * time.Millisecond)
+		}
+		return assign.SolveCtx(ctx, in, opts)
+	}))
+
+	replies := make([]FormResponse, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body, err := json.Marshal(FormRequest{Scenario: *spec, Seed: uint64(10 + i)})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			resp, err := http.Post(ts.URL+"/v1/vo/form", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
+				return
+			}
+			errs[i] = json.NewDecoder(resp.Body).Decode(&replies[i])
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.engines.Len(); n != 1 {
+		t.Fatalf("the two requests resolved to %d engines, want 1", n)
+	}
+	_, eng, _ := s.engineFor(sc)
+	total := eng.Stats()
+	sum := replies[0].Engine.Solves + replies[1].Engine.Solves
+	if sum != total.Solves {
+		t.Fatalf("replies report %d + %d solves, the engine did %d", replies[0].Engine.Solves, replies[1].Engine.Solves, total.Solves)
+	}
+	if hits := replies[0].Engine.CacheHits + replies[1].Engine.CacheHits; hits != total.CacheHits {
+		t.Fatalf("replies report %d cache hits, the engine served %d", hits, total.CacheHits)
+	}
+	var snap MetricsSnapshot
+	getJSON(t, ts.URL+"/metrics", &snap)
+	if snap.Engine.Solves != total.Solves || snap.Engine.Nodes != total.Nodes {
+		t.Fatalf("/metrics engine totals %d solves %d nodes, the engine did %d and %d",
+			snap.Engine.Solves, snap.Engine.Nodes, total.Solves, total.Nodes)
 	}
 }

@@ -67,7 +67,7 @@ func (e *Env) EvictionAblation(ctx context.Context, size int, rules []AblationRu
 		rows[i].Name = r.Name
 	}
 	for rep := 0; rep < e.Config.Repetitions; rep++ {
-		sc, _, err := e.BuildScenario(size, 9000+rep)
+		sc, _, _, err := e.buildScenario(size, 9000+rep)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"gridvo/internal/adversary"
 	"gridvo/internal/assign"
@@ -92,6 +93,20 @@ type Env struct {
 	Config  Config
 	Catalog *workload.Catalog
 	rng     *xrand.RNG
+
+	// grand holds, per (size, rep) cell, the grand-coalition solution
+	// BuildScenario's feasibility check found, until RunPairContext hands
+	// it to the cell's engine. A cell rebuilt replaces its entry, so the
+	// map never outgrows the cells built.
+	grandMu sync.Mutex
+	grand   map[[2]int]grandSolve
+}
+
+// grandSolve is one cell's feasibility solve of the grand coalition of sc.
+type grandSolve struct {
+	sc      *mechanism.Scenario
+	members []int
+	sol     assign.Solution
 }
 
 // NewEnv prepares the experiment environment: it generates (or adopts) the
@@ -118,7 +133,7 @@ func NewEnv(cfg Config) (*Env, error) {
 			return nil, fmt.Errorf("sim: trace has no eligible job with %d processors", size)
 		}
 	}
-	return &Env{Config: cfg, Catalog: cat, rng: rng}, nil
+	return &Env{Config: cfg, Catalog: cat, rng: rng, grand: map[[2]int]grandSolve{}}, nil
 }
 
 // ScenarioMeta records how a scenario was generated.
@@ -139,12 +154,45 @@ type ScenarioMeta struct {
 // repetition) pair: program from the catalog, GSPs, Braun cost matrix,
 // consistent time matrix, Erdős–Rényi trust graph, and Table I deadline /
 // payment resampled until the grand coalition is feasible.
+//
+// The last feasibility check solved the grand coalition with the very
+// instance and solver options a fresh engine's first solve uses, so
+// BuildScenario keeps that solution for RunPairContext on the same
+// scenario, which then solves the grand coalition zero times instead of
+// once. Scenarios an adversary rewrote, and configs with a fault injector
+// (whose schedule counts every solve), keep nothing.
 func (e *Env) BuildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, error) {
+	sc, meta, grand, err := e.buildScenario(size, rep)
+	if err != nil {
+		return nil, meta, err
+	}
+	if grand != nil && e.Config.Mechanism.Inject == nil && e.Config.Solver.SeedAssign == nil {
+		e.grandMu.Lock()
+		e.grand[[2]int{size, rep}] = *grand
+		e.grandMu.Unlock()
+	}
+	return sc, meta, nil
+}
+
+// takeGrand removes and returns the grand-coalition solve BuildScenario
+// kept for the cell, if it was kept for sc.
+func (e *Env) takeGrand(sc *mechanism.Scenario, size, rep int) (grandSolve, bool) {
+	e.grandMu.Lock()
+	defer e.grandMu.Unlock()
+	g, ok := e.grand[[2]int{size, rep}]
+	delete(e.grand, [2]int{size, rep})
+	return g, ok && g.sc == sc
+}
+
+// buildScenario is BuildScenario without keeping the grand-coalition
+// solve, which it returns instead (nil when the scenario it returns is
+// not the one that solve was for). Callers that never pair use it.
+func (e *Env) buildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, *grandSolve, error) {
 	cfg := e.Config
 	rng := e.rng.Split(fmt.Sprintf("scenario-%d-%d", size, rep))
 	prog, err := e.Catalog.Pick(rng.Split("prog"), size, fmt.Sprintf("n%d-r%d", size, rep))
 	if err != nil {
-		return nil, ScenarioMeta{}, err
+		return nil, ScenarioMeta{}, nil, err
 	}
 	gsps := grid.GenerateGSPs(rng.Split("gsps"), cfg.NumGSPs)
 	cost := grid.CostMatrix(rng.Split("cost"), cfg.NumGSPs, prog)
@@ -174,7 +222,7 @@ func (e *Env) BuildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, e
 		sol := assign.Solve(sc.Instance(grand), cfg.Solver)
 		if sol.Feasible {
 			meta.FeasibilityRetries = attempt
-			return e.finishScenario(sc, meta, rng)
+			return e.finishScenario(sc, meta, rng, grand, sol)
 		}
 	}
 	// The Table I band admits no feasible mapping (possible for program
@@ -188,10 +236,10 @@ func (e *Env) BuildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, e
 		if sol.Feasible {
 			meta.FeasibilityRetries = maxFeasibilityRetries
 			meta.DeadlineEscalations = esc
-			return e.finishScenario(sc, meta, rng)
+			return e.finishScenario(sc, meta, rng, grand, sol)
 		}
 	}
-	return nil, meta, fmt.Errorf("sim: no feasible deadline/payment for n=%d rep=%d after %d retries and escalation",
+	return nil, meta, nil, fmt.Errorf("sim: no feasible deadline/payment for n=%d rep=%d after %d retries and escalation",
 		size, rep, maxFeasibilityRetries)
 }
 
@@ -201,26 +249,33 @@ func (e *Env) BuildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, e
 // randomness, is the same stream however many deadline/payment attempts
 // the honest generation needed. A zero spec returns the honest scenario
 // untouched, drawing nothing, so honest and zero-attack generation are
-// bitwise identical.
-func (e *Env) finishScenario(sc *mechanism.Scenario, meta ScenarioMeta, rng *xrand.RNG) (*mechanism.Scenario, ScenarioMeta, error) {
+// bitwise identical. grand and sol are the feasibility solve of the honest
+// scenario, returned only when that is the scenario returned.
+func (e *Env) finishScenario(sc *mechanism.Scenario, meta ScenarioMeta, rng *xrand.RNG, grand []int, sol assign.Solution) (*mechanism.Scenario, ScenarioMeta, *grandSolve, error) {
 	if e.Config.Adversary.IsZero() {
-		return sc, meta, nil
+		return sc, meta, &grandSolve{sc: sc, members: grand, sol: sol}, nil
 	}
 	adv, _, err := mechanism.ApplyAdversary(sc, e.Config.Adversary, rng.Split("adversary"))
 	if err != nil {
-		return nil, meta, err
+		return nil, meta, nil, err
 	}
-	return adv, meta, nil
+	return adv, meta, nil, nil
 }
 
 // RunPairContext executes TVOF and RVOF on the same scenario with split
 // RNG streams, as the paper's comparisons do, honoring ctx. Both runs
-// share one solve engine for the scenario, so coalitions TVOF already solved (the grand
-// coalition above all, plus any eviction-chain overlap) are cache hits
-// for RVOF rather than repeated IP solves.
+// share one solve engine for the scenario and run concurrently under
+// mechanism.RunPairContext, with results identical to TVOF then RVOF:
+// coalitions TVOF solves (plus any eviction-chain overlap) are cache hits
+// for RVOF rather than repeated IP solves. When sc came from this Env's
+// BuildScenario, the grand coalition it solved is handed to the engine,
+// so neither run solves it again.
 func (e *Env) RunPairContext(ctx context.Context, sc *mechanism.Scenario, size, rep int) (tvof, rvof *mechanism.Result, err error) {
 	cfg := e.Config
 	eng := mechanism.NewEngine(sc, cfg.Solver)
+	if g, ok := e.takeGrand(sc, size, rep); ok {
+		eng.Adopt(g.members, g.sol)
+	}
 	optsT := cfg.Mechanism
 	optsT.Eviction = mechanism.EvictLowestReputation
 	optsT.Solver = cfg.Solver
@@ -240,13 +295,5 @@ func (e *Env) RunPairContext(ctx context.Context, sc *mechanism.Scenario, size, 
 		optsR.Churn = events
 	}
 	key := fmt.Sprintf("run-%d-%d", size, rep)
-	tvof, err = mechanism.RunContext(ctx, sc, optsT, e.rng.Split(key+"-tvof"))
-	if err != nil {
-		return nil, nil, err
-	}
-	rvof, err = mechanism.RunContext(ctx, sc, optsR, e.rng.Split(key+"-rvof"))
-	if err != nil {
-		return nil, nil, err
-	}
-	return tvof, rvof, nil
+	return mechanism.RunPairContext(ctx, sc, optsT, optsR, e.rng.Split(key+"-tvof"), e.rng.Split(key+"-rvof"))
 }

@@ -120,7 +120,7 @@ func (e *Env) RunEvolution(ctx context.Context, cfg EvolutionConfig) (*Evolution
 				return nil, err
 			}
 		}
-		sc, _, err := e.BuildScenario(cfg.ProgramSize, 5000+round)
+		sc, _, _, err := e.buildScenario(cfg.ProgramSize, 5000+round)
 		if err != nil {
 			return nil, err
 		}

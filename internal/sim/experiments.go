@@ -68,7 +68,7 @@ func (r *Fig4Result) AgreementCount() int {
 func (e *Env) Fig4(ctx context.Context, size, count int) (*Fig4Result, error) {
 	out := &Fig4Result{}
 	for i := 0; i < count; i++ {
-		sc, _, err := e.BuildScenario(size, 1000+i)
+		sc, _, _, err := e.buildScenario(size, 1000+i)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +115,7 @@ func (e *Env) IterationTrace(ctx context.Context, size int, programTag string, r
 	for _, c := range programTag {
 		rep = rep*31 + int(c)
 	}
-	sc, _, err := e.BuildScenario(size, rep)
+	sc, _, _, err := e.buildScenario(size, rep)
 	if err != nil {
 		return nil, err
 	}

@@ -185,7 +185,7 @@ func validateRobustness(opts RobustnessOptions) error {
 // consuming exactly the honest run's draw sequence.
 func (e *Env) robustnessCell(ctx context.Context, size, r int, opts RobustnessOptions, fpH, fpA *fingerprint) (*RobustnessCell, error) {
 	cfg := e.Config
-	sc, _, err := e.BuildScenario(size, r)
+	sc, _, _, err := e.buildScenario(size, r)
 	if err != nil {
 		return nil, err
 	}
