@@ -3,7 +3,6 @@ package assign
 import (
 	"context"
 	"math"
-	"sort"
 	"time"
 
 	"gridvo/internal/fault"
@@ -139,6 +138,7 @@ func SolveCtx(ctx context.Context, in *Instance, opts Options) Solution {
 
 	s := newSearcher(ctx, in, opts, budget)
 	s.cancelAfter = cancelAfter
+	s.setNextCheck()
 
 	// Seed incumbents.
 	seedIncumbents(in, opts, s)
@@ -191,21 +191,20 @@ func newSearcher(ctx context.Context, in *Instance, opts Options, budget int64) 
 	s := searcherPool.Get().(*searcher)
 	sc := scratchPool.Get().(*searchScratch)
 	*s = searcher{
-		in:           in,
-		k:            in.NumGSPs(),
-		n:            in.NumTasks(),
-		budget:       budget,
-		bestCost:     math.Inf(1),
-		cap:          in.budgetCap(),
-		deadline:     in.Deadline,
-		disableTwin:  opts.DisableTwinPruning,
-		ctx:          ctx,
-		checkEvery:   checkEvery,
-		ctxCountdown: checkEvery,
-		scratch:      sc,
+		in:          in,
+		k:           in.NumGSPs(),
+		n:           in.NumTasks(),
+		budget:      budget,
+		bestCost:    math.Inf(1),
+		cap:         in.budgetCap(),
+		deadline:    in.Deadline,
+		disableTwin: opts.DisableTwinPruning,
+		ctx:         ctx,
+		checkEvery:  checkEvery,
+		nextCtx:     checkEvery,
+		scratch:     sc,
 	}
-	s.maxT = maxTimes(in, &sc.maxT)
-	sc.heur.maxT = s.maxT
+	sc.heur.setTaskOrder(in)
 	s.bestAssign = growInts(&sc.best, s.n)
 	return s
 }
@@ -267,19 +266,13 @@ type searcher struct {
 	deadline float64 // Instance.Deadline, hoisted off the hot loop
 
 	order []int // tasks in branching order (descending max time)
-	// gspOrder[pos*k+r] is the r-th cheapest GSP for ordered task pos.
-	// int32 halves the largest index buffer (k·n entries, 512 KB at 16
-	// GSPs and 8192 tasks), which matters when two searches run at once.
-	gspOrder []int32
-	sufMin   []float64 // sufMin[idx] = Σ_{q>=idx} min_g cost(g, order[q])
-	// posCost/posTime mirror Cost/Time in (position, cost-rank) layout:
-	// posCost[pos*k+r] = Cost[gspOrder[pos*k+r]][order[pos]]. The DFS inner
-	// loop reads them sequentially instead of chasing row pointers; the
-	// values are bit-identical copies, so the search trajectory cannot
-	// change.
-	posCost   []float64
-	posTime   []float64
-	maxT      []float64 // per-task max execution time (branch priority key)
+	// ents[pos*k+r] is the r-th cheapest GSP for ordered task pos with
+	// its cost and time: the DFS inner loop reads one sequential entry
+	// per child instead of three parallel arrays. The values are
+	// bit-identical copies of Cost and Time, so the search trajectory
+	// cannot change.
+	ents      []posEntry
+	sufMin    []float64 // sufMin[idx] = Σ_{q>=idx} min_g cost(g, order[q])
 	st        []gspState
 	uncovered int
 	assign    []int // assign[orderPos] = gsp
@@ -296,12 +289,16 @@ type searcher struct {
 	nodes      int64
 	aborted    bool
 
-	// Context plumbing: ctx is polled every checkEvery nodes via a
-	// countdown so the hot loop stays divisor-free.
-	ctx          context.Context
-	checkEvery   int64
-	ctxCountdown int64
-	ctxAborted   bool
+	// nextCheck is the node count at which dfs next leaves its fast path:
+	// the first of the budget's, cancelAfter's and the context poll's
+	// thresholds, so the hot loop pays one compare per node (see check).
+	nextCheck int64
+	// Context plumbing: ctx is polled at node counts checkEvery,
+	// 2·checkEvery, …; nextCtx is the next of them.
+	ctx        context.Context
+	checkEvery int64
+	nextCtx    int64
+	ctxAborted bool
 	// cancelAfter, when positive, aborts the search after that many nodes
 	// through the cancellation path — the injected mid-search fault.
 	cancelAfter int64
@@ -342,42 +339,33 @@ func (s *searcher) fill(sol *Solution) {
 func (s *searcher) prepare() {
 	in := s.in
 	sc := s.scratch
-	s.order = growInts(&sc.order, s.n)
-	for j := range s.order {
-		s.order[j] = j
-	}
 	// Branch on hard (long) tasks first: they constrain the deadline
-	// most, failing early instead of deep. maxT was computed by
-	// newSearcher (the heuristic seeding phase shares it).
-	sc.taskSort.ids, sc.taskSort.key = s.order, s.maxT
-	sort.Stable(&sc.taskSort)
+	// most, failing early instead of deep. newSearcher computed the order
+	// (the heuristic seeding phase shares it).
+	s.order = sc.heur.byMaxT
 
-	// gspOrder is one flat array of k-wide rows (better locality, one
-	// allocation). Every row is reset to the identity permutation before
-	// sorting so pooled leftovers cannot perturb the stable sort. The
-	// cheapest rank of each row doubles as the per-task minimum summed by
-	// the Σ-min suffix bound.
-	s.gspOrder = growInt32s(&sc.gspFlat, s.n*s.k)
-	s.posCost = growFloats(&sc.posCost, s.n*s.k)
-	s.posTime = growFloats(&sc.posTime, s.n*s.k)
+	// ents is one flat array of k-wide rows (better locality, one
+	// allocation). Every rank row is reset to the identity permutation
+	// before sorting so pooled leftovers cannot perturb the stable sort.
+	// The cheapest rank of each row doubles as the per-task minimum
+	// summed by the Σ-min suffix bound.
+	s.ents = growEntries(&sc.entries, s.n*s.k)
 	costRow := growFloats(&sc.costRow, s.k)
+	gs := growInt32s(&sc.rankRow, s.k)
 	s.sufMin = growFloats(&sc.sufMin, s.n+1)
 	s.sufMin[s.n] = 0
 	for pos := s.n - 1; pos >= 0; pos-- {
 		t := s.order[pos]
-		gs := s.gspOrder[pos*s.k : (pos+1)*s.k : (pos+1)*s.k]
 		for g := range gs {
 			gs[g] = int32(g)
 			costRow[g] = in.Cost[g][t]
 		}
 		sortIDsByKeyAsc(gs, costRow)
-		pc := s.posCost[pos*s.k : (pos+1)*s.k]
-		pt := s.posTime[pos*s.k : (pos+1)*s.k]
+		row := s.ents[pos*s.k : (pos+1)*s.k]
 		for r, g := range gs {
-			pc[r] = costRow[g]
-			pt[r] = in.Time[g][t]
+			row[r] = posEntry{cost: costRow[g], time: in.Time[g][t], g: g}
 		}
-		s.sufMin[pos] = s.sufMin[pos+1] + pc[0]
+		s.sufMin[pos] = s.sufMin[pos+1] + row[0].cost
 	}
 
 	s.st = growStates(&sc.gstate, s.k)
@@ -451,29 +439,9 @@ func (s *searcher) release() {
 //
 //gridvolint:zeroalloc
 func (s *searcher) dfs(pos int, costSoFar float64) {
-	if s.aborted {
-		return
-	}
 	s.nodes++
-	if s.budget > 0 && s.nodes > s.budget {
-		s.aborted = true
-		s.prunedBudget++
+	if s.nodes >= s.nextCheck && s.check() {
 		return
-	}
-	if s.cancelAfter > 0 && s.nodes > s.cancelAfter {
-		s.aborted = true
-		s.ctxAborted = true
-		s.prunedDeadline++
-		return
-	}
-	if s.ctxCountdown--; s.ctxCountdown <= 0 {
-		s.ctxCountdown = s.checkEvery
-		if s.ctx.Err() != nil {
-			s.aborted = true
-			s.ctxAborted = true
-			s.prunedDeadline++
-			return
-		}
 	}
 	if pos == s.n {
 		if s.uncovered == 0 && costSoFar < s.bestCost && costSoFar <= s.cap+Eps {
@@ -503,16 +471,15 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 	// bestCost can move (a child's return). No float expression is
 	// reassociated, so every comparison resolves exactly as before.
 	mustCover := s.uncovered == remaining
-	base := pos * s.k
-	pc := s.posCost[base : base+s.k]
-	pt := s.posTime[base : base+s.k]
-	gs := s.gspOrder[base : base+s.k]
+	ents := s.ents[pos*s.k : (pos+1)*s.k]
 	sufNext := s.sufMin[pos+1]
 	dl := s.deadline + Eps
 	st := s.st
 	tw := s.twins
 	bc := s.bestCost - Eps
-	for r, g := range gs {
+	for i := range ents {
+		e := &ents[i]
+		g := e.g
 		if mustCover && st[g].count > 0 {
 			continue
 		}
@@ -538,7 +505,7 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 				}
 			}
 		}
-		nc := costSoFar + pc[r]
+		nc := costSoFar + e.cost
 		if nc+sufNext >= bc {
 			// GSPs are cost-sorted: no later g can be better either,
 			// unless the coverage filter skipped cheaper ones.
@@ -547,7 +514,7 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 			}
 			continue
 		}
-		tt := pt[r]
+		tt := e.time
 		if st[g].load+tt > dl {
 			continue
 		}
@@ -568,4 +535,57 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 		}
 		bc = s.bestCost - Eps
 	}
+}
+
+// posEntry is one (position, cost rank) cell of the DFS table: the GSP
+// and the cost and time of giving it the position's task.
+type posEntry struct {
+	cost, time float64
+	g          int32
+}
+
+// setNextCheck sets nextCheck to the first node count at which check has
+// work: one past the node budget or cancelAfter (the counts those
+// comparisons first fail at), or the next context poll.
+//
+//gridvolint:zeroalloc
+func (s *searcher) setNextCheck() {
+	s.nextCheck = s.nextCtx
+	if s.budget > 0 && s.budget < s.nextCheck {
+		s.nextCheck = s.budget + 1
+	}
+	if s.cancelAfter > 0 && s.cancelAfter < s.nextCheck {
+		s.nextCheck = s.cancelAfter + 1
+	}
+}
+
+// check is dfs's slow path, entered when the node count reaches
+// nextCheck. It runs the per-node checks in their fixed order — node
+// budget, injected cancellation, context poll — at the node counts where
+// each can fire, and reports whether the search aborted.
+//
+//gridvolint:zeroalloc
+func (s *searcher) check() bool {
+	if s.budget > 0 && s.nodes > s.budget {
+		s.aborted = true
+		s.prunedBudget++
+		return true
+	}
+	if s.cancelAfter > 0 && s.nodes > s.cancelAfter {
+		s.aborted = true
+		s.ctxAborted = true
+		s.prunedDeadline++
+		return true
+	}
+	if s.nodes >= s.nextCtx {
+		s.nextCtx += s.checkEvery
+		if s.ctx.Err() != nil {
+			s.aborted = true
+			s.ctxAborted = true
+			s.prunedDeadline++
+			return true
+		}
+	}
+	s.setNextCheck()
+	return false
 }

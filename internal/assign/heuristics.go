@@ -22,7 +22,9 @@ const (
 	// Minimum Completion Time given current loads.
 	HeuristicMCT
 	// HeuristicMinMin repeatedly assigns the task whose best completion
-	// time is smallest (Braun et al.). O(n²k).
+	// time is smallest (Braun et al.). O(kn log n) for the per-GSP task
+	// orders (O(n log n + kn) on a consistent time matrix), then O(k) per
+	// round plus exact ties.
 	HeuristicMinMin
 	// HeuristicMaxMin repeatedly assigns the task whose best completion
 	// time is largest. O(n²k).
@@ -60,13 +62,31 @@ type heurBufs struct {
 	assign   []int
 	load     []float64
 	count    []int
-	rest     []int
 	cand     []int
 	candCost []float64
-	maxT     []float64 // per-task max execution time, precomputed by the owner
-	sorter   taskByTimeDesc
 
-	// Per-task completion-time caches for the list-scheduling heuristics:
+	// maxT is the per-task max execution time and byMaxT the task ids in
+	// (maxT desc, index asc) order, both set once per solve by
+	// setTaskOrder. The greedy fill, the seed repair's orphans and the
+	// DFS branching order all need that order over a subset of the
+	// tasks, and a stable sort of a subsequence equals the full order
+	// filtered to it, so each walks byMaxT skipping the tasks outside
+	// its subset instead of sorting its own.
+	maxT   []float64
+	byMaxT []int
+	sorter taskByTimeDesc
+
+	// Min-Min's per-GSP fronts (see minMin): front[g*n+i] is GSP g's
+	// i-th task by (Time[g][t], t), head[g] indexes its first unassigned
+	// task and cut[g] bounds the prefix that still fits the deadline;
+	// feas[t] counts the GSPs whose cut holds task t.
+	front     []int32
+	frontSort tasksByTimeAsc
+	head      []int
+	cut       []int
+	feas      []int32
+
+	// Per-task completion-time caches for Max-Min and Sufferage:
 	// best/second feasible completion times and the GSPs attaining them,
 	// plus a task-major transpose of Instance.Time so a task rescan reads
 	// its k execution times sequentially instead of striding across rows.
@@ -84,13 +104,12 @@ type heurBufs struct {
 // improver may still push a slightly over-budget assignment under it.
 func RunHeuristic(in *Instance, h Heuristic) []int {
 	var hb heurBufs
-	hb.maxT = maxTimes(in, &hb.maxT)
+	hb.setTaskOrder(in)
 	return runHeuristicBuf(in, h, &hb)
 }
 
 // runHeuristicBuf is RunHeuristic writing into hb's buffers; the returned
-// slice aliases hb.assign. hb.maxT must already hold the per-task max
-// times.
+// slice aliases hb.assign. hb.setTaskOrder must already have run on in.
 func runHeuristicBuf(in *Instance, h Heuristic, hb *heurBufs) []int {
 	k, n := in.NumGSPs(), in.NumTasks()
 	if k == 0 || n < k {
@@ -101,7 +120,9 @@ func runHeuristicBuf(in *Instance, h Heuristic, hb *heurBufs) []int {
 		return greedyCost(in, hb)
 	case HeuristicMCT:
 		return mct(in, hb)
-	case HeuristicMinMin, HeuristicMaxMin, HeuristicSufferage:
+	case HeuristicMinMin:
+		return minMin(in, hb)
+	case HeuristicMaxMin, HeuristicSufferage:
 		return listSchedule(in, h, hb)
 	default:
 		return nil
@@ -180,16 +201,10 @@ func greedyCost(in *Instance, hb *heurBufs) []int {
 
 	// Fill: per task, cheapest GSP with capacity. Process tasks in
 	// descending time (hardest first) so capacity is spent where needed.
-	rest := hb.rest[:0]
-	for t := 0; t < n; t++ {
-		if assign[t] == -1 {
-			rest = append(rest, t)
+	for _, t := range hb.byMaxT {
+		if assign[t] != -1 {
+			continue
 		}
-	}
-	hb.rest = rest
-	hb.sorter.ids, hb.sorter.key = rest, hb.maxT
-	sort.Stable(&hb.sorter)
-	for _, t := range rest {
 		bestG := -1
 		bestC := math.Inf(1)
 		for g := 0; g < k; g++ {
@@ -247,8 +262,8 @@ func mct(in *Instance, hb *heurBufs) []int {
 	return assign
 }
 
-// listSchedule implements Min-Min, Max-Min and Sufferage over completion
-// times, then repairs coverage. The classic formulation re-evaluates every
+// listSchedule implements Max-Min and Sufferage over completion times,
+// then repairs coverage. The classic formulation re-evaluates every
 // unassigned task's best/second completion times each round (O(n²k));
 // here those triples are cached per task and rescanned only when they can
 // have changed: a round's assignment raises the load of exactly one GSP,
@@ -318,8 +333,6 @@ func listSchedule(in *Instance, h Heuristic, hb *heurBufs) []int {
 			}
 			var key float64
 			switch h {
-			case HeuristicMinMin:
-				key = -tBest[t] // smallest best completion wins
 			case HeuristicMaxMin:
 				key = tBest[t] // largest best completion wins
 			case HeuristicSufferage:
@@ -342,6 +355,138 @@ func listSchedule(in *Instance, h Heuristic, hb *heurBufs) []int {
 		return nil
 	}
 	return assign
+}
+
+// minMin is Min-Min by per-GSP fronts. Each round assigns the unassigned
+// task with the smallest best feasible completion time load[g] + T[g][t]
+// (ties to the lower task index) to the first GSP attaining it, then
+// repairs coverage; it returns nil as soon as an unassigned task fits no
+// GSP's deadline.
+//
+// Rounding is monotone, so fl(L + x) is non-decreasing in x: along GSP
+// g's tasks ordered by (T[g][t], t), the completion times under any load
+// are non-decreasing. The first unassigned task of that order (its head)
+// therefore attains g's minimum, and the tasks fitting the deadline form
+// a prefix (its cut) that only shrinks as g's load grows. A round is the
+// minimum over the k heads; tasks whose sums tie that minimum exactly
+// (distinct times can round to the same sum) sit in a prefix of each
+// order from its head, which the round scans for the lowest task index.
+// The task then goes to the first g whose sum equals the minimum, which
+// is the GSP a full rescan names. The orders cost one sort of row 0
+// plus an O(n) check per other row on a consistent time matrix (every
+// paper instance); only rows whose order differs are sorted. Heads and
+// cuts move O(kn) in total, so the rounds cost O(k) each plus the ties.
+func minMin(in *Instance, hb *heurBufs) []int {
+	k, n := in.NumGSPs(), in.NumTasks()
+	assign := growInts(&hb.assign, n)
+	for j := range assign {
+		assign[j] = -1
+	}
+	load := growFloats(&hb.load, k)
+	count := growInts(&hb.count, k)
+	head := growInts(&hb.head, k)
+	cut := growInts(&hb.cut, k)
+	feas := growInt32s(&hb.feas, n)
+	for j := range feas {
+		feas[j] = 0
+	}
+	front := growInt32s(&hb.front, k*n)
+	dl := in.Deadline + Eps
+	row0 := front[:n]
+	for g := 0; g < k; g++ {
+		og := front[g*n : (g+1)*n]
+		rowT := in.Time[g]
+		if g == 0 || !sortedByTime(row0, rowT) {
+			for i := range og {
+				og[i] = int32(i)
+			}
+			hb.frontSort.ids, hb.frontSort.key = og, rowT
+			sort.Sort(&hb.frontSort)
+		} else {
+			copy(og, row0)
+		}
+		load[g], count[g], head[g] = 0, 0, 0
+		c := n
+		for c > 0 && load[g]+rowT[og[c-1]] > dl {
+			c--
+		}
+		cut[g] = c
+		for _, t := range og[:c] {
+			feas[t]++
+		}
+	}
+	for _, f := range feas {
+		if f == 0 {
+			return nil // some task fits no GSP at all
+		}
+	}
+	for remaining := n; remaining > 0; remaining-- {
+		best := math.Inf(1)
+		for g := 0; g < k; g++ {
+			og := front[g*n : g*n+cut[g]]
+			h := head[g]
+			for h < len(og) && assign[og[h]] != -1 {
+				h++
+			}
+			head[g] = h
+			if h < len(og) {
+				if v := load[g] + in.Time[g][og[h]]; v < best {
+					best = v
+				}
+			}
+		}
+		// Every unassigned task fits some GSP (feas > 0), so some head
+		// is live and best is finite.
+		pickT := n
+		for g := 0; g < k; g++ {
+			og := front[g*n : g*n+cut[g]]
+			rowT := in.Time[g]
+			for _, t := range og[head[g]:] {
+				if load[g]+rowT[t] != best {
+					break
+				}
+				if int(t) < pickT && assign[t] == -1 {
+					pickT = int(t)
+				}
+			}
+		}
+		pickG := 0
+		for load[pickG]+in.Time[pickG][pickT] != best {
+			pickG++
+		}
+		assign[pickT] = pickG
+		load[pickG] += in.Time[pickG][pickT]
+		count[pickG]++
+		// The load grew: drop the tasks that no longer fit from pickG's
+		// cut. Tasks before the head are assigned already.
+		og, rowT := front[pickG*n:(pickG+1)*n], in.Time[pickG]
+		c := cut[pickG]
+		for c > head[pickG] && load[pickG]+rowT[og[c-1]] > dl {
+			c--
+			t := og[c]
+			if feas[t]--; feas[t] == 0 && assign[t] == -1 {
+				return nil
+			}
+		}
+		cut[pickG] = c
+	}
+	if !repairCoverage(in, assign, load, count) {
+		return nil
+	}
+	return assign
+}
+
+// sortedByTime reports whether ids is in ascending (row[t], t) order.
+// Every paper instance has a consistent time matrix (T[g][t] =
+// w(t)/s(g)), so one sorted row usually orders them all.
+func sortedByTime(ids []int32, row []float64) bool {
+	for i := 1; i < len(ids); i++ {
+		a, b := ids[i-1], ids[i]
+		if row[a] > row[b] || (row[a] == row[b] && a > b) {
+			return false
+		}
+	}
+	return true
 }
 
 // infBits is the bit pattern of +Inf, the identity of the branchless min

@@ -14,21 +14,16 @@ import (
 // side. Every buffer is fully (re)initialized before use, so pooled
 // leftovers can never influence a solve.
 type searchScratch struct {
-	order   []int
-	maxT    []float64
-	gspFlat []int32
 	sufMin  []float64
 	gstate  []gspState
 	assign  []int
-	posCost []float64
-	posTime []float64
+	entries []posEntry
 	costRow []float64
+	rankRow []int32
 	twin    []int
 	best    []int
 
 	heur heurBufs
-
-	taskSort taskByTimeDesc
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -51,6 +46,21 @@ type taskByTimeDesc struct {
 func (s *taskByTimeDesc) Len() int           { return len(s.ids) }
 func (s *taskByTimeDesc) Swap(i, j int)      { s.ids[i], s.ids[j] = s.ids[j], s.ids[i] }
 func (s *taskByTimeDesc) Less(i, j int) bool { return s.key[s.ids[i]] > s.key[s.ids[j]] }
+
+// tasksByTimeAsc sorts task ids by ascending (key[t], t). The pairs are
+// distinct, so any sort, stable or not, yields the one order; the typed
+// sort.Interface keeps the sort allocation-free.
+type tasksByTimeAsc struct {
+	ids []int32
+	key []float64 // indexed by task id
+}
+
+func (s *tasksByTimeAsc) Len() int      { return len(s.ids) }
+func (s *tasksByTimeAsc) Swap(i, j int) { s.ids[i], s.ids[j] = s.ids[j], s.ids[i] }
+func (s *tasksByTimeAsc) Less(i, j int) bool {
+	a, b := s.ids[i], s.ids[j]
+	return s.key[a] < s.key[b] || (s.key[a] == s.key[b] && a < b)
+}
 
 // sortIDsByKeyAsc stable-sorts ids ascending by key[id] with a direct
 // insertion sort: elements shift only past strictly greater keys, so
@@ -100,6 +110,15 @@ func growFloats(buf *[]float64, n int) []float64 {
 	return *buf
 }
 
+// growEntries is growInts for posEntry slices.
+func growEntries(buf *[]posEntry, n int) []posEntry {
+	if cap(*buf) < n {
+		*buf = make([]posEntry, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // gspState packs one GSP's running load and task count into a single
 // 16-byte entry. The DFS inner loop reads and writes both fields for the
 // same g, so fusing the former parallel load/count arrays halves its
@@ -119,15 +138,18 @@ func growStates(buf *[]gspState, n int) []gspState {
 	return *buf
 }
 
-// maxTimes fills *buf with the per-task maximum execution time across
-// GSPs — the branching and repair priority key. The row-major sweep over
-// Time is equivalent to per-task column scans (max is order-independent
-// over validated, NaN-free inputs) but walks each matrix row
-// sequentially.
-func maxTimes(in *Instance, buf *[]float64) []float64 {
-	mt := growFloats(buf, in.NumTasks())
+// setTaskOrder sets hb.maxT to the per-task maximum execution time across
+// GSPs — the branching and repair priority key — and hb.byMaxT to the
+// task ids stable-sorted by it, descending. The row-major sweep over Time
+// is equivalent to per-task column scans (max is order-independent over
+// validated, NaN-free inputs) but walks each matrix row sequentially.
+func (hb *heurBufs) setTaskOrder(in *Instance) {
+	n := in.NumTasks()
+	mt := growFloats(&hb.maxT, n)
+	ord := growInts(&hb.byMaxT, n)
 	for j := range mt {
 		mt[j] = 0
+		ord[j] = j
 	}
 	for _, row := range in.Time {
 		for j, v := range row {
@@ -136,7 +158,8 @@ func maxTimes(in *Instance, buf *[]float64) []float64 {
 			}
 		}
 	}
-	return mt
+	hb.sorter.ids, hb.sorter.key = ord, mt
+	sort.Stable(&hb.sorter)
 }
 
 // repairSeedBuf repairs a warm-start hint into hb's pooled buffers; the
@@ -160,23 +183,22 @@ func repairSeedBuf(in *Instance, seed []int, hb *heurBufs) []int {
 		load[g] = 0
 		count[g] = 0
 	}
-	orphans := hb.rest[:0]
 	for j, g := range seed {
 		if g < 0 || g >= k || load[g]+in.Time[g][j] > in.Deadline+Eps {
-			assign[j] = -1
-			orphans = append(orphans, j)
+			assign[j] = -1 // orphaned
 			continue
 		}
 		assign[j] = g
 		load[g] += in.Time[g][j]
 		count[g]++
 	}
-	hb.rest = orphans
-	// Hardest tasks first, so scarce deadline capacity is spent where the
-	// placement options are fewest (mirrors the greedy heuristic's fill).
-	hb.sorter.ids, hb.sorter.key = orphans, hb.maxT
-	sort.Stable(&hb.sorter)
-	for _, t := range orphans {
+	// Hardest orphans first, so scarce deadline capacity is spent where
+	// the placement options are fewest (mirrors the greedy heuristic's
+	// fill).
+	for _, t := range hb.byMaxT {
+		if assign[t] != -1 {
+			continue
+		}
 		bestG := -1
 		bestC := math.Inf(1)
 		for g := 0; g < k; g++ {

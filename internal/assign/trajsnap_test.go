@@ -4,19 +4,23 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"strings"
 	"testing"
 
 	"gridvo/internal/xrand"
 )
 
-// TestTrajectorySnapshot writes an exact behavioral fingerprint of the
-// solver across a corpus of random instances to the file named by
-// GRIDVO_TRAJSNAP, or compares against it when the file exists.
+// trajectoryGolden holds the solver's exact behavioural fingerprint over
+// TestTrajectorySnapshot's corpus.
+const trajectoryGolden = "testdata/trajectory.golden"
+
+// TestTrajectorySnapshot pins the solver's exact behaviour — selection,
+// cost and bound bit patterns, node and incumbent counts — on 240 solves
+// of random instances against trajectoryGolden. A change that only makes
+// the solver faster must leave every line as it is. Setting
+// GRIDVO_TRAJSNAP (to any value) rewrites the golden files instead, for a
+// change that means to move the search.
 func TestTrajectorySnapshot(t *testing.T) {
-	path := os.Getenv("GRIDVO_TRAJSNAP")
-	if path == "" {
-		t.Skip("GRIDVO_TRAJSNAP not set")
-	}
 	var out []byte
 	rng := xrand.New(12345)
 	for trial := 0; trial < 120; trial++ {
@@ -37,14 +41,32 @@ func TestTrajectorySnapshot(t *testing.T) {
 				sol.Nodes, sol.Stats.IncumbentUpdates, sol.Stats.PrunedByBound, h.Sum64()))...)
 		}
 	}
-	if prev, err := os.ReadFile(path); err == nil {
-		if string(prev) != string(out) {
-			os.WriteFile(path+".new", out, 0o644)
-			t.Fatalf("trajectory diverged from %s (new written to %s.new)", path, path)
+	compareGolden(t, trajectoryGolden, out)
+}
+
+// compareGolden fails unless out equals the golden file at path, naming
+// the first line that differs. With GRIDVO_TRAJSNAP set it rewrites the
+// file instead.
+func compareGolden(t *testing.T, path string, out []byte) {
+	t.Helper()
+	if os.Getenv("GRIDVO_TRAJSNAP") != "" {
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		t.Logf("rewrote %s", path)
 		return
 	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
+	want, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if string(want) != string(out) {
+		got, wantLines := strings.Split(string(out), "\n"), strings.Split(string(want), "\n")
+		for i, line := range got {
+			if i >= len(wantLines) || wantLines[i] != line {
+				t.Fatalf("output diverged from %s at line %d:\n got %s\nwant %s", path, i+1, line, wantLines[min(i, len(wantLines)-1)])
+			}
+		}
+		t.Fatalf("output diverged from %s: %d lines, want %d", path, len(got), len(wantLines))
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"gridvo/internal/adversary"
@@ -210,37 +211,89 @@ func (e *Env) buildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, *
 	meta := ScenarioMeta{ProgramSize: size, Repetition: rep}
 
 	// Resample deadline/payment until the grand coalition is feasible,
-	// mirroring the paper's guarantee.
+	// mirroring the paper's guarantee. Every pair is drawn up front (the
+	// "dp" stream feeds nothing else, so attempt a draws the same pair
+	// however the attempts are scheduled), and the attempts are solved
+	// two at a time when a second core can take them (see firstFeasible).
 	grand := make([]int, cfg.NumGSPs)
 	for i := range grand {
 		grand[i] = i
 	}
+	base := sc.Instance(grand)
+	var deadlines, payments [maxFeasibilityRetries]float64
 	dpRNG := rng.Split("dp")
-	for attempt := 0; attempt < maxFeasibilityRetries; attempt++ {
-		sc.Deadline = grid.Deadline(dpRNG, prog)
-		sc.Payment = grid.Payment(dpRNG, prog.N())
-		sol := assign.Solve(sc.Instance(grand), cfg.Solver)
-		if sol.Feasible {
-			meta.FeasibilityRetries = attempt
-			return e.finishScenario(sc, meta, rng, grand, sol)
-		}
+	for a := range deadlines {
+		deadlines[a] = grid.Deadline(dpRNG, prog)
+		payments[a] = grid.Payment(dpRNG, prog.N())
+	}
+	speculate := cfg.Solver.Inject == nil && runtime.GOMAXPROCS(0) > 1
+	solve := func(ctx context.Context, d, p float64) assign.Solution {
+		in := *base
+		in.Deadline, in.Budget = d, p
+		return assign.SolveCtx(ctx, &in, cfg.Solver)
+	}
+	if a, sol, ok := firstFeasible(maxFeasibilityRetries, speculate, func(ctx context.Context, a int) assign.Solution {
+		return solve(ctx, deadlines[a], payments[a])
+	}); ok {
+		sc.Deadline, sc.Payment = deadlines[a], payments[a]
+		meta.FeasibilityRetries = a
+		return e.finishScenario(sc, meta, rng, grand, sol)
 	}
 	// The Table I band admits no feasible mapping (possible for program
 	// sizes below the paper's 256-task minimum): widen the deadline
 	// multiplicatively until one exists, recording the deviation.
-	sc.Deadline = grid.MaxDeadlineFactor * prog.BaseRuntimeSec * float64(prog.N()) / 1000
-	sc.Payment = grid.MaxPaymentFactor * grid.MaxCost * float64(prog.N())
-	for esc := 1; esc <= 32; esc++ {
-		sc.Deadline *= 1.5
-		sol := assign.Solve(sc.Instance(grand), cfg.Solver)
-		if sol.Feasible {
-			meta.FeasibilityRetries = maxFeasibilityRetries
-			meta.DeadlineEscalations = esc
-			return e.finishScenario(sc, meta, rng, grand, sol)
-		}
+	const maxEscalations = 32
+	var widened [maxEscalations]float64
+	d := grid.MaxDeadlineFactor * prog.BaseRuntimeSec * float64(prog.N()) / 1000
+	for i := range widened {
+		d *= 1.5
+		widened[i] = d
+	}
+	pay := grid.MaxPaymentFactor * grid.MaxCost * float64(prog.N())
+	if i, sol, ok := firstFeasible(maxEscalations, speculate, func(ctx context.Context, i int) assign.Solution {
+		return solve(ctx, widened[i], pay)
+	}); ok {
+		sc.Deadline, sc.Payment = widened[i], pay
+		meta.FeasibilityRetries = maxFeasibilityRetries
+		meta.DeadlineEscalations = i + 1
+		return e.finishScenario(sc, meta, rng, grand, sol)
 	}
 	return nil, meta, nil, fmt.Errorf("sim: no feasible deadline/payment for n=%d rep=%d after %d retries and escalation",
 		size, rep, maxFeasibilityRetries)
+}
+
+// firstFeasible solves attempts 0…count−1 in order and returns the first
+// feasible one with its solution. With speculate it solves attempt a+1 on a
+// second goroutine while attempt a runs, and cancels a+1 when a is
+// feasible. An uncancelled solve is deterministic, and a cancelled one is
+// never returned, so the attempt and the solution returned are the
+// sequential loop's; only the wall time differs.
+func firstFeasible(count int, speculate bool, solve func(ctx context.Context, a int) assign.Solution) (int, assign.Solution, bool) {
+	for a := 0; a < count; a++ {
+		if !speculate || a+1 == count {
+			if sol := solve(context.Background(), a); sol.Feasible {
+				return a, sol, true
+			}
+			continue
+		}
+		b := a + 1
+		ctx, cancel := context.WithCancel(context.Background())
+		next := make(chan assign.Solution, 1)
+		go func() { next <- solve(ctx, b) }()
+		sol := solve(context.Background(), a)
+		if sol.Feasible {
+			cancel()
+			<-next
+			return a, sol, true
+		}
+		sol = <-next
+		cancel()
+		if sol.Feasible {
+			return b, sol, true
+		}
+		a = b
+	}
+	return 0, assign.Solution{}, false
 }
 
 // finishScenario applies the configured adversary to a freshly generated

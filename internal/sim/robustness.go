@@ -185,7 +185,7 @@ func validateRobustness(opts RobustnessOptions) error {
 // consuming exactly the honest run's draw sequence.
 func (e *Env) robustnessCell(ctx context.Context, size, r int, opts RobustnessOptions, fpH, fpA *fingerprint) (*RobustnessCell, error) {
 	cfg := e.Config
-	sc, _, _, err := e.buildScenario(size, r)
+	sc, _, grand, err := e.buildScenario(size, r)
 	if err != nil {
 		return nil, err
 	}
@@ -202,21 +202,47 @@ func (e *Env) robustnessCell(ctx context.Context, size, r int, opts RobustnessOp
 		}
 	}
 
-	runTVOF := func(sc *mechanism.Scenario, churn []adversary.ChurnEvent) (*mechanism.Result, error) {
+	runTVOF := func(sc *mechanism.Scenario, churn []adversary.ChurnEvent, eng *mechanism.Engine) (*mechanism.Result, error) {
 		mopts := cfg.Mechanism
 		mopts.Eviction = mechanism.EvictLowestReputation
 		mopts.Solver = cfg.Solver
-		mopts.Engine = nil
+		mopts.Engine = eng
 		mopts.Churn = churn
 		return mechanism.RunContext(ctx, sc, mopts, e.rng.Split(fmt.Sprintf("run-%d-%d-tvof", size, r)))
 	}
-	hres, err := runTVOF(sc, nil)
-	if err != nil {
-		return nil, err
+	// The honest run's engine starts from the grand coalition the
+	// feasibility check solved, as RunPairContext's does; a fault
+	// injector counts every solve, and a solver seed is not the
+	// feasibility check's, so neither hands it over.
+	injected := cfg.Mechanism.Inject != nil || cfg.Solver.Inject != nil
+	var honestEng *mechanism.Engine
+	if grand != nil && !injected && cfg.Solver.SeedAssign == nil {
+		honestEng = mechanism.NewEngine(sc, cfg.Solver)
+		honestEng.Adopt(grand.members, grand.sol)
 	}
-	ares, err := runTVOF(advSc, churn)
-	if err != nil {
-		return nil, err
+	// The two worlds share no engine and no state, so they run at once,
+	// unless a shared fault injector would see their solves interleave.
+	var hres, ares *mechanism.Result
+	var herr, aerr error
+	if injected {
+		hres, herr = runTVOF(sc, nil, honestEng)
+		if herr == nil {
+			ares, aerr = runTVOF(advSc, churn, nil)
+		}
+	} else {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			ares, aerr = runTVOF(advSc, churn, nil)
+		}()
+		hres, herr = runTVOF(sc, nil, honestEng)
+		<-done
+	}
+	if herr != nil {
+		return nil, herr
+	}
+	if aerr != nil {
+		return nil, aerr
 	}
 	foldResult(fpH, hres)
 	foldResult(fpA, ares)
