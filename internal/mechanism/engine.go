@@ -228,6 +228,11 @@ func (e *Engine) SetInjector(in *fault.Injector) {
 // Injector returns the installed fault injector (nil when disabled).
 func (e *Engine) Injector() *fault.Injector { return e.inject }
 
+// injected reports whether a fault injector reaches the engine's solves:
+// one installed with SetInjector, or one that came in the solver options
+// NewEngine was given, which only the IP solver visits.
+func (e *Engine) injected() bool { return e.inject != nil || e.opts.Inject != nil }
+
 // SetCacheEnabled toggles memoization (the determinism tests compare
 // cache-on and cache-off runs). Disabling does not drop entries already
 // cached; it only bypasses lookups and stores.

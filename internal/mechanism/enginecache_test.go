@@ -1,7 +1,6 @@
 package mechanism
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -22,7 +21,7 @@ func cacheSpec(t testing.TB, i int) *Scenario {
 }
 
 func TestEngineCacheHitMissAndCollisionGuard(t *testing.T) {
-	c := newEngineCache(8, 2)
+	c := NewEngineCache(8)
 	a, b := cacheSpec(t, 0), cacheSpec(t, 1)
 	ka, kb := ScenarioKey(a), ScenarioKey(b)
 	if ka == kb {
@@ -45,59 +44,77 @@ func TestEngineCacheHitMissAndCollisionGuard(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 2 || st.Entries != 1 {
 		t.Fatalf("stats off: %+v", st)
 	}
-	if st.Shards != 2 || len(st.PerShard) != 2 {
-		t.Fatalf("shard stats off: %+v", st)
-	}
 }
 
-func TestEngineCacheEvictsPerShardLRU(t *testing.T) {
-	// One shard, capacity 2: the third insert evicts the least recently
-	// used of the first two.
-	c := newEngineCache(2, 1)
+func TestEngineCacheEvictsLRU(t *testing.T) {
+	// Capacity 2: touching the first entry makes the second the least
+	// recently used, so the third insert evicts the second.
+	c := NewEngineCache(2)
 	scs := make([]*Scenario, 3)
 	keys := make([]uint64, 3)
 	for i := range scs {
 		scs[i] = cacheSpec(t, i)
 		keys[i] = ScenarioKey(scs[i])
+	}
+	for i := 0; i < 2; i++ {
 		c.Add(keys[i], scs[i], NewEngine(scs[i], assign.Options{}))
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d after 3 adds at cap 2", c.Len())
+	if _, _, ok := c.Get(keys[0], scs[0]); !ok {
+		t.Fatal("entry 0 missing before any eviction")
 	}
-	if _, _, ok := c.Get(keys[0], scs[0]); ok {
+	c.Add(keys[2], scs[2], NewEngine(scs[2], assign.Options{}))
+	if n := c.Stats().Entries; n != 2 {
+		t.Fatalf("%d entries after 3 adds at cap 2", n)
+	}
+	if _, _, ok := c.Get(keys[1], scs[1]); ok {
 		t.Fatal("LRU entry not evicted")
 	}
-	for _, i := range []int{1, 2} {
+	for _, i := range []int{0, 2} {
 		if _, _, ok := c.Get(keys[i], scs[i]); !ok {
 			t.Fatalf("entry %d evicted wrongly", i)
 		}
 	}
 }
 
-func TestEngineCacheShardRounding(t *testing.T) {
-	for _, tc := range []struct{ capacity, shards, wantShards int }{
-		{64, 3, 4},
-		{64, 16, 16},
-		{1, 16, 1}, // shards never exceed capacity
-		{3, 16, 2}, // rounded down to a power of two ≤ capacity
-		{64, 999, 64},
-	} {
-		c := newEngineCache(tc.capacity, tc.shards)
-		if got := len(c.shards); got != tc.wantShards {
-			t.Errorf("newEngineCache(%d, %d): %d shards, want %d",
-				tc.capacity, tc.shards, got, tc.wantShards)
+// TestEngineCacheHoldsCapacity: the cache keeps exactly capacity
+// engines whatever the keys' bits — here 64 keys whose low six bits are
+// all zero, which a cache split by the keys' low bits would crowd into
+// one slot.
+func TestEngineCacheHoldsCapacity(t *testing.T) {
+	const capacity = 64
+	c := NewEngineCache(capacity)
+	sc := cacheSpec(t, 0)
+	engs := make([]*Engine, capacity)
+	for i := range engs {
+		engs[i] = NewEngine(sc, assign.Options{})
+		c.Add(uint64(i)<<6, sc, engs[i])
+	}
+	if n := c.Stats().Entries; n != capacity {
+		t.Fatalf("%d entries after %d adds at capacity %d", n, capacity, capacity)
+	}
+	for i, want := range engs {
+		if _, eng, ok := c.Get(uint64(i)<<6, sc); !ok || eng != want {
+			t.Fatalf("key %d<<6: ok=%v, engine %p, want %p", i, ok, eng, want)
 		}
 	}
-	if got := len(NewEngineCache(64).shards); got != defaultCacheShards() {
-		t.Errorf("NewEngineCache(64): %d shards, want %d", got, defaultCacheShards())
+	if st := c.Stats(); st.Hits != capacity || st.Misses != 0 {
+		t.Fatalf("stats off: %+v", st)
+	}
+	// One more key evicts exactly one entry: the least recently used.
+	c.Add(capacity<<6, sc, NewEngine(sc, assign.Options{}))
+	if n := c.Stats().Entries; n != capacity {
+		t.Fatalf("%d entries past capacity %d", n, capacity)
+	}
+	if _, _, ok := c.Get(0, sc); ok {
+		t.Fatal("least recently used entry not evicted")
 	}
 }
 
-// TestEngineCacheConcurrent exercises the sharded cache from many
-// goroutines — the race detector's target (CI runs -race over the module).
+// TestEngineCacheConcurrent exercises the cache from many goroutines —
+// the race detector's target (CI runs -race over the module).
 func TestEngineCacheConcurrent(t *testing.T) {
 	const scenarios = 8
-	c := newEngineCache(scenarios, 4)
+	c := NewEngineCache(scenarios)
 	scs := make([]*Scenario, scenarios)
 	keys := make([]uint64, scenarios)
 	for i := range scs {
@@ -120,7 +137,7 @@ func TestEngineCacheConcurrent(t *testing.T) {
 					t.Errorf("worker %d: wrong entry for %d", w, i)
 					return
 				}
-				_ = c.Len()
+				_ = c.Stats()
 			}
 		}(w)
 	}
@@ -132,30 +149,26 @@ func TestEngineCacheConcurrent(t *testing.T) {
 }
 
 // BenchmarkEngineCacheParallel measures lookup throughput under
-// cross-core contention — the workload the per-shard mutexes exist for.
+// cross-core contention on the cache's one lock.
 func BenchmarkEngineCacheParallel(b *testing.B) {
-	for _, shards := range []int{1, defaultCacheShards()} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			const scenarios = 16
-			c := newEngineCache(64, shards)
-			scs := make([]*Scenario, scenarios)
-			keys := make([]uint64, scenarios)
-			for i := range scs {
-				scs[i] = cacheSpec(b, i)
-				keys[i] = ScenarioKey(scs[i])
-				c.Add(keys[i], scs[i], NewEngine(scs[i], assign.Options{}))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					i = (i + 1) % scenarios
-					if _, _, ok := c.Get(keys[i], scs[i]); !ok {
-						b.Error("unexpected miss")
-					}
-				}
-			})
-		})
+	const scenarios = 16
+	c := NewEngineCache(64)
+	scs := make([]*Scenario, scenarios)
+	keys := make([]uint64, scenarios)
+	for i := range scs {
+		scs[i] = cacheSpec(b, i)
+		keys[i] = ScenarioKey(scs[i])
+		c.Add(keys[i], scs[i], NewEngine(scs[i], assign.Options{}))
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			i = (i + 1) % scenarios
+			if _, _, ok := c.Get(keys[i], scs[i]); !ok {
+				b.Error("unexpected miss")
+			}
+		}
+	})
 }

@@ -27,8 +27,9 @@ import (
 //
 // When the leader's future lookups cannot be bounded that way the
 // follower waits for the leader to finish before it starts: under churn
-// (re-joins break the nesting) and under a fault injector (its schedule
-// is a single stream consumed in visit order).
+// (re-joins break the nesting) and under a fault injector, the engine's
+// or its solver options' (its schedule is a single stream consumed in
+// visit order).
 //
 // The engine is leader.Engine, or a fresh one for the scenario; the
 // follower must name the same engine or none, and the same injector.
@@ -50,7 +51,7 @@ func RunPairContext(ctx context.Context, sc *Scenario, leader, follower Options,
 
 	// The leader starts at the grand coalition, unsolved; every member
 	// below 64 is in it.
-	link := &pairLink{strict: eng.Injector() != nil || len(leader.Churn) > 0, low: ^uint64(0), size: sc.M()}
+	link := &pairLink{strict: eng.injected() || len(leader.Churn) > 0, low: ^uint64(0), size: sc.M()}
 	link.cond.L = &link.mu
 
 	var ferr error

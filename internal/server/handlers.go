@@ -62,8 +62,8 @@ func buildFormRequest(req *FormRequest) (*mechanism.Scenario, gridvo.Rule, error
 // engineFor returns the scenario, engine, and content key to solve a form
 // request with: the cached pair when the scenario was seen before (so its
 // coalition solutions are reused), else a fresh engine registered in the
-// sharded LRU. The returned key doubles as the content half of the job
-// tier's dedupe key.
+// LRU, which keeps the -engines most recently used scenarios. The
+// returned key doubles as the content half of the job tier's dedupe key.
 func (s *Server) engineFor(sc *mechanism.Scenario) (*mechanism.Scenario, *mechanism.Engine, uint64) {
 	key := mechanism.ScenarioKey(sc)
 	if csc, eng, ok := s.engines.Get(key, sc); ok {

@@ -145,8 +145,8 @@ type MetricsSnapshot struct {
 	// included).
 	Engines int             `json:"engines"`
 	Engine  EngineStatsJSON `json:"engine"`
-	// EngineCache breaks the scenario-engine LRU down per shard: entries,
-	// hits, misses, and hit rate of each independently locked shard.
+	// EngineCache is the scenario-engine LRU's entries, hits, misses and
+	// hit rate.
 	EngineCache mechanism.CacheStats `json:"engine_cache"`
 	// Jobs is the async tier: queue occupancy, worker pool, dedupe and
 	// terminal-state counters.
@@ -168,7 +168,7 @@ type LatencySnapshot struct {
 }
 
 // Snapshot captures the current counter values alongside the engine
-// cache's shard stats, the job tier's counters, and the registered routes.
+// cache's stats, the job tier's counters, and the registered routes.
 func (m *Metrics) Snapshot(cache mechanism.CacheStats, jobs JobsSnapshot, routes []string) MetricsSnapshot {
 	snap := MetricsSnapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),

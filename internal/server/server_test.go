@@ -216,7 +216,7 @@ func TestFormHappyPathAndEngineReuse(t *testing.T) {
 	if second.Payoff != first.Payoff || len(second.Members) != len(first.Members) {
 		t.Fatalf("cache changed the answer: %+v vs %+v", second, first)
 	}
-	if n := s.engines.Len(); n != 1 {
+	if n := s.engines.Stats().Entries; n != 1 {
 		t.Fatalf("want 1 live engine, got %d", n)
 	}
 
@@ -628,7 +628,7 @@ func TestConcurrentFormsCountOwnEngineWork(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := s.engines.Len(); n != 1 {
+	if n := s.engines.Stats().Entries; n != 1 {
 		t.Fatalf("the two requests resolved to %d engines, want 1", n)
 	}
 	_, eng, _ := s.engineFor(sc)

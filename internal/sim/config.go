@@ -160,19 +160,33 @@ type ScenarioMeta struct {
 // instance and solver options a fresh engine's first solve uses, so
 // BuildScenario keeps that solution for RunPairContext on the same
 // scenario, which then solves the grand coalition zero times instead of
-// once. Scenarios an adversary rewrote, and configs with a fault injector
-// (whose schedule counts every solve), keep nothing.
+// once. Scenarios an adversary rewrote, and configs that hand nothing off
+// (see handsOffGrand), keep nothing.
 func (e *Env) BuildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, error) {
 	sc, meta, grand, err := e.buildScenario(size, rep)
 	if err != nil {
 		return nil, meta, err
 	}
-	if grand != nil && e.Config.Mechanism.Inject == nil && e.Config.Solver.SeedAssign == nil {
+	if grand != nil && e.Config.handsOffGrand() {
 		e.grandMu.Lock()
 		e.grand[[2]int{size, rep}] = *grand
 		e.grandMu.Unlock()
 	}
 	return sc, meta, nil
+}
+
+// injected reports whether the config installs a fault injector, at the
+// mechanism or at the solver level.
+func (c *Config) injected() bool {
+	return c.Mechanism.Inject != nil || c.Solver.Inject != nil
+}
+
+// handsOffGrand reports whether an engine may start from the grand
+// coalition the feasibility check solved. A fault injector counts every
+// solve, and a solver seed is not the feasibility check's, so neither
+// hands it over.
+func (c *Config) handsOffGrand() bool {
+	return !c.injected() && c.Solver.SeedAssign == nil
 }
 
 // takeGrand removes and returns the grand-coalition solve BuildScenario

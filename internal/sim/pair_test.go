@@ -8,6 +8,7 @@ import (
 
 	"gridvo/internal/adversary"
 	"gridvo/internal/assign"
+	"gridvo/internal/fault"
 	"gridvo/internal/mechanism"
 )
 
@@ -205,5 +206,89 @@ func TestBuildScenarioHandOffIsExact(t *testing.T) {
 	}
 	if len(e.grand) != 1 {
 		t.Fatalf("rebuilding one cell kept %d hand-offs", len(e.grand))
+	}
+}
+
+// TestBuildScenarioHandOffSkipsSolverInjector: a solver-level fault
+// injector counts the pair's grand-coalition solve too, so BuildScenario
+// keeps nothing and the pair solves the grand coalition itself, exactly
+// as a cold engine does. The injector never fires here (rate 0), so the
+// solves are the uninjected ones.
+func TestBuildScenarioHandOffSkipsSolverInjector(t *testing.T) {
+	cfg := QuickConfig(11)
+	cfg.ProgramSizes = []int{64, 128}
+	cfg.Solver.NodeBudget = 300
+	cfg.Solver.Inject = fault.New(fault.Config{Seed: 1})
+	e, err := NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range cfg.ProgramSizes {
+		sc, _, err := e.BuildScenario(size, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(e.grand) != 0 {
+			t.Fatalf("n=%d: BuildScenario kept a hand-off under a solver injector", size)
+		}
+		tv, rv, err := e.RunPairContext(context.Background(), sc, size, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldT, coldR := sequentialPair(t, e, sc, size, 0, false)
+		if !reflect.DeepEqual(viewOf(tv), viewOf(coldT)) || !reflect.DeepEqual(viewOf(rv), viewOf(coldR)) {
+			t.Errorf("n=%d: pair differs from a cold engine's runs\nTVOF %+v\ncold %+v", size, viewOf(tv).Stats, viewOf(coldT).Stats)
+		}
+	}
+	if cfg.Solver.Inject.Stats().Visits == 0 {
+		t.Fatal("the solver injector was never visited")
+	}
+}
+
+// TestPairUnderSolverInjectorMatchesSequential: an injector that reaches
+// the engine only through its solver options still makes the follower
+// wait for the whole leader run, so the faults land where TVOF then RVOF
+// puts them. Two envs with identically seeded injectors build the same
+// cells; one runs each cell's pair, the other the sequential runs.
+func TestPairUnderSolverInjectorMatchesSequential(t *testing.T) {
+	newEnv := func(seed uint64) *Env {
+		cfg := QuickConfig(seed)
+		cfg.ProgramSizes = []int{64, 128}
+		cfg.Repetitions = 2
+		cfg.Solver.NodeBudget = 2000
+		cfg.Solver.Inject = fault.New(fault.Config{Seed: seed, Rate: 0.4, Classes: []fault.Class{fault.Cancel}, CancelNodes: 5})
+		e, err := NewEnv(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	var fired int64
+	for seed := uint64(1); seed <= 2; seed++ {
+		pe, se := newEnv(seed), newEnv(seed)
+		for _, size := range pe.Config.ProgramSizes {
+			for rep := 0; rep < pe.Config.Repetitions; rep++ {
+				sc, _, err := pe.BuildScenario(size, rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tv, rv, err := pe.RunPairContext(context.Background(), sc, size, rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ssc, _, err := se.BuildScenario(size, rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantT, wantR := sequentialPair(t, se, ssc, size, rep, false)
+				if !reflect.DeepEqual(viewOf(tv), viewOf(wantT)) || !reflect.DeepEqual(viewOf(rv), viewOf(wantR)) {
+					t.Errorf("seed %d n=%d rep=%d: pair differs from the sequential runs", seed, size, rep)
+				}
+			}
+		}
+		fired += pe.Config.Solver.Inject.Stats().Fired
+	}
+	if fired == 0 {
+		t.Fatal("the solver injector never fired")
 	}
 }

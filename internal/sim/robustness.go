@@ -211,12 +211,9 @@ func (e *Env) robustnessCell(ctx context.Context, size, r int, opts RobustnessOp
 		return mechanism.RunContext(ctx, sc, mopts, e.rng.Split(fmt.Sprintf("run-%d-%d-tvof", size, r)))
 	}
 	// The honest run's engine starts from the grand coalition the
-	// feasibility check solved, as RunPairContext's does; a fault
-	// injector counts every solve, and a solver seed is not the
-	// feasibility check's, so neither hands it over.
-	injected := cfg.Mechanism.Inject != nil || cfg.Solver.Inject != nil
+	// feasibility check solved, as RunPairContext's does.
 	var honestEng *mechanism.Engine
-	if grand != nil && !injected && cfg.Solver.SeedAssign == nil {
+	if grand != nil && cfg.handsOffGrand() {
 		honestEng = mechanism.NewEngine(sc, cfg.Solver)
 		honestEng.Adopt(grand.members, grand.sol)
 	}
@@ -224,7 +221,7 @@ func (e *Env) robustnessCell(ctx context.Context, size, r int, opts RobustnessOp
 	// unless a shared fault injector would see their solves interleave.
 	var hres, ares *mechanism.Result
 	var herr, aerr error
-	if injected {
+	if cfg.injected() {
 		hres, herr = runTVOF(sc, nil, honestEng)
 		if herr == nil {
 			ares, aerr = runTVOF(advSc, churn, nil)

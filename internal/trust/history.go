@@ -15,21 +15,18 @@ import "fmt"
 //	u_ij = (s_ij / (s_ij + f_ij)) · (1 − decay^(s_ij+f_ij))
 //
 // where s_ij / f_ij count successful / failed deliveries from j to i and
-// decay ∈ (0,1) controls how quickly confidence saturates with the number
-// of observations. With zero observations u_ij = 0 (complete distrust, as
-// the paper specifies for GSPs that never interacted).
+// decay = DefaultDecay controls how quickly confidence saturates with the
+// number of observations. With zero observations u_ij = 0 (complete
+// distrust, as the paper specifies for GSPs that never interacted).
 type History struct {
 	n       int
 	success [][]int
 	failure [][]int
-	// Decay is the confidence saturation base; see the package comment.
-	// The zero value is replaced by DefaultDecay on first use.
-	Decay float64
 }
 
-// DefaultDecay is the confidence saturation base used when History.Decay is
-// unset. With 0.5, one observation yields 50% of asymptotic confidence,
-// four observations ~94%.
+// DefaultDecay is the confidence saturation base of History's weight
+// formula and of DecayHistory's. With 0.5, one observation yields 50% of
+// asymptotic confidence, four observations ~94%.
 const DefaultDecay = 0.5
 
 // NewHistory returns an empty interaction history over n GSPs.
@@ -71,11 +68,7 @@ func (h *History) Weight(requester, provider int) float64 {
 	if total == 0 {
 		return 0
 	}
-	decay := h.Decay
-	if decay == 0 {
-		decay = DefaultDecay
-	}
-	confidence := 1 - pow(decay, total)
+	confidence := 1 - pow(DefaultDecay, total)
 	return (s / total) * confidence
 }
 

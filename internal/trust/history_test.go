@@ -100,15 +100,6 @@ func TestHistoryAllFailuresZeroWeight(t *testing.T) {
 	}
 }
 
-func TestHistoryCustomDecay(t *testing.T) {
-	h := NewHistory(2)
-	h.Decay = 0.9
-	_ = h.Record(0, 1, true)
-	if got := h.Weight(0, 1); math.Abs(got-0.1) > 1e-9 {
-		t.Fatalf("weight with decay 0.9 = %v, want 0.1", got)
-	}
-}
-
 func TestHistoryGraph(t *testing.T) {
 	h := NewHistory(3)
 	_ = h.Record(0, 1, true)
