@@ -21,7 +21,7 @@ func main() {
 	// delta is flaky (fails half its deliveries), eve is new (almost no
 	// history, hence almost no trust).
 	names := []string{"alpha", "beta", "gamma", "delta", "eve"}
-	h := trust.NewHistory(5)
+	h := trust.NewHistory(5, 1)
 	record := func(requester, provider int, outcomes ...bool) {
 		for _, ok := range outcomes {
 			if err := h.Record(requester, provider, ok); err != nil {
@@ -42,7 +42,10 @@ func main() {
 	record(4, 0, true) // eve only ever asked alpha once
 	record(0, 4, true) // and delivered once
 
-	g := h.Graph()
+	g := trust.NewGraph(5)
+	if err := h.ApplyTo(g); err != nil {
+		log.Fatal(err)
+	}
 	g.SetLabels(names)
 	fmt.Println("derived trust graph:")
 	for _, e := range g.Edges() {

@@ -58,7 +58,7 @@ func main() {
 		}
 	}
 
-	hist := trust.NewHistory(m)
+	hist := trust.NewHistory(m, 1)
 	for round := 1; round <= 3; round++ {
 		fmt.Printf("── round %d ──────────────────────────────\n", round)
 		res, err := mechanism.TVOFContext(context.Background(), sc, rng.Split(fmt.Sprintf("tvof-%d", round)))

@@ -144,7 +144,7 @@ func TestFullPipelineIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist := trust.NewHistory(m)
+	hist := trust.NewHistory(m, 1)
 	if err := mechanism.RecordOutcomes(hist, members, rep); err != nil {
 		t.Fatal(err)
 	}

@@ -97,14 +97,6 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 // TypeOf returns the type of e, or nil.
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 
-// ObjectOf returns the object an identifier denotes (use or def), or nil.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if obj := p.Pkg.Info.Uses[id]; obj != nil {
-		return obj
-	}
-	return p.Pkg.Info.Defs[id]
-}
-
 // IsFloat reports whether e has floating-point type (after unwrapping
 // named types); untyped float constants count.
 func (p *Pass) IsFloat(e ast.Expr) bool {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -284,8 +283,8 @@ func nondetReturn(fi *FuncInfo, facts map[*types.Func]string) (string, bool) {
 			if !ok {
 				return true
 			}
-			if obj := appendTargetPkg(pkg, call); obj != nil {
-				if !sortedLater(pkg, fi.Decl.Body, rs.End(), obj) {
+			if obj := appendTarget(pkg, call); obj != nil {
+				if !sortedAfter(pkg, fi.Decl.Body, rs.End(), obj) {
 					tainted[obj] = "returns a slice built in map-iteration order"
 				}
 			}
@@ -392,59 +391,4 @@ func nondetReturn(fi *FuncInfo, facts map[*types.Func]string) (string, bool) {
 		witness = "returns " + witness
 	}
 	return witness, true
-}
-
-// appendTargetPkg is appendTarget without a Pass: the object a
-// `x = append(x, ...)` call grows, or nil.
-func appendTargetPkg(pkg *Package, call *ast.CallExpr) types.Object {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "append" || len(call.Args) == 0 {
-		return nil
-	}
-	obj := pkg.Info.Uses[id]
-	if obj == nil {
-		obj = pkg.Info.Defs[id]
-	}
-	if b, ok := obj.(*types.Builtin); !ok || b.Name() != "append" {
-		return nil
-	}
-	arg, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	return pkg.Info.Uses[arg]
-}
-
-// sortedLater reports whether obj is passed to a sort-style call after
-// pos within body — the approved collect-then-sort pattern, which
-// launders map-iteration order back into determinism.
-func sortedLater(pkg *Package, body *ast.BlockStmt, pos token.Pos, obj types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < pos {
-			return true
-		}
-		fn := pkg.FuncOf(call)
-		if fn == nil {
-			return true
-		}
-		isSort := strings.HasPrefix(strings.ToLower(fn.Name()), "sort")
-		if fn.Pkg() != nil && (fn.Pkg().Path() == "sort" || fn.Pkg().Path() == "slices") {
-			isSort = true
-		}
-		if !isSort {
-			return true
-		}
-		for _, a := range call.Args {
-			if id, ok := ast.Unparen(a).(*ast.Ident); ok && pkg.Info.Uses[id] == obj {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -66,8 +67,8 @@ func checkMapRange(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
 				pass.Report(n.Pos(), "map iteration order reaches %s; iterate sorted keys instead", name)
 				return true
 			}
-			if target := appendTarget(pass, n); target != nil {
-				if !sortedAfter(pass, fnBody, rs, target) {
+			if target := appendTarget(pass.Pkg, n); target != nil {
+				if !sortedAfter(pass.Pkg, fnBody, rs.End(), target) {
 					pass.Report(n.Pos(), "append to %q inside map range without a later sort; element order is nondeterministic", target.Name())
 				}
 			}
@@ -78,19 +79,19 @@ func checkMapRange(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
 
 // appendTarget returns the object a call appends to when call is
 // append(x, ...) with x an identifier, else nil.
-func appendTarget(pass *Pass, call *ast.CallExpr) types.Object {
+func appendTarget(pkg *Package, call *ast.CallExpr) types.Object {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != "append" || len(call.Args) == 0 {
 		return nil
 	}
-	if b, ok := pass.ObjectOf(id).(*types.Builtin); !ok || b.Name() != "append" {
+	if b, ok := pkg.ObjectOf(id).(*types.Builtin); !ok || b.Name() != "append" {
 		return nil
 	}
 	arg, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
 	if !ok {
 		return nil
 	}
-	return pass.ObjectOf(arg)
+	return pkg.ObjectOf(arg)
 }
 
 // sinkCall reports whether a call emits bytes whose order the reader
@@ -144,23 +145,23 @@ func isHashy(name string) bool {
 
 // sortedAfter reports whether obj is passed to a sort call (sort.*,
 // slices.Sort*, or any function whose name starts with "sort") after
-// the range statement, inside the same function body — the approved
-// collect-then-sort pattern.
-func sortedAfter(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, obj types.Object) bool {
+// pos, inside the same function body — the approved collect-then-sort
+// pattern, which launders map-iteration order back into determinism.
+func sortedAfter(pkg *Package, fnBody *ast.BlockStmt, pos token.Pos, obj types.Object) bool {
 	found := false
 	ast.Inspect(fnBody, func(n ast.Node) bool {
 		if found {
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < rs.End() {
+		if !ok || call.Pos() < pos {
 			return true
 		}
-		if !isSortCall(pass, call) {
+		if !isSortCall(pkg, call) {
 			return true
 		}
 		for _, arg := range call.Args {
-			if id, ok := ast.Unparen(arg).(*ast.Ident); ok && pass.ObjectOf(id) == obj {
+			if id, ok := ast.Unparen(arg).(*ast.Ident); ok && pkg.ObjectOf(id) == obj {
 				found = true
 				return false
 			}
@@ -172,8 +173,8 @@ func sortedAfter(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, obj types
 
 // isSortCall recognizes sort.X(...), slices.SortX(...), and local
 // helpers named sort*/Sort*.
-func isSortCall(pass *Pass, call *ast.CallExpr) bool {
-	fn := pass.Pkg.FuncOf(call)
+func isSortCall(pkg *Package, call *ast.CallExpr) bool {
+	fn := pkg.FuncOf(call)
 	if fn == nil {
 		return false
 	}

@@ -140,6 +140,14 @@ func callees(pkg *Package, body *ast.BlockStmt) []*types.Func {
 	return out
 }
 
+// ObjectOf returns the object an identifier denotes (use or def), or nil.
+func (p *Package) ObjectOf(id *ast.Ident) types.Object {
+	if obj := p.Info.Uses[id]; obj != nil {
+		return obj
+	}
+	return p.Info.Defs[id]
+}
+
 // FuncOf resolves a called expression to the *types.Func it invokes
 // (through selectors and parenthesization), or nil.
 func (p *Package) FuncOf(call *ast.CallExpr) *types.Func {

@@ -59,7 +59,7 @@ func recipmulFunc(pass *Pass, body *ast.BlockStmt) {
 			if !ok || lhs.Name == "_" {
 				continue
 			}
-			if obj := pass.ObjectOf(lhs); obj != nil {
+			if obj := pass.Pkg.ObjectOf(lhs); obj != nil {
 				recips = append(recips, recip{obj, as.Pos()})
 			}
 		}
@@ -76,7 +76,7 @@ func recipmulFunc(pass *Pass, body *ast.BlockStmt) {
 		if !ok {
 			return nil
 		}
-		obj := pass.ObjectOf(id)
+		obj := pass.Pkg.ObjectOf(id)
 		for _, r := range recips {
 			if r.obj == obj {
 				return obj

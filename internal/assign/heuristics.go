@@ -302,7 +302,6 @@ func listSchedule(in *Instance, h Heuristic, hb *heurBufs) []int {
 		}
 	}
 	remaining := n
-	dl := in.Deadline + Eps
 	lastPick := -2 // no GSP touched yet: first round trusts the fresh caches
 	for remaining > 0 {
 		pickT, pickG := -1, -1
@@ -311,22 +310,7 @@ func listSchedule(in *Instance, h Heuristic, hb *heurBufs) []int {
 			if assign[t] != -1 {
 				continue
 			}
-			if tBestG[t] == lastPick {
-				// The picked GSP was this task's best. If its recomputed
-				// completion is feasible and still strictly below the
-				// cached second-best — the minimum of the unchanged other
-				// GSPs — a full rescan would return exactly (done,
-				// second, sources unchanged): done undercuts every other
-				// value strictly, so it keeps the best slot, and the
-				// second slot still goes to the earliest minimum among
-				// the others. O(1) instead of O(k); otherwise rescan.
-				done := load[lastPick] + timeT[t*k+lastPick]
-				if done <= dl && done < tSecond[t] {
-					tBest[t] = done
-				} else if !rescanTask(in, load, t, hb) {
-					return nil
-				}
-			} else if tSecondG[t] == lastPick {
+			if tBestG[t] == lastPick || tSecondG[t] == lastPick {
 				if !rescanTask(in, load, t, hb) {
 					return nil
 				}

@@ -200,3 +200,97 @@ func FuzzMinMin(f *testing.F) {
 		checkMinMin(t, in, "fuzz")
 	})
 }
+
+// listScheduleRescan is Max-Min or Sufferage in the classic formulation:
+// every round rescans every unassigned task's best and second feasible
+// completion times over all GSPs, the pick is the largest key (ties to the
+// lower task index) and goes to the first GSP attaining the best time. It
+// is the reference listSchedule must match assignment for assignment.
+func listScheduleRescan(in *Instance, h Heuristic) []int {
+	k, n := in.NumGSPs(), in.NumTasks()
+	assign := make([]int, n)
+	for t := range assign {
+		assign[t] = -1
+	}
+	load := make([]float64, k)
+	count := make([]int, k)
+	dl := in.Deadline + Eps
+	for remaining := n; remaining > 0; remaining-- {
+		pickT, pickG := -1, -1
+		pickKey := math.Inf(-1)
+		for t := 0; t < n; t++ {
+			if assign[t] != -1 {
+				continue
+			}
+			best, second, bestG := math.Inf(1), math.Inf(1), -1
+			for g := 0; g < k; g++ {
+				switch done := load[g] + in.Time[g][t]; {
+				case done > dl:
+				case done < best:
+					best, second, bestG = done, best, g
+				case done < second:
+					second = done
+				}
+			}
+			if bestG == -1 {
+				return nil
+			}
+			key := best
+			if h == HeuristicSufferage {
+				key = second - best
+			}
+			if key > pickKey {
+				pickKey, pickT, pickG = key, t, bestG
+			}
+		}
+		assign[pickT] = pickG
+		load[pickG] += in.Time[pickG][pickT]
+		count[pickG]++
+	}
+	if !repairCoverage(in, assign, load, count) {
+		return nil
+	}
+	return assign
+}
+
+// TestListScheduleMatchesFullRescan compares Max-Min and Sufferage with
+// the classic full rescan on the Min-Min corpus: every matrix shape
+// (integer and rounding ties included), tight to loose deadlines, and the
+// Fig. 9 shapes (16 GSPs, 256 and 1024 tasks).
+func TestListScheduleMatchesFullRescan(t *testing.T) {
+	nils := map[bool]int{}
+	check := func(in *Instance, what string) {
+		t.Helper()
+		for _, h := range []Heuristic{HeuristicMaxMin, HeuristicSufferage} {
+			got, want := RunHeuristic(in, h), listScheduleRescan(in, h)
+			if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+				t.Fatalf("%s %v: listSchedule = %v, rescan = %v", what, h, got, want)
+			}
+			nils[got == nil]++
+		}
+	}
+	rng := xrand.New(2028)
+	for trial := 0; trial < 2000; trial++ {
+		k := rng.UniformInt(1, 8)
+		n := k + rng.UniformInt(0, 40)
+		if trial%7 == 0 {
+			n = k
+		}
+		in := minMinInstance(rng.SplitN("inst", trial), trial%numShapes, k, n, rng.Uniform(0.3, 2))
+		check(in, "trial")
+	}
+	if len(nils) != 2 {
+		t.Fatalf("corpus lacks variety: %v", nils)
+	}
+	sizes := []int{256, 1024}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, n := range sizes {
+		for shape := 0; shape < numShapes; shape++ {
+			for _, slack := range []float64{0.9, 1.2, 3} {
+				check(minMinInstance(rng.SplitN("fig9", n+shape), shape, 16, n, slack), "fig9 shape")
+			}
+		}
+	}
+}

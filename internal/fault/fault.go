@@ -133,17 +133,18 @@ type Plan struct {
 // Fired reports whether the visit produced a fault.
 func (p Plan) Fired() bool { return p.Class != None }
 
-// Defaults substituted for zero Config fields.
+// Fault parameters.
 const (
-	// DefaultCancelNodes is small enough that the search is genuinely cut
-	// short on any non-trivial instance, large enough that the incumbent
-	// machinery has run.
+	// DefaultCancelNodes, substituted for a zero Config.CancelNodes, is
+	// small enough that the search is genuinely cut short on any
+	// non-trivial instance, large enough that the incumbent machinery has
+	// run.
 	DefaultCancelNodes = 64
-	// DefaultLatency keeps injected delays visible in stats without
-	// dominating test wall time.
+	// DefaultLatency is the delay of every Latency fault: visible in stats
+	// without dominating test wall time.
 	DefaultLatency = 200 * time.Microsecond
-	// DefaultMaxIter guarantees the clamped power iteration cannot reach
-	// the default epsilon on any non-trivial graph.
+	// DefaultMaxIter is the power-iteration budget of every NonConverge
+	// fault: it cannot reach the default epsilon on any non-trivial graph.
 	DefaultMaxIter = 1
 )
 
@@ -158,10 +159,6 @@ type Config struct {
 	Classes []Class
 	// CancelNodes overrides DefaultCancelNodes for Cancel plans.
 	CancelNodes int64
-	// Latency overrides DefaultLatency for Latency plans.
-	Latency time.Duration
-	// MaxIter overrides DefaultMaxIter for NonConverge plans.
-	MaxIter int
 }
 
 // Stats is a snapshot of injector activity.
@@ -205,33 +202,23 @@ type Injector struct {
 	rng         *xrand.RNG
 	rate        float64
 	cancelNodes int64
-	latency     time.Duration
-	maxIter     int
 	// classes[p] is the enabled subset of pointClasses[p], precomputed so
 	// Visit does no filtering.
 	classes [NumPoints][]Class
 	stats   Stats
 }
 
-// New builds an injector from the config, substituting defaults for zero
-// parameter fields. A rate of 0 yields an injector that visits but never
+// New builds an injector from the config, substituting DefaultCancelNodes
+// for a zero CancelNodes. A rate of 0 yields an injector that visits but never
 // fires — useful for measuring hook overhead.
 func New(cfg Config) *Injector {
 	in := &Injector{
 		rng:         xrand.New(cfg.Seed).Split("fault"),
 		rate:        cfg.Rate,
 		cancelNodes: cfg.CancelNodes,
-		latency:     cfg.Latency,
-		maxIter:     cfg.MaxIter,
 	}
 	if in.cancelNodes <= 0 {
 		in.cancelNodes = DefaultCancelNodes
-	}
-	if in.latency <= 0 {
-		in.latency = DefaultLatency
-	}
-	if in.maxIter <= 0 {
-		in.maxIter = DefaultMaxIter
 	}
 	enabled := map[Class]bool{}
 	for _, c := range cfg.Classes {
@@ -274,9 +261,9 @@ func (in *Injector) Visit(p Point) Plan {
 	case Cancel:
 		plan.CancelAfterNodes = in.cancelNodes
 	case Latency:
-		plan.Sleep = in.latency
+		plan.Sleep = DefaultLatency
 	case NonConverge:
-		plan.MaxIter = in.maxIter
+		plan.MaxIter = DefaultMaxIter
 	}
 	in.stats.Fired++
 	in.stats.PerClass[c]++

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"testing"
-	"time"
 )
 
 // schedule drives n visits round-robin over all points and returns the
@@ -125,9 +124,9 @@ func TestPlanParameterDefaults(t *testing.T) {
 	if plan.CancelAfterNodes != DefaultCancelNodes {
 		t.Fatalf("CancelAfterNodes = %d, want default %d", plan.CancelAfterNodes, DefaultCancelNodes)
 	}
-	in = New(Config{Seed: 11, Rate: 1, Classes: []Class{Latency}, Latency: 5 * time.Millisecond})
-	if plan := in.Visit(PointSolve); plan.Sleep != 5*time.Millisecond {
-		t.Fatalf("Sleep = %v, want 5ms", plan.Sleep)
+	in = New(Config{Seed: 11, Rate: 1, Classes: []Class{Latency}})
+	if plan := in.Visit(PointSolve); plan.Sleep != DefaultLatency {
+		t.Fatalf("Sleep = %v, want default %v", plan.Sleep, DefaultLatency)
 	}
 	in = New(Config{Seed: 11, Rate: 1})
 	if plan := in.Visit(PointReputation); plan.MaxIter != DefaultMaxIter {

@@ -73,7 +73,6 @@ func TestChaosPerFaultClass(t *testing.T) {
 				Seed: 42, Rate: 1,
 				Classes:     []fault.Class{tc.class},
 				CancelNodes: 1,
-				Latency:     1, // 1ns: fire the sleep path without slowing the suite
 			})
 			res, err := RunContext(context.Background(), sc, Options{
 				Solver: assign.Options{NodeBudget: 100_000},

@@ -144,10 +144,12 @@ func ScenarioKey(sc *Scenario) uint64 {
 	}
 	wf(sc.Deadline)
 	wf(sc.Payment)
-	for _, e := range sc.Trust.Edges() {
-		w64(uint64(e.From))
-		w64(uint64(e.To))
-		wf(e.Weight)
+	for i := range sc.Trust.N() {
+		sc.Trust.VisitNeighbors(i, func(j int, w float64) {
+			w64(uint64(i))
+			w64(uint64(j))
+			wf(w)
+		})
 	}
 	return h.Sum64()
 }
@@ -178,14 +180,5 @@ func scenarioEqual(a, b *Scenario) bool {
 			}
 		}
 	}
-	ae, be := a.Trust.Edges(), b.Trust.Edges()
-	if len(ae) != len(be) {
-		return false
-	}
-	for i := range ae {
-		if ae[i] != be[i] {
-			return false
-		}
-	}
-	return true
+	return a.Trust.Equal(b.Trust)
 }

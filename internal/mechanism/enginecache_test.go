@@ -46,6 +46,30 @@ func TestEngineCacheHitMissAndCollisionGuard(t *testing.T) {
 	}
 }
 
+func TestEngineCacheHitDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc accounting is meaningless")
+	}
+	c := NewEngineCache(8)
+	a := cacheSpec(t, 0)
+	key := ScenarioKey(a)
+	c.Add(key, a, NewEngine(a, assign.Options{}))
+	// An equal scenario built separately, so the content check compares
+	// every field rather than one pointer with itself.
+	want := cacheSpec(t, 0)
+	if want.Trust.NumEdges() == 0 {
+		t.Fatal("sample scenario has no trust edges to compare")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, ok := c.Get(key, want); !ok {
+			t.Fatal("miss on an equal scenario")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cache hit allocates %v times", allocs)
+	}
+}
+
 func TestEngineCacheEvictsLRU(t *testing.T) {
 	// Capacity 2: touching the first entry makes the second the least
 	// recently used, so the third insert evicts the second.

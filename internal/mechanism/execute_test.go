@@ -79,7 +79,7 @@ func TestExecuteFinalErrors(t *testing.T) {
 }
 
 func TestRecordOutcomes(t *testing.T) {
-	hist := trust.NewHistory(5)
+	hist := trust.NewHistory(5, 1)
 	members := []int{1, 3, 4}
 	rep := &exec.Report{Delivered: []bool{true, false, true}}
 	if err := RecordOutcomes(hist, members, rep); err != nil {
@@ -115,7 +115,7 @@ func TestRecordOutcomes(t *testing.T) {
 }
 
 func TestRecordOutcomesLengthMismatch(t *testing.T) {
-	hist := trust.NewHistory(3)
+	hist := trust.NewHistory(3, 1)
 	if err := RecordOutcomes(hist, []int{0, 1}, &exec.Report{Delivered: []bool{true}}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}

@@ -15,8 +15,8 @@ import (
 var latencyBucketsMS = []float64{1, 5, 25, 100, 500, 2500, 10000}
 
 // Metrics holds the server's expvar-style counters: monotonically
-// increasing atomics, snapshotted as one JSON document by GET /metrics.
-// All methods are safe for concurrent use.
+// increasing atomics plus the engine totals under mu, snapshotted as one
+// JSON document by GET /metrics. All methods are safe for concurrent use.
 type Metrics struct {
 	start time.Time
 
@@ -31,20 +31,8 @@ type Metrics struct {
 	shed   atomic.Int64
 	panics atomic.Int64
 
-	engine struct {
-		solves          atomic.Int64
-		cacheHits       atomic.Int64
-		warmStarts      atomic.Int64
-		seedAccepted    atomic.Int64
-		seedWins        atomic.Int64
-		nodes           atomic.Int64
-		twinSymmetry    atomic.Int64
-		twinDominance   atomic.Int64
-		solverNS        atomic.Int64
-		powerIters      atomic.Int64
-		powerItersSaved atomic.Int64
-		degraded        atomic.Int64
-	}
+	// engine sums every request's solver-engine delta; guarded by mu.
+	engine mechanism.EngineStats
 
 	latency struct {
 		buckets []atomic.Int64 // len(latencyBucketsMS)+1, last = overflow
@@ -99,36 +87,16 @@ func (m *Metrics) panicked() { m.panics.Add(1) }
 
 // addEngine folds one request's solver-engine delta into the totals.
 func (m *Metrics) addEngine(s mechanism.EngineStats) {
-	m.engine.solves.Add(s.Solves)
-	m.engine.cacheHits.Add(s.CacheHits)
-	m.engine.warmStarts.Add(s.WarmStarts)
-	m.engine.seedAccepted.Add(s.SeedAccepted)
-	m.engine.seedWins.Add(s.SeedWins)
-	m.engine.nodes.Add(s.Nodes)
-	m.engine.twinSymmetry.Add(s.PrunedBySymmetry)
-	m.engine.twinDominance.Add(s.PrunedByDominance)
-	m.engine.solverNS.Add(int64(s.WallTime))
-	m.engine.powerIters.Add(s.PowerIterations)
-	m.engine.powerItersSaved.Add(s.PowerIterationsSaved)
-	m.engine.degraded.Add(s.Degraded)
+	m.mu.Lock()
+	m.engine = m.engine.Add(s)
+	m.mu.Unlock()
 }
 
 // EngineTotals returns the cumulative engine stats served so far.
 func (m *Metrics) EngineTotals() mechanism.EngineStats {
-	return mechanism.EngineStats{
-		Solves:               m.engine.solves.Load(),
-		CacheHits:            m.engine.cacheHits.Load(),
-		WarmStarts:           m.engine.warmStarts.Load(),
-		SeedAccepted:         m.engine.seedAccepted.Load(),
-		SeedWins:             m.engine.seedWins.Load(),
-		Nodes:                m.engine.nodes.Load(),
-		PrunedBySymmetry:     m.engine.twinSymmetry.Load(),
-		PrunedByDominance:    m.engine.twinDominance.Load(),
-		WallTime:             time.Duration(m.engine.solverNS.Load()),
-		PowerIterations:      m.engine.powerIters.Load(),
-		PowerIterationsSaved: m.engine.powerItersSaved.Load(),
-		Degraded:             m.engine.degraded.Load(),
-	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.engine
 }
 
 // MetricsSnapshot is the JSON document GET /metrics returns.

@@ -29,11 +29,11 @@ type EvolutionConfig struct {
 	Rule mechanism.EvictionRule
 	// ProgramSize picks the per-round application size.
 	ProgramSize int
-	// DecayRetention, when in (0,1), switches the trust accounting to
-	// the time-decaying model of Azzedin & Maheswaran with the given
-	// per-round retention — the related-work variant the paper critiques
-	// ("converges to a state in which the formation of new VOs is not
-	// possible"). Zero keeps the paper's undecayed accounting.
+	// DecayRetention, when in (0,1), is the per-round retention of
+	// trust.History's time-decaying model after Azzedin & Maheswaran —
+	// the related-work variant the paper critiques ("converges to a state
+	// in which the formation of new VOs is not possible"). Zero means
+	// retention 1, the paper's undecayed accounting.
 	DecayRetention float64
 	// IdleRounds inserts this many formation-free rounds between
 	// consecutive formations, accelerating decay-driven evaporation in
@@ -94,31 +94,25 @@ func (e *Env) RunEvolution(ctx context.Context, cfg EvolutionConfig) (*Evolution
 
 	// Round 0 starts from an Erdős–Rényi prior.
 	cur := trust.ErdosRenyi(rng.Split("prior"), m, 0.3)
-	if cfg.DecayRetention < 0 || cfg.DecayRetention >= 1 {
-		if cfg.DecayRetention != 0 {
-			return nil, fmt.Errorf("sim: decay retention %v outside (0,1)", cfg.DecayRetention)
-		}
+	retention := cfg.DecayRetention
+	if retention == 0 {
+		retention = 1 // the paper's undecayed accounting
+	} else if !(retention > 0 && retention < 1) {
+		return nil, fmt.Errorf("sim: decay retention %v outside (0,1)", retention)
 	}
-	var hist *trust.History
-	var decayHist *trust.DecayHistory
-	if cfg.DecayRetention > 0 {
-		decayHist = trust.NewDecayHistory(m, cfg.DecayRetention)
-	} else {
-		hist = trust.NewHistory(m)
-	}
+	hist := trust.NewHistory(m, retention)
 
 	res := &EvolutionResult{Reliability: rel}
 	for round := 0; round < cfg.Rounds; round++ {
 		// Logical time advances faster when idle rounds separate the
-		// formations (only meaningful under decay).
-		logicalRound := round * (1 + cfg.IdleRounds)
-		if decayHist != nil {
-			// Fold the decay since the last formation into the graph
-			// before forming: stale trust evaporates even for pairs
-			// that do not interact this round.
-			if err := decayHist.ApplyToAt(cur, logicalRound); err != nil {
-				return nil, err
-			}
+		// formations (only meaningful under decay). Fold the decay since
+		// the last formation into the graph before forming: stale trust
+		// evaporates even for pairs that do not interact this round.
+		if err := hist.AdvanceTo(round * (1 + cfg.IdleRounds)); err != nil {
+			return nil, err
+		}
+		if err := hist.ApplyTo(cur); err != nil {
+			return nil, err
 		}
 		sc, _, _, err := e.buildScenario(cfg.ProgramSize, 5000+round)
 		if err != nil {
@@ -150,24 +144,13 @@ func (e *Env) RunEvolution(ctx context.Context, cfg EvolutionConfig) (*Evolution
 					if requester == provider {
 						continue
 					}
-					delivered := irng.Bool(rel[provider])
-					if decayHist != nil {
-						err = decayHist.RecordAt(requester, provider, delivered, logicalRound)
-					} else {
-						err = hist.Record(requester, provider, delivered)
-					}
-					if err != nil {
+					if err := hist.Record(requester, provider, irng.Bool(rel[provider])); err != nil {
 						return nil, err
 					}
 					rd.Interactions++
 				}
 			}
-			if decayHist != nil {
-				err = decayHist.ApplyToAt(cur, logicalRound)
-			} else {
-				err = hist.ApplyTo(cur)
-			}
-			if err != nil {
+			if err := hist.ApplyTo(cur); err != nil {
 				return nil, err
 			}
 		}

@@ -2,6 +2,11 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"gridvo/internal/mechanism"
@@ -135,5 +140,68 @@ func TestRunEvolutionTVOFLearnsReliability(t *testing.T) {
 	}
 	if goodIn <= badIn {
 		t.Fatalf("learned trust does not separate reliable GSPs: good=%v bad=%v", goodIn, badIn)
+	}
+}
+
+// evolutionHash folds everything RunEvolution returns into one FNV-1a hash:
+// each round's members, the bits of MeanReliability and AvgReputation,
+// TrustEdges and Interactions, and FinalTrust's edges with their weight bits.
+func evolutionHash(h hash.Hash64, r *EvolutionResult) {
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, rd := range r.Rounds {
+		put(uint64(rd.Round))
+		put(uint64(len(rd.Members)))
+		for _, g := range rd.Members {
+			put(uint64(g))
+		}
+		put(math.Float64bits(rd.MeanReliability))
+		put(math.Float64bits(rd.AvgReputation))
+		put(uint64(rd.TrustEdges))
+		put(uint64(rd.Interactions))
+	}
+	for _, e := range r.FinalTrust.Edges() {
+		put(uint64(e.From))
+		put(uint64(e.To))
+		put(math.Float64bits(e.Weight))
+	}
+}
+
+// TestRunEvolutionPinned pins vosim -evolution's three variants (TVOF and
+// RVOF undecayed, TVOF at retention 0.5) bit for bit, so a change to the
+// trust accounting cannot move a selection or a learned weight unnoticed.
+func TestRunEvolutionPinned(t *testing.T) {
+	cfg := QuickConfig(42)
+	cfg.Solver.NodeBudget = 20_000
+	env, err := NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, v := range []struct {
+		rule      mechanism.EvictionRule
+		retention float64
+	}{
+		{mechanism.EvictLowestReputation, 0},
+		{mechanism.EvictRandom, 0},
+		{mechanism.EvictLowestReputation, 0.5},
+	} {
+		res, err := env.RunEvolution(context.Background(), EvolutionConfig{
+			Rounds:         8,
+			Rule:           v.rule,
+			ProgramSize:    64,
+			DecayRetention: v.retention,
+			IdleRounds:     4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		evolutionHash(h, res)
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "f9c272554c6591ea"; got != want {
+		t.Fatalf("evolution hash = %s, want %s", got, want)
 	}
 }

@@ -123,6 +123,26 @@ func (g *Graph) VisitNeighbors(i int, fn func(j int, w float64)) {
 	}
 }
 
+// Equal reports whether g and o have the same size and the same edges with
+// equal weights, without allocating. Labels are ignored.
+func (g *Graph) Equal(o *Graph) bool {
+	if g.n != o.n || g.nnz != o.nnz {
+		return false
+	}
+	for i, row := range g.adj {
+		orow := o.adj[i]
+		if len(row) != len(orow) {
+			return false
+		}
+		for k := range row {
+			if row[k] != orow[k] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // NumEdges returns the number of positive-weight edges.
 func (g *Graph) NumEdges() int { return g.nnz }
 

@@ -298,3 +298,32 @@ func TestDensityEdgeCases(t *testing.T) {
 		t.Fatal("degenerate densities not zero")
 	}
 }
+
+func TestGraphEqual(t *testing.T) {
+	a := NewGraph(3)
+	a.SetTrust(0, 1, 0.5)
+	a.SetTrust(2, 0, 0.25)
+	b := a.Clone()
+	b.SetLabels([]string{"x", "y", "z"})
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatal("clone with labels not equal")
+	}
+	b.SetTrust(2, 0, 0.26)
+	if a.Equal(b) {
+		t.Fatal("different weight equal")
+	}
+	b.SetTrust(2, 0, 0.25)
+	b.SetTrust(1, 2, 0.1)
+	if a.Equal(b) {
+		t.Fatal("extra edge equal")
+	}
+	c := NewGraph(3)
+	c.SetTrust(0, 2, 0.5)
+	c.SetTrust(2, 0, 0.25)
+	if a.Equal(c) {
+		t.Fatal("same weights on different targets equal")
+	}
+	if NewGraph(2).Equal(NewGraph(3)) {
+		t.Fatal("different sizes equal")
+	}
+}

@@ -109,7 +109,8 @@ var testOnlyKnob = map[string]string{
 // caller: every exported field of an exported …Options or …Config struct in
 // non-test internal/ code (analysis aside) must be written by a non-test file
 // outside its package, or be in testOnlyKnob. A write is a key in a composite
-// literal of the type, or any selector of the field's name assigned to.
+// literal of the type, or an assignment whose left side's outermost selector
+// names the field: a.Latency.Buckets[k] = v writes Buckets, not Latency.
 func TestOptionFieldHasNonTestWriter(t *testing.T) {
 	fset, fields := token.NewFileSet(), map[string]token.Position{}
 	// writers lists the writing packages per <Type>.<Key> of a literal of an
@@ -144,12 +145,9 @@ func TestOptionFieldHasNonTestWriter(t *testing.T) {
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					ast.Inspect(lhs, func(n ast.Node) bool {
-						if sel, ok := n.(*ast.SelectorExpr); ok {
-							writers[sel.Sel.Name] = append(writers[sel.Sel.Name], pkg)
-						}
-						return true
-					})
+					if name := assignedField(lhs); name != "" {
+						writers[name] = append(writers[name], pkg)
+					}
 				}
 			}
 			return true
@@ -173,6 +171,25 @@ func TestOptionFieldHasNonTestWriter(t *testing.T) {
 	for key := range testOnlyKnob {
 		if _, ok := fields[key]; !ok {
 			t.Errorf("testOnlyKnob lists %s, which is not an option field under internal/", key)
+		}
+	}
+}
+
+// assignedField names the field an assignment's left side writes: the
+// selector reached through index, dereference and parentheses, or "".
+func assignedField(lhs ast.Expr) string {
+	for {
+		switch e := lhs.(type) {
+		case *ast.SelectorExpr:
+			return e.Sel.Name
+		case *ast.IndexExpr:
+			lhs = e.X
+		case *ast.StarExpr:
+			lhs = e.X
+		case *ast.ParenExpr:
+			lhs = e.X
+		default:
+			return ""
 		}
 	}
 }
