@@ -208,7 +208,9 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrustDelta(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req TrustDeltaRequest
-	if !s.decodeJSON(w, r, &req) {
+	body, readErr := readBody(r, s.cfg.MaxBodyBytes)
+	if err := decodeTrustDelta(body, readErr, &req); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	if err := req.Validate(); err != nil {

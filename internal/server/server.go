@@ -215,23 +215,26 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
-// decodeJSON parses the request body into dst, translating failure modes
-// to the API's status codes: 413 for oversized bodies, 400 otherwise.
-// It reports whether decoding succeeded; on failure the response has
-// already been written.
+// decodeJSON parses the request body into dst. It reports whether
+// decoding succeeded; on failure writeDecodeError has already answered.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(dst); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
+	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
+		writeDecodeError(w, err)
 		return false
 	}
 	return true
+}
+
+// writeDecodeError translates a failed body decode to the API's status
+// codes: 413 for oversized bodies, 400 otherwise.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 }
 
 // budget resolves the solve budget for a request: its timeout_ms when

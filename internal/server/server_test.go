@@ -135,7 +135,7 @@ func TestReputationValidation(t *testing.T) {
 
 func TestMalformedJSONIs400(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, route := range []string{"/v1/reputation", "/v1/vo/form", "/v1/assign"} {
+	for _, route := range []string{"/v1/reputation", "/v1/vo/form", "/v1/assign", "/v1/trust/delta", "/v1/jobs"} {
 		code, data := postJSON(t, ts.URL+route, `{"unterminated`)
 		if code != http.StatusBadRequest {
 			t.Fatalf("%s: want 400 for malformed JSON, got %d: %s", route, code, data)
@@ -150,9 +150,15 @@ func TestMalformedJSONIs400(t *testing.T) {
 func TestOversizedBodyIs413(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
 	big := `{"trust": {"n": 3, "edges": [` + strings.Repeat(`{"from":0,"to":1,"weight":0.5},`, 50) + `]}}`
-	code, data := postJSON(t, ts.URL+"/v1/reputation", big)
-	if code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("want 413, got %d: %s", code, data)
+	for _, route := range []string{"/v1/reputation", "/v1/trust/delta", "/v1/jobs"} {
+		code, data := postJSON(t, ts.URL+route, big)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: want 413, got %d: %s", route, code, data)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(data, &e); err != nil || e.Error != "request body exceeds 64 bytes" {
+			t.Fatalf("%s: error body %s", route, data)
+		}
 	}
 }
 

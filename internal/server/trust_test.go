@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"gridvo/internal/trust"
@@ -178,6 +179,52 @@ func TestOversizedTrustRejected(t *testing.T) {
 	code, data := postJSON(t, ts.URL+"/v1/reputation", `{"trust":{"n":2,"edges":[{"from":0,"to":1,"weight":1},{"from":1,"to":0,"weight":1}]}}`)
 	if code != http.StatusOK {
 		t.Fatalf("small reputation request after the oversized ones: status %d: %s", code, data)
+	}
+}
+
+// TestTrustDeltaWeightAboveOne: eq. 1 normalizes each row, so a weight
+// is any finite non-negative number, not a value in [0, 1].
+func TestTrustDeltaWeightAboveOne(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, data := postJSON(t, ts.URL+"/v1/trust/delta", TrustDeltaRequest{
+		N: 3, Edges: []trust.DeltaOp{{From: 0, To: 1, Weight: 2.5}, {From: 1, To: 2, Weight: 0.5}},
+	})
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, data)
+	}
+	var resp TrustDeltaResponse
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stats.Edges != 2 {
+		t.Fatalf("store has %d edges, want 2 (the 2.5 edge counted)", resp.Stats.Edges)
+	}
+}
+
+// TestTrustDeltaValueBeforeBodyLimit: a delta object that ends within
+// MaxBodyBytes is decoded and applied even when padding runs the body
+// past the limit, because only the first JSON value is read (200, as
+// with a streaming encoding/json decode); a body whose object crosses
+// the limit is a 413.
+func TestTrustDeltaValueBeforeBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
+	delta := `{"n":3,"edges":[{"from":0,"to":1,"weight":0.5}]}`
+	for _, pad := range []string{strings.Repeat(" ", 200), strings.Repeat("x", 200)} {
+		code, data := postJSON(t, ts.URL+"/v1/trust/delta", delta+pad)
+		if code != http.StatusOK {
+			t.Fatalf("padded delta: status %d: %s", code, data)
+		}
+		var resp TrustDeltaResponse
+		if err := json.Unmarshal(data, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Stats.N != 3 || resp.Stats.Edges != 1 {
+			t.Fatalf("padded delta applied as %+v, want n=3 edges=1", resp.Stats)
+		}
+	}
+	code, data := postJSON(t, ts.URL+"/v1/trust/delta", delta[:len(delta)-1]+strings.Repeat(" ", 200)+"}")
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("object crossing the limit: status %d: %s", code, data)
 	}
 }
 
