@@ -4,27 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"net/http"
 	"strconv"
 
 	"gridvo/internal/trust"
 )
-
-// readBody reads the whole request body into one buffer, sized from
-// Content-Length when the client sent one (capped at limit, which the
-// body's MaxBytesReader enforces) so a large batch lands without
-// regrowing. It returns the bytes read and the error that ended the
-// read, nil at a clean EOF.
-func readBody(r *http.Request, limit int64) ([]byte, error) {
-	var buf bytes.Buffer
-	if cl := r.ContentLength; cl > 0 && limit > 0 {
-		// ReadFrom keeps MinRead bytes free for each read, the last of
-		// which sees EOF.
-		buf.Grow(int(min(cl, limit)) + bytes.MinRead)
-	}
-	_, err := buf.ReadFrom(r.Body)
-	return buf.Bytes(), err
-}
 
 // decodeTrustDelta decodes a trust-delta body read in full, given the
 // error that ended the read (nil at a clean EOF). A body of the
@@ -281,32 +264,18 @@ func digits(b []byte, i int) int {
 	return i
 }
 
-// int reads an integer literal into dst. encoding/json parses it with
-// strconv.ParseInt and rejects what overflows int; up to nine digits
-// cannot, and longer literals take that same check.
+// int reads an integer literal into dst with strconv.Atoi, which is
+// strconv.ParseInt at the int size (with a fast path for short
+// literals), as encoding/json parses it; a literal that overflows int
+// fails.
 func (p *deltaParser) int(dst *int) bool {
 	lit, integer, ok := p.number()
 	if !ok || !integer {
 		return false
 	}
-	mag := lit
-	if mag[0] == '-' {
-		mag = mag[1:]
-	}
-	if len(mag) > 9 {
-		n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
-		*dst = int(n)
-		return err == nil
-	}
-	n := 0
-	for _, c := range mag {
-		n = n*10 + int(c-'0')
-	}
-	if len(mag) < len(lit) {
-		n = -n
-	}
+	n, err := strconv.Atoi(string(lit))
 	*dst = n
-	return true
+	return err == nil
 }
 
 // float reads a number into dst with encoding/json's strconv.ParseFloat

@@ -2,13 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"gridvo/internal/trust"
 	"gridvo/internal/xrand"
@@ -52,8 +57,7 @@ func checkDecodeMatches(t testing.TB, b []byte, limits ...int64) bool {
 		}
 		want, got = TrustDeltaRequest{}, TrustDeltaRequest{}
 		wantErr = json.NewDecoder(limited()).Decode(&want)
-		r := &http.Request{Body: limited(), ContentLength: int64(len(b))}
-		body, readErr := readBody(r, limit)
+		body, readErr := io.ReadAll(limited())
 		gotErr = decodeTrustDelta(body, readErr, &got)
 		compareDecodes(t, b, fmt.Sprintf(" under a %d-byte limit", limit), &want, &got, wantErr, gotErr)
 	}
@@ -317,6 +321,96 @@ func TestMarshalledTrustDeltaTakesFastPath(t *testing.T) {
 				t.Fatalf("body %s:\nencoding/json %+v\nparser        %+v", b, want, got)
 			}
 		}
+	}
+}
+
+// fillNonZero sets every field reachable from v to a non-zero value:
+// each slice gets one element, each number and bool its own non-zero
+// value. It fails on a kind the single-pass parser does not decode.
+func fillNonZero(t *testing.T, v reflect.Value, next *int) {
+	t.Helper()
+	*next++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillNonZero(t, v.Field(i), next)
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fillNonZero(t, v.Index(0), next)
+	case reflect.Int:
+		v.SetInt(int64(*next))
+	case reflect.Float64:
+		v.SetFloat(float64(*next) / 8)
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		t.Fatalf("field of kind %s: teach parseTrustDelta and this test to decode it", v.Kind())
+	}
+}
+
+// TestTrustDeltaParserKnowsEveryField fills every field of
+// TrustDeltaRequest and trust.DeltaOp, so every json tag appears in the
+// marshalled body, and asserts the single-pass parser decodes it
+// itself. A field added to either struct without a case in the parser
+// would send every body that carries it to the slower fallback; this
+// test fails instead.
+func TestTrustDeltaParserKnowsEveryField(t *testing.T) {
+	var req TrustDeltaRequest
+	next := 0
+	fillNonZero(t, reflect.ValueOf(&req).Elem(), &next)
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(req), reflect.TypeOf(trust.DeltaOp{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			if !bytes.Contains(b, []byte(`"`+name+`":`)) {
+				t.Fatalf("%s.%s (json %q) missing from the filled body %s", typ.Name(), typ.Field(i).Name, name, b)
+			}
+		}
+	}
+	var want, got TrustDeltaRequest
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !parseTrustDelta(b, &got) {
+		t.Fatalf("single-pass parser declined a body with every field set: %s", b)
+	}
+	if !sameDelta(&want, &got) {
+		t.Fatalf("body %s:\nencoding/json %+v\nparser        %+v", b, want, got)
+	}
+}
+
+// TestTrustDeltaBodyNotSizedFromContentLength posts a small delta that
+// declares a Content-Length far above its size and the body limit far
+// above both, and asserts the handler allocates about what arrived, not
+// what was declared: a client that sends only headers must not make the
+// server hold -max-body bytes.
+func TestTrustDeltaBodyNotSizedFromContentLength(t *testing.T) {
+	const declared = 128 << 20
+	s := New(Config{MaxBodyBytes: 1 << 30})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.DrainJobs(ctx); err != nil {
+			t.Errorf("draining job workers: %v", err)
+		}
+	})
+	body := `{"n":3,"edges":[{"from":0,"to":1,"weight":0.5}]}`
+	req := httptest.NewRequest("POST", "/v1/trust/delta", strings.NewReader(body))
+	req.ContentLength = declared
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.mux.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > declared/16 {
+		t.Fatalf("handler allocated %d bytes for a %d-byte body declaring %d", alloc, len(body), declared)
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -208,7 +209,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrustDelta(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req TrustDeltaRequest
-	body, readErr := readBody(r, s.cfg.MaxBodyBytes)
+	body, readErr := io.ReadAll(r.Body)
 	if err := decodeTrustDelta(body, readErr, &req); err != nil {
 		writeDecodeError(w, err)
 		return
