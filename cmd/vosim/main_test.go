@@ -182,7 +182,8 @@ func TestRunChaosMode(t *testing.T) {
 // fingerprint folds every selection, payoff bit pattern and fault counter
 // of a sweep, so any change to the trust normalization or the power
 // iteration's arithmetic moves it. The dense Erdős–Rényi and the sparse
-// generator paths are pinned separately.
+// generator paths are pinned separately, and so is a sweep whose scenarios
+// a sybil ring rewrote after their feasibility check.
 func TestChaosFingerprintPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full chaos sweeps")
@@ -195,6 +196,7 @@ func TestChaosFingerprintPinned(t *testing.T) {
 	}{
 		{"erdos-renyi", base, "fingerprint: d4ba4afc262b6ec5"},
 		{"sparse degree 6", append(append([]string(nil), base...), "-trust-degree", "6"), "fingerprint: f5b7e07826220ef8"},
+		{"sybil ring of 3", append(append([]string(nil), base...), "-adversary", "sybil,3"), "fingerprint: d9379b20174f96b9"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if out := runCLI(t, tc.args...); !strings.Contains(out, tc.want+"\n") {
