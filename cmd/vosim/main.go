@@ -342,17 +342,24 @@ var errChaos = errors.New("chaos sweep failed")
 func parseChaosSpec(spec string) (seed uint64, rate float64, err error) {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("vosim: -chaos wants \"seed,rate\", got %q", spec)
+		return 0, 0, fmt.Errorf("-chaos wants \"seed,rate\", got %q", spec)
 	}
 	seed, err = strconv.ParseUint(strings.TrimSpace(parts[0]), 10, 64)
 	if err != nil {
-		return 0, 0, fmt.Errorf("vosim: bad chaos seed %q", parts[0])
+		return 0, 0, fmt.Errorf("bad chaos seed %q", parts[0])
 	}
-	rate, err = strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-	if err != nil || rate < 0 || rate > 1 {
-		return 0, 0, fmt.Errorf("vosim: bad chaos rate %q (want 0..1)", parts[1])
+	rate, err = parseRate("chaos", parts[1])
+	return seed, rate, err
+}
+
+// parseRate parses a probability flag argument, rejecting anything outside
+// [0,1], NaN included.
+func parseRate(what, s string) (float64, error) {
+	rate, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil || !(rate >= 0 && rate <= 1) {
+		return 0, fmt.Errorf("bad %s rate %q (want 0..1)", what, s)
 	}
-	return seed, rate, nil
+	return rate, nil
 }
 
 // runChaos executes the chaos sweep twice with identically-seeded
@@ -400,21 +407,21 @@ func parseAdversarySpec(spec string, numGSPs int) (sim.RobustnessOptions, error)
 	var opts sim.RobustnessOptions
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
-		return opts, fmt.Errorf(`vosim: -adversary wants "class,param" (e.g. sybil,8 or slander,0.3 or churn,0.25), got %q`, spec)
+		return opts, fmt.Errorf(`-adversary wants "class,param" (e.g. sybil,8 or slander,0.3 or churn,0.25), got %q`, spec)
 	}
 	class := strings.TrimSpace(parts[0])
 	param := strings.TrimSpace(parts[1])
 	switch class {
 	case "churn":
-		rate, err := strconv.ParseFloat(param, 64)
-		if err != nil || rate < 0 || rate > 1 {
-			return opts, fmt.Errorf("vosim: bad churn rate %q (want 0..1)", param)
+		rate, err := parseRate("churn", param)
+		if err != nil {
+			return opts, err
 		}
 		opts.Churn = &adversary.ChurnSpec{LeaveRate: rate, JoinRate: rate / 2}
 	case adversary.ClassSlander:
-		rate, err := strconv.ParseFloat(param, 64)
-		if err != nil || rate < 0 || rate > 1 {
-			return opts, fmt.Errorf("vosim: bad slander rate %q (want 0..1)", param)
+		rate, err := parseRate("slander", param)
+		if err != nil {
+			return opts, err
 		}
 		size := numGSPs / 8
 		if size < 1 {
@@ -424,11 +431,11 @@ func parseAdversarySpec(spec string, numGSPs int) (sim.RobustnessOptions, error)
 	case adversary.ClassCollusion, adversary.ClassSybil, adversary.ClassWhitewash:
 		size, err := strconv.Atoi(param)
 		if err != nil || size < 0 {
-			return opts, fmt.Errorf("vosim: bad %s size %q", class, param)
+			return opts, fmt.Errorf("bad %s size %q", class, param)
 		}
 		opts.Attack = &adversary.Spec{Class: class, Size: size}
 	default:
-		return opts, fmt.Errorf("vosim: unknown adversary class %q (want collusion, sybil, whitewash, slander, or churn)", class)
+		return opts, fmt.Errorf("unknown adversary class %q (want collusion, sybil, whitewash, slander, or churn)", class)
 	}
 	return opts, nil
 }
@@ -485,7 +492,7 @@ func parseSizes(s string) ([]int, error) {
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("vosim: bad size %q", part)
+			return nil, fmt.Errorf("bad size %q", part)
 		}
 		out = append(out, v)
 	}

@@ -156,9 +156,33 @@ func TestParseChaosSpec(t *testing.T) {
 	if err != nil || seed != 7 || rate != 0.3 {
 		t.Fatalf("parseChaosSpec = %d, %v, %v", seed, rate, err)
 	}
-	for _, bad := range []string{"", "7", "7,0.3,1", "x,0.3", "7,abc", "7,-0.1", "7,1.5"} {
+	for _, bad := range []string{"", "7", "7,0.3,1", "x,0.3", "7,abc", "7,-0.1", "7,1.5", "7,NaN"} {
 		if _, _, err := parseChaosSpec(bad); err == nil {
 			t.Fatalf("parseChaosSpec(%q) accepted", bad)
+		}
+	}
+}
+
+// TestRunRejectsBadRates: every rate flag argument must lie in [0,1]. NaN
+// fails every comparison, so a range check written as two rejections lets
+// it through, and a NaN chaos rate fires a fault at every visit. The error
+// carries no "vosim:" prefix of its own: main prints that.
+func TestRunRejectsBadRates(t *testing.T) {
+	for _, args := range [][]string{
+		{"-chaos", "7,NaN"},
+		{"-chaos", "7,2"},
+		{"-adversary", "churn,NaN"},
+		{"-adversary", "slander,NaN"},
+		{"-adversary", "slander,-1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(append(args, "-sizes", "32", "-reps", "1"), &stdout, &stderr)
+		if err == nil {
+			t.Errorf("%v accepted:\n%s", args, stdout.String())
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "bad ") {
+			t.Errorf("%v: error %q, want one starting \"bad \"", args, err)
 		}
 	}
 }

@@ -75,8 +75,7 @@ func TestChaosPerFaultClass(t *testing.T) {
 				CancelNodes: 1,
 			})
 			res, err := RunContext(context.Background(), sc, Options{
-				Solver: assign.Options{NodeBudget: 100_000},
-				Inject: inj,
+				Solver: assign.Options{NodeBudget: 100_000, Inject: inj},
 			}, xrand.New(7))
 			if err != nil {
 				t.Fatalf("run under %s failed hard: %v", tc.name, err)
@@ -102,6 +101,40 @@ func TestChaosPerFaultClass(t *testing.T) {
 	}
 }
 
+// TestSolverOptionsInjectorReachesEveryHook: an injector given only in the
+// solver options is the run's injector at all four hook points, not just
+// the IP solve's, and Result.Faults counts what fired. One class per hook:
+// an engine fault at rate 1 keeps every coalition from reaching the solver.
+func TestSolverOptionsInjectorReachesEveryHook(t *testing.T) {
+	for _, tc := range []struct {
+		point fault.Point
+		class fault.Class
+	}{
+		{fault.PointEngine, fault.PoisonCost},
+		{fault.PointSolve, fault.Latency},
+		{fault.PointReputation, fault.NonConverge},
+		{fault.PointTrust, fault.ZeroTrustRow},
+	} {
+		t.Run(tc.point.String(), func(t *testing.T) {
+			sc := testScenario(17, 5, 15)
+			inj := fault.New(fault.Config{Seed: 8, Rate: 1, Classes: []fault.Class{tc.class}})
+			res, err := RunContext(context.Background(), sc, Options{
+				Solver: assign.Options{NodeBudget: 100_000, Inject: inj},
+			}, xrand.New(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := inj.Stats()
+			if st.PerClass[tc.class] == 0 {
+				t.Fatalf("%s never fired at %s: %v", tc.class, tc.point, st)
+			}
+			if res.Faults != st.Fired {
+				t.Fatalf("result counts %d faults, the injector fired %d", res.Faults, st.Fired)
+			}
+		})
+	}
+}
+
 // TestChaosMixedDeterminism: the full class mix at a moderate rate, run
 // twice with identical seeds, must produce identical fault schedules,
 // selections, and payoffs — the reproducibility contract of the injector.
@@ -110,8 +143,7 @@ func TestChaosMixedDeterminism(t *testing.T) {
 		sc := testScenario(11, 6, 18)
 		inj := fault.New(fault.Config{Seed: 99, Rate: 0.5, CancelNodes: 4})
 		res, err := RunContext(context.Background(), sc, Options{
-			Solver: assign.Options{NodeBudget: 100_000},
-			Inject: inj,
+			Solver: assign.Options{NodeBudget: 100_000, Inject: inj},
 		}, xrand.New(3))
 		if err != nil {
 			t.Fatal(err)
@@ -136,36 +168,24 @@ func TestChaosMixedDeterminism(t *testing.T) {
 	chaosInvariants(t, testScenario(11, 6, 18), a)
 }
 
-// TestChaosFaultedSolvesNotCached: a fresh engine run with rate-1 cancel
-// must not poison the coalition cache — re-solving the same coalitions
-// with injection disabled returns the exact results.
+// TestChaosFaultedSolvesNotCached: a run whose every solve a rate-1 cancel
+// cut short must not poison the coalition cache — the engine holds none of
+// the coalitions the run evaluated, so Adopt accepts each of them.
 func TestChaosFaultedSolvesNotCached(t *testing.T) {
 	sc := testScenario(13, 5, 15)
-	eng := NewEngine(sc, assign.Options{NodeBudget: 100_000})
 	inj := fault.New(fault.Config{Seed: 5, Rate: 1, Classes: []fault.Class{fault.Cancel}, CancelNodes: 1})
-	eng.SetInjector(inj)
-	if _, err := RunContext(context.Background(), sc, Options{Engine: eng}, xrand.New(1)); err != nil {
-		t.Fatal(err)
-	}
-	if inj.Stats().Fired == 0 {
-		t.Fatal("injector never fired")
-	}
-	// Disable injection and re-run: everything must be solved fresh (no
-	// fault-touched entries were cached) and to proven optimality.
-	eng.SetInjector(nil)
+	eng := NewEngine(sc, assign.Options{NodeBudget: 100_000, Inject: inj})
 	res, err := RunContext(context.Background(), sc, Options{Engine: eng}, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Degraded {
-		t.Fatalf("clean re-run degraded — poisoned cache entry: %+v", res.Stats)
+	if inj.Stats().Fired == 0 || res.Stats.Solves == 0 {
+		t.Fatalf("injector fired %d times over %d solves", inj.Stats().Fired, res.Stats.Solves)
 	}
-	clean, err := RunContext(context.Background(), sc, Options{Solver: assign.Options{NodeBudget: 100_000}}, xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Selected != clean.Selected || res.Final().Payoff != clean.Final().Payoff {
-		t.Fatalf("faulted-then-clean run differs from always-clean run: %v vs %v",
-			res.Final().Payoff, clean.Final().Payoff)
+	for i := range res.Iterations {
+		members := res.Iterations[i].Members
+		if !eng.Adopt(members, assign.Solve(sc.Instance(members), assign.Options{NodeBudget: 100_000})) {
+			t.Fatalf("iteration %d: coalition %v was cached from a faulted solve", i, members)
+		}
 	}
 }

@@ -133,10 +133,11 @@ func (s EngineStats) String() string {
 
 // Engine is the unified solve path for one scenario: every layer that
 // needs v(C) — the mechanism loop, the stability check, the merge-split
-// baseline, coalition.Game value functions — routes through Engine.Solve,
-// which memoizes solutions by coalition bitmask. One engine per scenario
-// means TVOF iterations, RVOF baselines, and post-hoc stability analyses
-// never re-solve a coalition any of them already solved.
+// baseline, coalition.Game value functions — routes through
+// Engine.SolveWithParent, which memoizes solutions by coalition bitmask.
+// One engine per scenario means TVOF iterations, RVOF baselines, and
+// post-hoc stability analyses never re-solve a coalition any of them
+// already solved.
 //
 // Solutions are cached only when the search was not interrupted by the
 // context (an interrupted solve is deadline-dependent, hence not
@@ -146,7 +147,6 @@ type Engine struct {
 	sc     *Scenario
 	solver assign.Solver
 	opts   assign.Options
-	inject *fault.Injector
 
 	mu      sync.Mutex
 	noCache bool
@@ -194,6 +194,14 @@ func (c cached) unpack() assign.Solution {
 // afterwards — the cache keys coalitions only by membership. Any
 // SeedAssign in the options is discarded: warm-start seeds are projected
 // per solve from cached parent solutions, never fixed engine-wide.
+//
+// The options' Inject is the engine's fault injector, the only way one
+// reaches a mechanism run: the engine visits it once per coalition
+// evaluation (fault.PointEngine), the IP solver once per solve
+// (fault.PointSolve), and every run on the engine at its reputation solves
+// (fault.PointReputation) and eviction scoring (fault.PointTrust). A solve
+// a fault touched is never cached, so injected failures stay transient
+// instead of poisoning later evaluations.
 func NewEngine(sc *Scenario, solverOpts assign.Options) *Engine {
 	solverOpts.SeedAssign = nil
 	return &Engine{
@@ -214,24 +222,9 @@ func (e *Engine) SetSolver(s assign.Solver) {
 	e.solver = s
 }
 
-// SetInjector installs a fault injector: the engine visits it once per
-// coalition evaluation (fault.PointEngine, the malformed-input faults) and
-// forwards it to the IP solver via Options.Inject (fault.PointSolve). Any
-// solve a fault touched is excluded from the cache, so injected failures
-// stay transient instead of poisoning later evaluations. Like SetSolver,
-// not safe to call concurrently with Solve; nil disables injection.
-func (e *Engine) SetInjector(in *fault.Injector) {
-	e.inject = in
-	e.opts.Inject = in
-}
-
-// Injector returns the installed fault injector (nil when disabled).
-func (e *Engine) Injector() *fault.Injector { return e.inject }
-
-// injected reports whether a fault injector reaches the engine's solves:
-// one installed with SetInjector, or one that came in the solver options
-// NewEngine was given, which only the IP solver visits.
-func (e *Engine) injected() bool { return e.inject != nil || e.opts.Inject != nil }
+// injected reports whether the engine's solver options carry a fault
+// injector.
+func (e *Engine) injected() bool { return e.opts.Inject != nil }
 
 // SetCacheEnabled toggles memoization (the determinism tests compare
 // cache-on and cache-off runs). Disabling does not drop entries already
@@ -266,23 +259,18 @@ func memberMask(members []int) (uint64, bool) {
 	return mask, true
 }
 
-// Solve returns the assignment solution for the coalition given by global
-// GSP indices, serving from the cache when the coalition was already
-// solved. Cache hits return a defensive copy of the assignment so callers
-// can retain it without aliasing each other. It is SolveWithParent
-// without a warm-start hint.
-func (e *Engine) Solve(ctx context.Context, members []int) assign.Solution {
-	return e.SolveWithParent(ctx, members, nil)
-}
-
-// SolveWithParent is Solve with incumbent inheritance: parent, when
-// non-nil, names a related coalition (typically this coalition plus the
-// GSP an iteration just evicted, or a merge constituent) whose cached
-// solution — if present and feasible — is projected onto members and
-// passed to the solver as Options.SeedAssign. The solver repairs the
-// projection and uses it as its starting incumbent, so each TVOF/RVOF
-// iteration resumes from its parent's optimum instead of re-deriving one
-// from scratch. Seeds only tighten the incumbent, never any bound, so
+// SolveWithParent returns the assignment solution for the coalition given
+// by global GSP indices, serving from the cache when the coalition was
+// already solved. Cache hits return a defensive copy of the assignment so
+// callers can retain it without aliasing each other.
+//
+// parent, when non-nil, names a related coalition (typically this
+// coalition plus the GSP an iteration just evicted, or a merge constituent)
+// whose cached solution — if present and feasible — is projected onto
+// members and passed to the solver as Options.SeedAssign. The solver
+// repairs the projection and uses it as its starting incumbent, so each
+// TVOF/RVOF iteration resumes from its parent's optimum instead of
+// re-deriving one from scratch. Seeds only tighten the incumbent, never any bound, so
 // cacheability is unchanged and a seeded solve is never worse than a cold
 // one. Cache misses with an unusable parent degrade silently to a cold
 // solve.
@@ -299,7 +287,7 @@ func (e *Engine) solve(ctx context.Context, members, parent []int, run *EngineSt
 	// replaces the member set; PoisonCost corrupts the instance below.
 	// Either way the degraded result is returned explicitly and never
 	// cached.
-	plan := e.inject.Visit(fault.PointEngine)
+	plan := e.opts.Inject.Visit(fault.PointEngine)
 	if plan.Class == fault.EmptyCoalition {
 		members = nil
 	}
@@ -480,20 +468,14 @@ var errEngineScenario = errors.New("mechanism: engine belongs to a different sce
 
 // engineFor returns the engine a mechanism entry point should use: the
 // one the caller passed via Options, else a fresh engine for the
-// scenario. Options.Inject, when set, is installed on the engine either
-// way unless it already is (callers sharing an engine across concurrent
-// runs must install the injector before any run starts).
+// scenario.
 func engineFor(sc *Scenario, opts *Options) (*Engine, error) {
 	eng := opts.Engine
-	if eng != nil {
-		if eng.sc != sc {
-			return nil, errEngineScenario
-		}
-	} else {
-		eng = NewEngine(sc, opts.Solver)
+	if eng == nil {
+		return NewEngine(sc, opts.Solver), nil
 	}
-	if opts.Inject != nil && eng.inject != opts.Inject {
-		eng.SetInjector(opts.Inject)
+	if eng.sc != sc {
+		return nil, errEngineScenario
 	}
 	return eng, nil
 }

@@ -291,8 +291,8 @@ func TestEngineSetSolver(t *testing.T) {
 	cs := &countingSolver{inner: assign.DefaultSolver()}
 	eng.SetSolver(cs)
 	members := []int{0, 1, 2, 3}
-	eng.Solve(context.Background(), members)
-	eng.Solve(context.Background(), members)
+	eng.SolveWithParent(context.Background(), members, nil)
+	eng.SolveWithParent(context.Background(), members, nil)
 	if cs.calls != 1 {
 		t.Fatalf("backend called %d times for one distinct coalition", cs.calls)
 	}

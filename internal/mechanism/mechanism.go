@@ -50,7 +50,8 @@ type Options struct {
 	Eviction EvictionRule
 	// Centrality is the score used by EvictLowestCentrality.
 	Centrality reputation.Centrality
-	// Solver configures the assignment branch-and-bound.
+	// Solver configures the assignment branch-and-bound of a fresh
+	// engine. Its Inject is then the run's fault injector (see NewEngine).
 	Solver assign.Options
 	// KeepAssignments retains the task assignment of every feasible
 	// iteration (memory ∝ iterations × n); when false only the selected
@@ -81,14 +82,6 @@ type Options struct {
 	// are ignored; a leave never empties the VO. Schedules typically come
 	// from adversary.ChurnSpec.Schedule.
 	Churn []adversary.ChurnEvent
-	// Inject, when non-nil, threads the deterministic fault injector
-	// through every layer of the run: it is installed on the engine
-	// (fresh or passed), forwarded to the IP solver and the per-coalition
-	// reputation solves, and visited by the loop itself before each
-	// eviction-score computation (fault.PointTrust). The nil default is a
-	// no-op. Installing an injector on a shared engine is not safe
-	// concurrently with other runs on that engine.
-	Inject *fault.Injector
 }
 
 // tieTolerance treats reputation scores within this distance of the
@@ -250,12 +243,11 @@ func run(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG, side *
 	// before its first injector visit and its first fault count.
 	side.start()
 
-	// Injection state: the engine's injector (installed by engineFor from
-	// opts.Inject, or earlier by the caller) also serves the reputation
+	// Injection state: the engine's injector also serves the reputation
 	// solves (Algorithm 2 with its default options) and the loop's own
 	// trust hook; firedBefore anchors the per-run fault count on a shared
 	// injector.
-	inj := eng.Injector()
+	inj := eng.opts.Inject
 	ro := reputation.DefaultOptions()
 	ro.Inject = inj
 	firedBefore := inj.Stats().Fired

@@ -27,12 +27,11 @@ import (
 //
 // When the leader's future lookups cannot be bounded that way the
 // follower waits for the leader to finish before it starts: under churn
-// (re-joins break the nesting) and under a fault injector, the engine's
-// or its solver options' (its schedule is a single stream consumed in
-// visit order).
+// (re-joins break the nesting) and under the engine's fault injector (its
+// schedule is a single stream consumed in visit order).
 //
 // The engine is leader.Engine, or a fresh one for the scenario; the
-// follower must name the same engine or none, and the same injector.
+// follower must name the same engine or none, and so shares its injector.
 func RunPairContext(ctx context.Context, sc *Scenario, leader, follower Options, rngL, rngF *xrand.RNG) (lead, follow *Result, err error) {
 	if err := sc.Validate(); err != nil {
 		return nil, nil, err
@@ -43,9 +42,6 @@ func RunPairContext(ctx context.Context, sc *Scenario, leader, follower Options,
 	}
 	if follower.Engine != nil && follower.Engine != eng {
 		return nil, nil, errPairEngine
-	}
-	if follower.Inject != leader.Inject {
-		return nil, nil, errPairInject
 	}
 	leader.Engine, follower.Engine = eng, eng
 
@@ -72,10 +68,7 @@ func RunPairContext(ctx context.Context, sc *Scenario, leader, follower Options,
 	return lead, follow, nil
 }
 
-var (
-	errPairEngine = errors.New("mechanism: pair runs must share one engine")
-	errPairInject = errors.New("mechanism: pair runs must share one fault injector")
-)
+var errPairEngine = errors.New("mechanism: pair runs must share one engine")
 
 // pairLink is the leader's progress as the follower of a pair sees it.
 type pairLink struct {

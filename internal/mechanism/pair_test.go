@@ -182,12 +182,9 @@ func TestRunPairInjectorMatchesSequential(t *testing.T) {
 	cfg := fault.Config{Seed: 3, Rate: 0.2}
 	var last *Engine
 	newEngine := func() *Engine {
-		last = NewEngine(sc, assign.Options{NodeBudget: 2000})
-		last.SetInjector(fault.New(cfg))
+		last = NewEngine(sc, assign.Options{NodeBudget: 2000, Inject: fault.New(cfg)})
 		return last
 	}
-	// Inject stays nil in the options: each engine carries its own
-	// injector, as a caller that installs one before the runs does.
 	lead, follow := assertPairMatchesSequential(t, sc,
 		Options{Eviction: EvictLowestReputation},
 		Options{Eviction: EvictRandom},
@@ -198,15 +195,11 @@ func TestRunPairInjectorMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestRunPairRejectsMismatchedEngineOrInjector(t *testing.T) {
+func TestRunPairRejectsMismatchedEngine(t *testing.T) {
 	sc := testScenario(63, 5, 20)
-	ctx := context.Background()
 	other := NewEngine(sc, assign.Options{})
-	if _, _, err := RunPairContext(ctx, sc, Options{}, Options{Engine: other}, xrand.New(1), xrand.New(2)); err == nil {
+	if _, _, err := RunPairContext(context.Background(), sc, Options{}, Options{Engine: other}, xrand.New(1), xrand.New(2)); err == nil {
 		t.Fatal("follower engine differing from the leader's accepted")
-	}
-	if _, _, err := RunPairContext(ctx, sc, Options{}, Options{Inject: fault.New(fault.Config{Seed: 1})}, xrand.New(1), xrand.New(2)); err == nil {
-		t.Fatal("follower injector differing from the leader's accepted")
 	}
 }
 
@@ -265,7 +258,7 @@ func TestEngineAdoptRefusesInterrupted(t *testing.T) {
 	if eng.Adopt(grand, sol) {
 		t.Fatal("second adoption of a cached coalition accepted")
 	}
-	got := eng.Solve(context.Background(), grand)
+	got := eng.SolveWithParent(context.Background(), grand, nil)
 	if st := eng.Stats(); st.Solves != 0 || st.CacheHits != 1 || got.Cost != sol.Cost {
 		t.Fatalf("adopted solution not served as a cache hit: stats %+v, cost %v want %v", st, got.Cost, sol.Cost)
 	}

@@ -65,13 +65,14 @@ type ChaosReport struct {
 
 // ChaosSweep runs the experiment grid sequentially under fault injection
 // and checks the mechanism invariants on every run. The injection config
-// fcfg seeds a fresh injector shared by the whole sweep; cfg.Mechanism's
-// own Inject field is overwritten. Returns an error only for setup or
-// scenario-generation failures — invariant violations are reported in the
-// result, not as errors, so callers can print them all.
+// fcfg seeds a fresh injector shared by the whole sweep; it replaces
+// cfg.Solver.Inject, so every cell's engine carries it to all four hook
+// points. Returns an error only for setup or scenario-generation failures
+// — invariant violations are reported in the result, not as errors, so
+// callers can print them all.
 func ChaosSweep(ctx context.Context, cfg Config, fcfg fault.Config, progress func(string)) (*ChaosReport, error) {
 	inj := fault.New(fcfg)
-	cfg.Mechanism.Inject = inj
+	cfg.Solver.Inject = inj
 	// Keep every feasible iteration's assignment so each can be verified
 	// against the IP constraints, not just the selected VO's.
 	cfg.Mechanism.KeepAssignments = true

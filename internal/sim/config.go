@@ -43,7 +43,9 @@ type Config struct {
 	// selects the full 43,778; experiments only need the large completed
 	// jobs, so harness runs use a smaller default for speed).
 	TraceJobs int
-	// Solver configures the assignment solver for all mechanism runs.
+	// Solver configures the assignment solver for all mechanism runs. Its
+	// Inject is the runs' fault injector; scenario generation never
+	// visits it.
 	Solver assign.Options
 	// Mechanism carries the remaining mechanism options (eviction rule
 	// is set per run by the harness).
@@ -175,16 +177,13 @@ func (e *Env) BuildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, e
 	return sc, meta, nil
 }
 
-// injected reports whether the config installs a fault injector, at the
-// mechanism or at the solver level.
-func (c *Config) injected() bool {
-	return c.Mechanism.Inject != nil || c.Solver.Inject != nil
-}
+// injected reports whether the config installs a fault injector.
+func (c *Config) injected() bool { return c.Solver.Inject != nil }
 
 // handsOffGrand reports whether an engine may start from the grand
-// coalition the feasibility check solved. A fault injector counts every
-// solve, and a solver seed is not the feasibility check's, so neither
-// hands it over.
+// coalition the feasibility check solved. A fault injector must see the
+// engine solve it (the feasibility check never visits the injector), and
+// a solver seed is not the feasibility check's, so neither hands it over.
 func (c *Config) handsOffGrand() bool {
 	return !c.injected() && c.Solver.SeedAssign == nil
 }
@@ -240,11 +239,15 @@ func (e *Env) buildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, *
 		deadlines[a] = grid.Deadline(dpRNG, prog)
 		payments[a] = grid.Payment(dpRNG, prog.N())
 	}
-	speculate := cfg.Solver.Inject == nil && runtime.GOMAXPROCS(0) > 1
+	// The feasibility check is scenario generation, not a mechanism run:
+	// it never visits the injector.
+	opts := cfg.Solver
+	opts.Inject = nil
+	speculate := runtime.GOMAXPROCS(0) > 1
 	solve := func(ctx context.Context, d, p float64) assign.Solution {
 		in := *base
 		in.Deadline, in.Budget = d, p
-		return assign.SolveCtx(ctx, &in, cfg.Solver)
+		return assign.SolveCtx(ctx, &in, opts)
 	}
 	if a, sol, ok := firstFeasible(maxFeasibilityRetries, speculate, func(ctx context.Context, a int) assign.Solution {
 		return solve(ctx, deadlines[a], payments[a])

@@ -209,11 +209,11 @@ func TestBuildScenarioHandOffIsExact(t *testing.T) {
 	}
 }
 
-// TestBuildScenarioHandOffSkipsSolverInjector: a solver-level fault
-// injector counts the pair's grand-coalition solve too, so BuildScenario
-// keeps nothing and the pair solves the grand coalition itself, exactly
-// as a cold engine does. The injector never fires here (rate 0), so the
-// solves are the uninjected ones.
+// TestBuildScenarioHandOffSkipsSolverInjector: a fault injector must see
+// the engine solve the grand coalition (the feasibility check never visits
+// it), so BuildScenario keeps nothing and the pair solves the grand
+// coalition itself, exactly as a cold engine does. The injector never
+// fires here (rate 0), so the solves are the uninjected ones.
 func TestBuildScenarioHandOffSkipsSolverInjector(t *testing.T) {
 	cfg := QuickConfig(11)
 	cfg.ProgramSizes = []int{64, 128}
@@ -245,11 +245,11 @@ func TestBuildScenarioHandOffSkipsSolverInjector(t *testing.T) {
 	}
 }
 
-// TestPairUnderSolverInjectorMatchesSequential: an injector that reaches
-// the engine only through its solver options still makes the follower
-// wait for the whole leader run, so the faults land where TVOF then RVOF
-// puts them. Two envs with identically seeded injectors build the same
-// cells; one runs each cell's pair, the other the sequential runs.
+// TestPairUnderSolverInjectorMatchesSequential: an injector in the solver
+// options makes the follower wait for the whole leader run, so the faults
+// land where TVOF then RVOF puts them. Two envs with identically seeded
+// injectors build the same cells; one runs each cell's pair, the other the
+// sequential runs.
 func TestPairUnderSolverInjectorMatchesSequential(t *testing.T) {
 	newEnv := func(seed uint64) *Env {
 		cfg := QuickConfig(seed)

@@ -55,9 +55,9 @@ func solveView(sol assign.Solution) assign.Solution {
 // TestBuildScenarioSpeculationMatchesSequential: solving the feasibility
 // attempts two at a time yields the sequential loop's scenario, retry and
 // escalation counts and grand-coalition solution, cell for cell. The grid
-// must include a cell that retried and one that escalated. Under a solve
-// injector the attempts stay sequential, so the fault schedule, visited
-// once per solve, is the reference's too.
+// must include a cell that retried and one that escalated. A fault
+// injector in the solver options changes nothing: scenario generation
+// never visits it, so it builds the same scenarios, speculatively.
 func TestBuildScenarioSpeculationMatchesSequential(t *testing.T) {
 	// Programs below the paper's 256 tasks are where the Table I band can
 	// fail; on two GSPs every draw fails for some cells and the deadline
@@ -69,51 +69,63 @@ func TestBuildScenarioSpeculationMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		grids = grids[:2]
 	}
-	for _, injected := range []bool{false, true} {
-		var retried, escalated int
-		for _, g := range grids {
-			seed := g.seed
-			cfg := QuickConfig(seed)
-			cfg.NumGSPs = g.gsps
-			cfg.ProgramSizes = []int{16, 32, 64, 128}
-			cfg.Solver.NodeBudget = 20_000
-			refOpts := cfg.Solver
-			if injected {
-				fc := fault.Config{Seed: seed, Rate: 0.4, Classes: []fault.Class{fault.Cancel}, CancelNodes: 5}
-				cfg.Solver.Inject = fault.New(fc)
-				refOpts.Inject = fault.New(fc)
-			}
-			e, err := NewEnv(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, size := range cfg.ProgramSizes {
-				for rep := 0; rep < cfg.Repetitions; rep++ {
-					sc, meta, grand, err := e.buildScenario(size, rep)
-					if err != nil {
-						t.Fatal(err)
-					}
-					d, p, wantMeta, wantSol := sequentialFeasibility(e, sc, size, rep, refOpts)
-					cell := fmt.Sprintf("injected=%v seed=%d m=%d n=%d rep=%d", injected, seed, g.gsps, size, rep)
-					if sc.Deadline != d || sc.Payment != p || meta != wantMeta {
-						t.Fatalf("%s: got d=%v P=%v %+v, sequential d=%v P=%v %+v",
-							cell, sc.Deadline, sc.Payment, meta, d, p, wantMeta)
-					}
-					if grand == nil || !reflect.DeepEqual(solveView(grand.sol), solveView(wantSol)) {
-						t.Fatalf("%s: grand solve differs from the sequential one", cell)
-					}
-					if meta.FeasibilityRetries > 0 && meta.DeadlineEscalations == 0 {
-						retried++
-					}
-					if meta.DeadlineEscalations > 0 {
-						escalated++
-					}
+	var retried, escalated int
+	for _, g := range grids {
+		seed := g.seed
+		cfg := QuickConfig(seed)
+		cfg.NumGSPs = g.gsps
+		cfg.ProgramSizes = []int{16, 32, 64, 128}
+		cfg.Solver.NodeBudget = 20_000
+		e, err := NewEnv(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj := fault.New(fault.Config{Seed: seed, Rate: 0.4, Classes: []fault.Class{fault.Cancel}, CancelNodes: 5})
+		cfg.Solver.Inject = inj
+		ie, err := NewEnv(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range cfg.ProgramSizes {
+			for rep := 0; rep < cfg.Repetitions; rep++ {
+				sc, meta, grand, err := e.buildScenario(size, rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, p, wantMeta, wantSol := sequentialFeasibility(e, sc, size, rep, e.Config.Solver)
+				cell := fmt.Sprintf("seed=%d m=%d n=%d rep=%d", seed, g.gsps, size, rep)
+				if sc.Deadline != d || sc.Payment != p || meta != wantMeta {
+					t.Fatalf("%s: got d=%v P=%v %+v, sequential d=%v P=%v %+v",
+						cell, sc.Deadline, sc.Payment, meta, d, p, wantMeta)
+				}
+				if grand == nil || !reflect.DeepEqual(solveView(grand.sol), solveView(wantSol)) {
+					t.Fatalf("%s: grand solve differs from the sequential one", cell)
+				}
+				isc, imeta, igrand, err := ie.buildScenario(size, rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if isc.Deadline != d || isc.Payment != p || imeta != wantMeta {
+					t.Fatalf("%s: under a solver injector got d=%v P=%v %+v, want d=%v P=%v %+v",
+						cell, isc.Deadline, isc.Payment, imeta, d, p, wantMeta)
+				}
+				if igrand == nil || !reflect.DeepEqual(solveView(igrand.sol), solveView(wantSol)) {
+					t.Fatalf("%s: under a solver injector the grand solve differs from the sequential one", cell)
+				}
+				if meta.FeasibilityRetries > 0 && meta.DeadlineEscalations == 0 {
+					retried++
+				}
+				if meta.DeadlineEscalations > 0 {
+					escalated++
 				}
 			}
 		}
-		if retried == 0 || escalated == 0 {
-			t.Fatalf("injected=%v: %d cells retried and %d escalated; the grid must have both", injected, retried, escalated)
+		if v := inj.Stats().Visits; v != 0 {
+			t.Fatalf("seed=%d m=%d: scenario generation visited the injector %d times", seed, g.gsps, v)
 		}
+	}
+	if retried == 0 || escalated == 0 {
+		t.Fatalf("%d cells retried and %d escalated; the grid must have both", retried, escalated)
 	}
 }
 
@@ -147,8 +159,9 @@ func TestFirstFeasibleSpeculative(t *testing.T) {
 // TestRobustnessConcurrentMatchesSequential: running each cell's honest
 // and adversarial worlds at once, with the honest engine adopting the
 // feasibility check's grand solve, reproduces the sequential cold-engine
-// sweep cell for cell. A never-firing injector selects that sequential
-// path, since a shared injector must see the runs' solves in order.
+// sweep cell for cell. A never-firing injector in the solver options
+// selects that sequential path, since a shared injector must see the
+// runs' solves in order.
 func TestRobustnessConcurrentMatchesSequential(t *testing.T) {
 	specs := []RobustnessOptions{
 		{Attack: &adversary.Spec{Class: adversary.ClassCollusion, Size: 3}},
@@ -160,7 +173,7 @@ func TestRobustnessConcurrentMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Mechanism.Inject = fault.New(fault.Config{Rate: 0})
+		cfg.Solver.Inject = fault.New(fault.Config{Rate: 0})
 		want, err := RobustnessSweep(context.Background(), cfg, opts, nil)
 		if err != nil {
 			t.Fatal(err)
