@@ -210,7 +210,10 @@ type Injector struct {
 
 // New builds an injector from the config, substituting DefaultCancelNodes
 // for a zero CancelNodes. A rate of 0 yields an injector that visits but never
-// fires — useful for measuring hook overhead.
+// fires — useful for measuring hook overhead. The rate must be in [0, 1];
+// New does not check it: a NaN rate or one above 1 fires at every visit,
+// and one below 0 never fires. Callers validate it first, as
+// sim.ChaosSweep and vosim's -chaos flag do.
 func New(cfg Config) *Injector {
 	in := &Injector{
 		rng:         xrand.New(cfg.Seed).Split("fault"),

@@ -81,21 +81,35 @@ var ErrEmptyGraph = errors.New("reputation: empty trust graph")
 // power method of Algorithm 2. The returned vector is non-negative and
 // L1-normalized (it sums to 1 unless the graph has no trust mass at all).
 // A graph whose normalized matrix would store more than trust.MaxEntries
-// entries is rejected with an error before anything is allocated.
+// entries is rejected with trust.CheckEntries' error before anything is
+// allocated. Global is the graph half; GlobalMatrix does the rest.
 func Global(g *trust.Graph, opts Options) ([]float64, Diagnostics, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, Diagnostics{}, ErrEmptyGraph
 	}
-	if e := g.NormalizedEntries(opts.DanglingUniform); e > trust.MaxEntries {
-		return nil, Diagnostics{}, fmt.Errorf("reputation: the normalized trust matrix of %d nodes needs %d entries, above the limit %d", n, e, trust.MaxEntries)
+	if err := trust.CheckEntries(n, g.NormalizedEntries(opts.DanglingUniform)); err != nil {
+		return nil, Diagnostics{}, err
+	}
+	a, dangling := g.Normalized(trust.NormalizeOptions{DanglingUniform: opts.DanglingUniform})
+	return GlobalMatrix(a, dangling, opts)
+}
+
+// GlobalMatrix is the matrix half of Global: the power method of
+// Algorithm 2 on a, an already normalized trust matrix whose dangling
+// rows are listed in dangling (reported back in Diagnostics.Dangling). It
+// is how a trust.Store's own matrix is solved; the bound on its entries
+// is checked where it is built. opts.DanglingUniform is not read: the
+// completion is a's.
+func GlobalMatrix(a *matrix.CSR, dangling []int, opts Options) ([]float64, Diagnostics, error) {
+	if a.Rows() == 0 {
+		return nil, Diagnostics{}, ErrEmptyGraph
 	}
 	// Fault hook: a NonConverge plan clamps the iteration budget, forcing
 	// the exhaustion path (last iterate, Converged == false, nil error).
 	if plan := opts.Inject.Visit(fault.PointReputation); plan.Class == fault.NonConverge {
 		opts.MaxIter = plan.MaxIter
 	}
-	a, dangling := g.Normalized(trust.NormalizeOptions{DanglingUniform: opts.DanglingUniform})
 	x, diag := PowerIterate(a, opts)
 	diag.Dangling = dangling
 	return x, diag, nil

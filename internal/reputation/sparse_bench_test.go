@@ -1,8 +1,10 @@
 package reputation
 
 import (
+	"runtime"
 	"testing"
 
+	"gridvo/internal/matrix"
 	"gridvo/internal/trust"
 	"gridvo/internal/xrand"
 )
@@ -29,13 +31,30 @@ func BenchmarkGlobalCSR1M(b *testing.B)   { benchGlobalCSR(b, 1_000_000) }
 
 // BenchmarkStoreDeltaResolve64k is the in-tree twin of perfbench's
 // trust-delta workload: each op applies one 256-edge delta batch to a
-// 65,536-node, mean-degree-20 trust.Store and re-solves warm, as gridvod's
-// POST /v1/trust/delta does with solve:true. Batches are drawn outside the
-// timer.
+// 65,536-node, mean-degree-20 trust.Store and re-solves warm through
+// ResolveNormalized and GlobalMatrix, the calls gridvod's
+// POST /v1/trust/delta makes with solve:true. Batches are drawn outside
+// the timer.
 func BenchmarkStoreDeltaResolve64k(b *testing.B) {
-	const n, degree, batch = 65536, 20, 256
+	st, g, brng := seededStore(b, 65536)
+	iters := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ops := deltaBatch(brng, g, 256)
+		b.StartTimer()
+		iters += applyAndSolve(b, st, ops)
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+}
+
+// seededStore returns a trust.Store holding an n-node, mean-degree-20
+// sparse graph after its cold solve, the generated graph the batches are
+// drawn against, and the batch stream.
+func seededStore(tb testing.TB, n int) (*trust.Store, *trust.Graph, *xrand.RNG) {
 	rng := xrand.New(42)
-	g := trust.SparseErdosRenyi(rng.Split("graph"), n, degree)
+	g := trust.SparseErdosRenyi(rng.Split("graph"), n, 20)
 	edges := g.Edges()
 	seed := make([]trust.DeltaOp, len(edges))
 	for k, e := range edges {
@@ -43,33 +62,33 @@ func BenchmarkStoreDeltaResolve64k(b *testing.B) {
 	}
 	st := trust.NewStore(0)
 	if _, err := st.ApplyDelta(n, seed); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	solve := func(g *trust.Graph, warm []float64) (trust.SolveResult, error) {
-		x, d, err := Global(g, Options{DanglingUniform: true, InitialVector: warm})
-		return trust.SolveResult{Scores: x, Iterations: d.Iterations, Converged: d.Converged, Warm: d.Warm}, err
+	if res, _, err := st.ResolveNormalized(storeSolve); err != nil || !res.Converged {
+		tb.Fatalf("cold solve: converged=%v err=%v", res.Converged, err)
 	}
-	if res, _, err := st.Resolve(solve); err != nil || !res.Converged {
-		b.Fatalf("cold solve: converged=%v err=%v", res.Converged, err)
+	return st, g, rng.Split("batches")
+}
+
+// storeSolve is the Store callback gridvod's trust-delta handler passes,
+// with the default options.
+func storeSolve(a *matrix.CSR, dangling []int, warm []float64) (trust.SolveResult, error) {
+	x, d, err := GlobalMatrix(a, dangling, Options{InitialVector: warm})
+	return trust.SolveResult{Scores: x, Iterations: d.Iterations, Converged: d.Converged, Warm: d.Warm}, err
+}
+
+// applyAndSolve applies one batch to st and re-solves it warm, failing tb
+// unless the solve converged from the previous vector; it returns the
+// iteration count.
+func applyAndSolve(tb testing.TB, st *trust.Store, ops []trust.DeltaOp) int {
+	if _, err := st.ApplyDelta(0, ops); err != nil {
+		tb.Fatal(err)
 	}
-	brng := rng.Split("batches")
-	iters := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ops := deltaBatch(brng, g, batch)
-		b.StartTimer()
-		if _, err := st.ApplyDelta(0, ops); err != nil {
-			b.Fatal(err)
-		}
-		res, _, err := st.Resolve(solve)
-		if err != nil || !res.Converged || !res.Warm {
-			b.Fatalf("warm solve: converged=%v warm=%v err=%v", res.Converged, res.Warm, err)
-		}
-		iters += res.Iterations
+	res, _, err := st.ResolveNormalized(storeSolve)
+	if err != nil || !res.Converged || !res.Warm {
+		tb.Fatalf("warm solve: converged=%v warm=%v err=%v", res.Converged, res.Warm, err)
 	}
-	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+	return res.Iterations
 }
 
 // deltaBatch draws size edge updates against g: a third deletions and a
@@ -95,4 +114,32 @@ func deltaBatch(rng *xrand.RNG, g *trust.Graph, size int) []trust.DeltaOp {
 		ops = append(ops, trust.DeltaOp{From: i, To: j, Weight: 1 - rng.Float64()})
 	}
 	return ops
+}
+
+// TestStoreSteadyStateSolveAllocatesNoMatrix: once a fixed-size store has
+// patched its matrix, an apply plus warm re-solve allocates the iterate
+// vectors and no matrix. Rebuilding the 64k store's matrix per solve
+// allocated 17.9 MB; its two buffers are reused instead.
+func TestStoreSteadyStateSolveAllocatesNoMatrix(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc accounting is meaningless")
+	}
+	st, g, brng := seededStore(t, 65536)
+	const steps = 4
+	batches := make([][]trust.DeltaOp, steps+1)
+	for i := range batches {
+		batches[i] = deltaBatch(brng, g, 256)
+	}
+	applyAndSolve(t, st, batches[0]) // the first patched solve sizes the spare buffer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ops := range batches[1:] {
+		applyAndSolve(t, st, ops)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / steps
+	t.Logf("%d bytes per apply and solve", per)
+	if per > 4<<20 {
+		t.Fatalf("a steady-state apply and solve allocates %d bytes, want under 4 MiB", per)
+	}
 }

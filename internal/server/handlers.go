@@ -9,6 +9,7 @@ import (
 
 	"gridvo"
 	"gridvo/internal/assign"
+	"gridvo/internal/matrix"
 	"gridvo/internal/mechanism"
 	"gridvo/internal/reputation"
 	"gridvo/internal/trust"
@@ -225,15 +226,14 @@ func (s *Server) handleTrustDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := TrustDeltaResponse{Stats: stats}
 	if req.Solve {
-		res, st, err := s.store.Resolve(func(g *trust.Graph, warm []float64) (trust.SolveResult, error) {
+		res, st, err := s.store.ResolveNormalized(func(a *matrix.CSR, dangling []int, warm []float64) (trust.SolveResult, error) {
 			opts := reputation.Options{
-				Epsilon:         req.Epsilon,
-				MaxIter:         req.MaxIter,
-				Damping:         req.Damping,
-				DanglingUniform: true,
-				InitialVector:   warm,
+				Epsilon:       req.Epsilon,
+				MaxIter:       req.MaxIter,
+				Damping:       req.Damping,
+				InitialVector: warm,
 			}
-			scores, diag, err := reputation.Global(g, opts)
+			scores, diag, err := reputation.GlobalMatrix(a, dangling, opts)
 			if err != nil {
 				return trust.SolveResult{}, err
 			}

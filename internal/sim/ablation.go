@@ -88,10 +88,8 @@ func (e *Env) EvictionAblation(ctx context.Context, size int, rules []AblationRu
 				row.VOSize = append(row.VOSize, float64(len(ms.Selected)))
 				continue
 			}
-			opts := e.Config.Mechanism
-			opts.Eviction = rule.Rule
+			opts := e.Config.mechanismOptions(rule.Rule)
 			opts.Centrality = rule.Centrality
-			opts.Solver = e.Config.Solver
 			mres, err := mechanism.RunContext(ctx, sc, opts, e.rng.Split(fmt.Sprintf("abl-%s-%d-%d", rule.Name, size, rep)))
 			if err != nil {
 				return nil, err

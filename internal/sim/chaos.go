@@ -67,10 +67,14 @@ type ChaosReport struct {
 // and checks the mechanism invariants on every run. The injection config
 // fcfg seeds a fresh injector shared by the whole sweep; it replaces
 // cfg.Solver.Inject, so every cell's engine carries it to all four hook
-// points. Returns an error only for setup or scenario-generation failures
-// — invariant violations are reported in the result, not as errors, so
-// callers can print them all.
+// points. Returns an error only for a fault rate outside [0, 1] (NaN
+// included), setup or scenario-generation failures — invariant
+// violations are reported in the result, not as errors, so callers can
+// print them all.
 func ChaosSweep(ctx context.Context, cfg Config, fcfg fault.Config, progress func(string)) (*ChaosReport, error) {
+	if !(fcfg.Rate >= 0 && fcfg.Rate <= 1) {
+		return nil, fmt.Errorf("sim: fault rate %v outside [0, 1]", fcfg.Rate)
+	}
 	inj := fault.New(fcfg)
 	cfg.Solver.Inject = inj
 	// Keep every feasible iteration's assignment so each can be verified

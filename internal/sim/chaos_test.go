@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"gridvo/internal/fault"
@@ -104,6 +105,18 @@ func TestChaosSweepRateZeroIsClean(t *testing.T) {
 	if rep.Fingerprint != other.Fingerprint || rep.DegradedRuns != other.DegradedRuns {
 		t.Fatalf("rate-0 sweep depends on the fault seed: fingerprint %x vs %x, degraded %d vs %d",
 			rep.Fingerprint, other.Fingerprint, rep.DegradedRuns, other.DegradedRuns)
+	}
+}
+
+// TestChaosSweepRejectsBadRates: a fault rate outside [0, 1], NaN
+// included, is an error before any run, as vosim's -chaos flag already
+// makes it; a NaN or a rate above 1 would otherwise fire at every visit.
+func TestChaosSweepRejectsBadRates(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), -0.1, 1.5} {
+		rep, err := ChaosSweep(context.Background(), chaosConfig(5), fault.Config{Seed: 11, Rate: rate}, nil)
+		if err == nil {
+			t.Errorf("rate %v accepted: %v", rate, rep.FaultStats)
+		}
 	}
 }
 

@@ -63,6 +63,15 @@ type Config struct {
 	Churn *adversary.ChurnSpec
 }
 
+// mechanismOptions returns the options of one mechanism run under rule:
+// Mechanism with the eviction rule and the configured solver.
+func (c Config) mechanismOptions(rule mechanism.EvictionRule) mechanism.Options {
+	opts := c.Mechanism
+	opts.Eviction = rule
+	opts.Solver = c.Solver
+	return opts
+}
+
 // DefaultConfig returns the Table I setup.
 func DefaultConfig(seed uint64) Config {
 	return Config{
@@ -346,13 +355,9 @@ func (e *Env) RunPairContext(ctx context.Context, sc *mechanism.Scenario, size, 
 	if g, ok := e.takeGrand(sc, size, rep); ok {
 		eng.Adopt(g.members, g.sol)
 	}
-	optsT := cfg.Mechanism
-	optsT.Eviction = mechanism.EvictLowestReputation
-	optsT.Solver = cfg.Solver
+	optsT := cfg.mechanismOptions(mechanism.EvictLowestReputation)
 	optsT.Engine = eng
-	optsR := cfg.Mechanism
-	optsR.Eviction = mechanism.EvictRandom
-	optsR.Solver = cfg.Solver
+	optsR := cfg.mechanismOptions(mechanism.EvictRandom)
 	optsR.Engine = eng
 	if !cfg.Churn.IsZero() {
 		// One schedule per scenario cell, shared by both rules so they

@@ -119,10 +119,7 @@ func (e *Env) RunEvolution(ctx context.Context, cfg EvolutionConfig) (*Evolution
 			return nil, err
 		}
 		sc.Trust = cur.Clone()
-		opts := e.Config.Mechanism
-		opts.Eviction = cfg.Rule
-		opts.Solver = e.Config.Solver
-		mres, err := mechanism.RunContext(ctx, sc, opts, rng.Split(fmt.Sprintf("round-%d", round)))
+		mres, err := mechanism.RunContext(ctx, sc, e.Config.mechanismOptions(cfg.Rule), rng.Split(fmt.Sprintf("round-%d", round)))
 		if err != nil {
 			return nil, err
 		}

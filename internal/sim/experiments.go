@@ -72,10 +72,7 @@ func (e *Env) Fig4(ctx context.Context, size, count int) (*Fig4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := e.Config.Mechanism
-		opts.Eviction = mechanism.EvictLowestReputation
-		opts.Solver = e.Config.Solver
-		res, err := mechanism.RunContext(ctx, sc, opts, e.rng.Split(fmt.Sprintf("fig4-%d-%d", size, i)))
+		res, err := mechanism.RunContext(ctx, sc, e.Config.mechanismOptions(mechanism.EvictLowestReputation), e.rng.Split(fmt.Sprintf("fig4-%d-%d", size, i)))
 		if err != nil {
 			return nil, err
 		}
@@ -119,10 +116,7 @@ func (e *Env) IterationTrace(ctx context.Context, size int, programTag string, r
 	if err != nil {
 		return nil, err
 	}
-	opts := e.Config.Mechanism
-	opts.Eviction = rule
-	opts.Solver = e.Config.Solver
-	res, err := mechanism.RunContext(ctx, sc, opts, e.rng.Split(fmt.Sprintf("trace-%s-%s", programTag, rule)))
+	res, err := mechanism.RunContext(ctx, sc, e.Config.mechanismOptions(rule), e.rng.Split(fmt.Sprintf("trace-%s-%s", programTag, rule)))
 	if err != nil {
 		return nil, err
 	}

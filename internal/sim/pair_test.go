@@ -52,9 +52,7 @@ func sequentialPair(t *testing.T, e *Env, sc *mechanism.Scenario, size, rep int,
 	key := fmt.Sprintf("run-%d-%d", size, rep)
 	var out [2]*mechanism.Result
 	for i, rule := range []mechanism.EvictionRule{mechanism.EvictLowestReputation, mechanism.EvictRandom} {
-		opts := cfg.Mechanism
-		opts.Eviction = rule
-		opts.Solver = cfg.Solver
+		opts := cfg.mechanismOptions(rule)
 		opts.Engine = eng
 		if !cfg.Churn.IsZero() {
 			events, err := cfg.Churn.Schedule(e.rng.Split(fmt.Sprintf("churn-%d-%d", size, rep)), sc.M())

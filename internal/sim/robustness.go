@@ -203,9 +203,7 @@ func (e *Env) robustnessCell(ctx context.Context, size, r int, opts RobustnessOp
 	}
 
 	runTVOF := func(sc *mechanism.Scenario, churn []adversary.ChurnEvent, eng *mechanism.Engine) (*mechanism.Result, error) {
-		mopts := cfg.Mechanism
-		mopts.Eviction = mechanism.EvictLowestReputation
-		mopts.Solver = cfg.Solver
+		mopts := cfg.mechanismOptions(mechanism.EvictLowestReputation)
 		mopts.Engine = eng
 		mopts.Churn = churn
 		return mechanism.RunContext(ctx, sc, mopts, e.rng.Split(fmt.Sprintf("run-%d-%d-tvof", size, r)))

@@ -248,59 +248,97 @@ func (g *Graph) NormalizedEntries(uniform bool) int {
 	return g.nnz + dangling*g.n
 }
 
+// CheckEntries returns the error a request gets when the normalized trust
+// matrix of n nodes would store entries > MaxEntries, and nil otherwise.
+// Every path that builds the matrix from untrusted input calls it before
+// allocating.
+func CheckEntries(n, entries int) error {
+	if entries > MaxEntries {
+		return fmt.Errorf("reputation: the normalized trust matrix of %d nodes needs %d entries, above the limit %d", n, entries, MaxEntries)
+	}
+	return nil
+}
+
 // Normalized returns the matrix A of normalized trust values a_ij (eq. 1)
 // as a CSR, and the GSPs that had no outgoing trust at all and were
 // patched per opts. Every call builds a fresh matrix that the caller owns
 // and that shares no memory with the graph; it holds NormalizedEntries
 // entries, which callers facing untrusted input check against MaxEntries
-// first.
+// first. It is the reference the Store's patched matrix is tested
+// against bit for bit.
 //
-// The build is one pass over the adjacency, with the arithmetic of
-// matrix.CSR.NormalizeRows: each edge is read once, copied out while the
-// row sum accumulates in ascending column order, and the row's values are
-// then divided by that sum in place (never multiplied by a reciprocal,
-// which overflows for subnormal sums). A row with no outgoing trust is
-// dangling: with DanglingUniform it becomes an explicit row of 1/n
-// entries, otherwise it stays empty. The adjacency already holds strictly
-// ascending in-range targets, so the result skips NewCSRRaw's O(nnz)
-// validation pass.
+// The build is one pass over the adjacency, one normalizeRow call per
+// row. The adjacency already holds strictly ascending in-range targets,
+// so the result skips NewCSRRaw's O(nnz) validation pass.
 func (g *Graph) Normalized(opts NormalizeOptions) (*matrix.CSR, []int) {
 	n := g.n
-	uniform := opts.DanglingUniform
-	nnz := g.NormalizedEntries(uniform)
+	nnz := g.NormalizedEntries(opts.DanglingUniform)
 	rowPtr := make([]int, n+1)
 	colIdx := make([]int32, nnz)
 	val := make([]float64, nnz)
-	var dangling []int
+	dangling := g.normalizeInto(rowPtr, colIdx, val, opts.DanglingUniform, nil)
+	return matrix.NewCSRUnchecked(n, n, rowPtr, colIdx, val), dangling
+}
+
+// normalizeInto writes the eq. 1 matrix into rowPtr (length n+1) and
+// colIdx and val (length NormalizedEntries(uniform) each), and returns
+// dangling with the dangling rows appended. A dangling row becomes an
+// explicit row of 1/n entries when uniform, and stays empty otherwise.
+func (g *Graph) normalizeInto(rowPtr []int, colIdx []int32, val []float64, uniform bool, dangling []int) []int {
+	rowPtr[0] = 0
 	p := 0
 	for i, row := range g.adj {
-		switch {
-		case len(row) > 0: // stored weights are positive, so s > 0
-			cols, vals := colIdx[p:p+len(row)], val[p:p+len(row)]
-			s := 0.0
-			for k, e := range row {
-				s += e.w
-				cols[k] = int32(e.to)
-				vals[k] = e.w
-			}
-			for k := range vals {
-				vals[k] /= s
-			}
-			p += len(row)
-		case uniform:
+		k := len(row)
+		if k == 0 {
 			dangling = append(dangling, i)
-			u := 1 / float64(n)
-			for j := 0; j < n; j++ {
-				colIdx[p] = int32(j)
-				val[p] = u
-				p++
+			if uniform {
+				k = g.n
 			}
-		default:
-			dangling = append(dangling, i)
 		}
+		normalizeRow(row, colIdx[p:p+k], val[p:p+k])
+		p += k
 		rowPtr[i+1] = p
 	}
-	return matrix.NewCSRUnchecked(n, n, rowPtr, colIdx, val), dangling
+	return dangling
+}
+
+// rowEntries returns how many entries row stores in the eq. 1 matrix of an
+// n-node graph with the uniform dangling completion.
+func rowEntries(row []edge, n int) int {
+	if len(row) == 0 {
+		return n
+	}
+	return len(row)
+}
+
+// normalizeRow writes one row of eq. 1 into cols and vals, with the
+// arithmetic of matrix.CSR.NormalizeRows: the weights are copied out while
+// the row sum accumulates in ascending column order, then each is divided
+// by that sum (never multiplied by a reciprocal, which overflows for
+// subnormal sums). An empty row is dangling: it fills cols and vals, of
+// length n or 0, with the uniform completion 1/n over every column.
+func normalizeRow(row []edge, cols []int32, vals []float64) {
+	if len(row) == 0 {
+		if len(cols) == 0 {
+			return
+		}
+		u := 1 / float64(len(cols))
+		for j := range cols {
+			cols[j] = int32(j)
+			vals[j] = u
+		}
+		return
+	}
+	// Stored weights are positive, so s > 0.
+	s := 0.0
+	for k, e := range row {
+		s += e.w
+		cols[k] = int32(e.to)
+		vals[k] = e.w
+	}
+	for k := range vals {
+		vals[k] /= s
+	}
 }
 
 // Subgraph returns the trust graph induced by keep: node k of the result is
