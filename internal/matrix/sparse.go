@@ -3,9 +3,7 @@ package matrix
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
-	"sync"
 )
 
 // CSR is a compressed-sparse-row matrix: row i's entries live at positions
@@ -26,13 +24,6 @@ type CSR struct {
 	rowPtr     []int   // len rows+1
 	colIdx     []int32 // len nnz
 	val        []float64
-
-	// tmu guards tcache, the lazily built transposed row-banded layout
-	// backing TMulVecTo on wide matrices. The cache never changes the
-	// numbers — only memory locality — and is dropped by NormalizeRows,
-	// the only operation that changes the values.
-	tmu    sync.Mutex
-	tcache *cscBands
 }
 
 // MaxCSRCols is the largest column count a CSR can hold: column indices
@@ -121,128 +112,6 @@ func (m *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// tmulBandRows is the row-band height of the cache-blocked TMulVecTo path:
-// 1<<15 source slots = 256 KiB of x per band, sized to stay L2-resident.
-// tmulBandThreshold gates the blocked path to matrices whose output
-// vector overflows that budget — below it the simple row sweep is faster
-// and the transposed side structure is not worth building.
-const (
-	tmulBandRows      = 1 << 15
-	tmulBandThreshold = 1 << 17
-)
-
-// cscBands is a transposed copy of a CSR's entries grouped into row
-// bands: band b holds the entries of rows [b·tmulBandRows,
-// (b+1)·tmulBandRows), sorted by (column, row) and packed as
-// key = column<<16 | rowOffsetWithinBand. Within a band, TMulVecTo reads x
-// only inside the band's 256 KiB window and writes y in ascending column
-// order — both cache-friendly — while every output slot y[j] still
-// receives its contributions in globally ascending row order (bands
-// ascend, rows ascend within a band), i.e. exactly the dense row-sweep
-// order. The blocked product is therefore bitwise identical to the
-// simple path for every input, not merely close.
-type cscBands struct {
-	bandPtr []int // band b entries occupy [bandPtr[b], bandPtr[b+1])
-	key     []uint64
-	val     []float64
-}
-
-// tBands returns the lazily built transposed layout, constructing it on
-// first use. The per-band sort is an LSD radix over the column bytes —
-// stable, so the CSR's ascending-row entry order survives per column —
-// chosen over a counting sort across all columns because its 256-bucket
-// passes write sequentially (a whole-column scatter would repeat the very
-// cache behavior this structure exists to avoid). O(nnz · colBytes) time,
-// O(nnz) extra memory.
-func (m *CSR) tBands() *cscBands {
-	m.tmu.Lock()
-	defer m.tmu.Unlock()
-	if m.tcache != nil {
-		return m.tcache
-	}
-	nnz := len(m.val)
-	nb := (m.rows + tmulBandRows - 1) / tmulBandRows
-	t := &cscBands{
-		bandPtr: make([]int, nb+1),
-		key:     make([]uint64, nnz),
-		val:     make([]float64, nnz),
-	}
-	// Rows are stored in ascending order, so each band's entries are
-	// already contiguous in the CSR arrays.
-	maxBand := 0
-	for b := 0; b < nb; b++ {
-		hiRow := (b + 1) * tmulBandRows
-		if hiRow > m.rows {
-			hiRow = m.rows
-		}
-		t.bandPtr[b+1] = m.rowPtr[hiRow]
-		if l := t.bandPtr[b+1] - t.bandPtr[b]; l > maxBand {
-			maxBand = l
-		}
-	}
-	colBits := bits.Len(uint(m.cols - 1))
-	ks := make([]uint64, maxBand)
-	vs := make([]float64, maxBand)
-	var count [256]int
-	for b := 0; b < nb; b++ {
-		lo, hi := t.bandPtr[b], t.bandPtr[b+1]
-		n := hi - lo
-		if n == 0 {
-			continue
-		}
-		base := b * tmulBandRows
-		hiRow := base + tmulBandRows
-		if hiRow > m.rows {
-			hiRow = m.rows
-		}
-		p := lo
-		for i := base; i < hiRow; i++ {
-			off := uint64(i - base)
-			for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-				t.key[p] = uint64(m.colIdx[k])<<16 | off
-				t.val[p] = m.val[k]
-				p++
-			}
-		}
-		src, sv := t.key[lo:hi], t.val[lo:hi]
-		dst, dv := ks[:n], vs[:n]
-		for shift := 0; shift < colBits; shift += 8 {
-			s := uint(16 + shift)
-			count = [256]int{}
-			for _, k := range src {
-				count[(k>>s)&0xff]++
-			}
-			run := 0
-			for c := 0; c < 256; c++ {
-				cc := count[c]
-				count[c] = run
-				run += cc
-			}
-			for idx, k := range src {
-				c := (k >> s) & 0xff
-				dst[count[c]] = k
-				dv[count[c]] = sv[idx]
-				count[c]++
-			}
-			src, dst = dst, src
-			sv, dv = dv, sv
-		}
-		if &src[0] != &t.key[lo] {
-			copy(t.key[lo:hi], src)
-			copy(t.val[lo:hi], sv)
-		}
-	}
-	m.tcache = t
-	return t
-}
-
-// invalidateT drops the transposed cache after an in-place mutation.
-func (m *CSR) invalidateT() {
-	m.tmu.Lock()
-	m.tcache = nil
-	m.tmu.Unlock()
-}
-
 // TMulVecTo computes dst = Aᵀ·x, overwriting dst; dst must have length
 // Cols, x length Rows, and the two must not share memory. Rows are visited
 // in ascending order and entries within a row in ascending column order,
@@ -251,21 +120,6 @@ func (m *CSR) invalidateT() {
 func (m *CSR) TMulVecTo(dst, x []float64) {
 	checkTMulVecTo(m.rows, m.cols, dst, x)
 	clear(dst)
-	if m.cols >= tmulBandThreshold {
-		t := m.tBands()
-		for b := 0; b+1 < len(t.bandPtr); b++ {
-			base := b * tmulBandRows
-			for p := t.bandPtr[b]; p < t.bandPtr[b+1]; p++ {
-				k := t.key[p]
-				xi := x[base+int(k&0xffff)]
-				if xi == 0 {
-					continue
-				}
-				dst[k>>16] += t.val[p] * xi
-			}
-		}
-		return
-	}
 	for i := 0; i < m.rows; i++ {
 		xi := x[i]
 		if xi == 0 {
@@ -307,7 +161,6 @@ func checkTMulVecTo(rows, cols int, dst, x []float64) {
 // than multiplying by its reciprocal: for subnormal sums 1/s overflows to
 // +Inf, while v/s with 0 ≤ v ≤ s is always in [0,1].
 func (m *CSR) NormalizeRows(uniform bool) []int {
-	m.invalidateT() // values change in place; drop the transposed cache
 	var zeroRows []int
 	for i := 0; i < m.rows; i++ {
 		s := 0.0

@@ -2,6 +2,7 @@ package reputation
 
 import (
 	"runtime"
+	"strconv"
 	"testing"
 
 	"gridvo/internal/matrix"
@@ -11,9 +12,10 @@ import (
 
 // These benchmarks track the sparse-substrate scaling claim (DESIGN §13):
 // a power-method solve on a mean-degree-20 Erdős–Rényi graph is O(nnz)
-// per iteration and a million nodes converge in single-digit seconds.
-// 256k and 1M take the banded TMulVecTo path. BenchmarkGlobalCSR1M
-// allocates about 700 MB, so the CI bench smoke runs only the 64k point.
+// per iteration and a million nodes converge in about two seconds. Every
+// size runs the same row-sweep TMulVecTo. BenchmarkGlobalCSR1M holds its
+// 20 M-edge graph and allocates about 260 MB per solve, so the CI bench
+// smoke leaves it out.
 
 func benchGlobalCSR(b *testing.B, n int) {
 	g := trust.SparseErdosRenyi(xrand.New(42), n, 20)
@@ -34,9 +36,13 @@ func BenchmarkGlobalCSR1M(b *testing.B)   { benchGlobalCSR(b, 1_000_000) }
 // 65,536-node, mean-degree-20 trust.Store and re-solves warm through
 // ResolveNormalized and GlobalMatrix, the calls gridvod's
 // POST /v1/trust/delta makes with solve:true. Batches are drawn outside
-// the timer.
-func BenchmarkStoreDeltaResolve64k(b *testing.B) {
-	st, g, brng := seededStore(b, 65536)
+// the timer. BenchmarkStoreDeltaResolve256k is the same op on a store
+// four times as wide, a size no perfbench workload serves.
+func BenchmarkStoreDeltaResolve64k(b *testing.B)  { benchStoreDeltaResolve(b, 65536) }
+func BenchmarkStoreDeltaResolve256k(b *testing.B) { benchStoreDeltaResolve(b, 262144) }
+
+func benchStoreDeltaResolve(b *testing.B, n int) {
+	st, g, brng := seededStore(b, n)
 	iters := 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -50,11 +56,19 @@ func BenchmarkStoreDeltaResolve64k(b *testing.B) {
 }
 
 // seededStore returns a trust.Store holding an n-node, mean-degree-20
-// sparse graph after its cold solve, the generated graph the batches are
-// drawn against, and the batch stream.
+// sparse graph with no dangling row after its cold solve, the generated
+// graph the batches are drawn against, and the batch stream.
 func seededStore(tb testing.TB, n int) (*trust.Store, *trust.Graph, *xrand.RNG) {
 	rng := xrand.New(42)
 	g := trust.SparseErdosRenyi(rng.Split("graph"), n, 20)
+	// A row with no out-edge is dangling: the uniform completion stores it
+	// as n entries. Giving every row an edge keeps the matrix at the
+	// graph's edge count (the seed-42 graphs already have no empty row).
+	for i := 0; i < n; i++ {
+		if len(g.Neighbors(i)) == 0 {
+			g.SetTrust(i, (i+1)%n, 1)
+		}
+	}
 	edges := g.Edges()
 	seed := make([]trust.DeltaOp, len(edges))
 	for k, e := range edges {
@@ -119,27 +133,33 @@ func deltaBatch(rng *xrand.RNG, g *trust.Graph, size int) []trust.DeltaOp {
 // TestStoreSteadyStateSolveAllocatesNoMatrix: once a fixed-size store has
 // patched its matrix, an apply plus warm re-solve allocates the iterate
 // vectors and no matrix. Rebuilding the 64k store's matrix per solve
-// allocated 17.9 MB; its two buffers are reused instead.
+// allocated 17.9 MB; its two buffers are reused instead. The 2¹⁷-node
+// input is the narrowest at which TMulVecTo once built a 16 B-per-entry
+// transposed copy of the matrix on every solve.
 func TestStoreSteadyStateSolveAllocatesNoMatrix(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc accounting is meaningless")
 	}
-	st, g, brng := seededStore(t, 65536)
-	const steps = 4
-	batches := make([][]trust.DeltaOp, steps+1)
-	for i := range batches {
-		batches[i] = deltaBatch(brng, g, 256)
-	}
-	applyAndSolve(t, st, batches[0]) // the first patched solve sizes the spare buffer
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, ops := range batches[1:] {
-		applyAndSolve(t, st, ops)
-	}
-	runtime.ReadMemStats(&after)
-	per := (after.TotalAlloc - before.TotalAlloc) / steps
-	t.Logf("%d bytes per apply and solve", per)
-	if per > 4<<20 {
-		t.Fatalf("a steady-state apply and solve allocates %d bytes, want under 4 MiB", per)
+	for _, n := range []int{65536, 1 << 17} {
+		t.Run(strconv.Itoa(n), func(t *testing.T) {
+			st, g, brng := seededStore(t, n)
+			const steps = 4
+			batches := make([][]trust.DeltaOp, steps+1)
+			for i := range batches {
+				batches[i] = deltaBatch(brng, g, 256)
+			}
+			applyAndSolve(t, st, batches[0]) // the first patched solve sizes the spare buffer
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, ops := range batches[1:] {
+				applyAndSolve(t, st, ops)
+			}
+			runtime.ReadMemStats(&after)
+			per := (after.TotalAlloc - before.TotalAlloc) / steps
+			t.Logf("%d bytes per apply and solve", per)
+			if limit := uint64(6 * 8 * n); per > limit {
+				t.Fatalf("a steady-state apply and solve allocates %d bytes, want under %d (six iterate vectors)", per, limit)
+			}
+		})
 	}
 }

@@ -35,16 +35,7 @@ func (r *ReputationRequest) Validate() error {
 	if r.Trust == nil || r.Trust.N() == 0 {
 		return fmt.Errorf("request has no trust graph (want {\"trust\": {\"n\": ..., \"edges\": [...]}})")
 	}
-	if r.Epsilon < 0 {
-		return fmt.Errorf("negative epsilon %v", r.Epsilon)
-	}
-	if r.MaxIter < 0 {
-		return fmt.Errorf("negative max_iter %d", r.MaxIter)
-	}
-	if r.Damping < 0 || r.Damping >= 1 {
-		return fmt.Errorf("damping %v outside [0,1)", r.Damping)
-	}
-	return nil
+	return validateSolve(r.Epsilon, r.MaxIter, r.Damping)
 }
 
 // Options converts the request to reputation power-method options.
@@ -55,6 +46,26 @@ func (r *ReputationRequest) Options() reputation.Options {
 		Damping:         r.Damping,
 		DanglingUniform: true,
 	}
+}
+
+// validateSolve rejects power-method parameters the solver cannot run
+// with. max_iter is capped at reputation.DefaultMaxIter: the iteration
+// does not watch the request deadline, and on a periodic graph it runs
+// to the cap, holding the trust store's lock on /v1/trust/delta.
+func validateSolve(epsilon float64, maxIter int, damping float64) error {
+	if epsilon < 0 {
+		return fmt.Errorf("negative epsilon %v", epsilon)
+	}
+	if maxIter < 0 {
+		return fmt.Errorf("negative max_iter %d", maxIter)
+	}
+	if maxIter > reputation.DefaultMaxIter {
+		return fmt.Errorf("max_iter %d above the cap %d", maxIter, reputation.DefaultMaxIter)
+	}
+	if damping < 0 || damping >= 1 {
+		return fmt.Errorf("damping %v outside [0,1)", damping)
+	}
+	return nil
 }
 
 // ReputationResponse carries the global reputation vector and the power
@@ -106,16 +117,7 @@ func (r *TrustDeltaRequest) Validate() error {
 	if len(r.Edges) == 0 && r.N == 0 && !r.Solve {
 		return fmt.Errorf("empty delta: no edges, no n, no solve")
 	}
-	if r.Epsilon < 0 {
-		return fmt.Errorf("negative epsilon %v", r.Epsilon)
-	}
-	if r.MaxIter < 0 {
-		return fmt.Errorf("negative max_iter %d", r.MaxIter)
-	}
-	if r.Damping < 0 || r.Damping >= 1 {
-		return fmt.Errorf("damping %v outside [0,1)", r.Damping)
-	}
-	return nil
+	return validateSolve(r.Epsilon, r.MaxIter, r.Damping)
 }
 
 // TrustDeltaResponse reports the store state after the batch (and the

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"gridvo/internal/adversary"
 	"gridvo/internal/assign"
 	"gridvo/internal/mechanism"
+	"gridvo/internal/reputation"
 	"gridvo/internal/trust"
 )
 
@@ -130,6 +132,43 @@ func TestReputationValidation(t *testing.T) {
 		if code, data := postJSON(t, ts.URL+"/v1/reputation", body); code != http.StatusBadRequest {
 			t.Fatalf("%s: want 400, got %d: %s", name, code, data)
 		}
+	}
+}
+
+// starTrust is a 3-node star trusted both ways, a periodic chain: the
+// power iteration oscillates on it and runs to max_iter.
+func starTrust() *trust.Graph {
+	g := trust.NewGraph(3)
+	for _, leaf := range []int{1, 2} {
+		g.SetTrust(0, leaf, 1)
+		g.SetTrust(leaf, 0, 1)
+	}
+	return g
+}
+
+// TestReputationMaxIterCapped: the power iteration does not watch the
+// request deadline, so max_iter above reputation.DefaultMaxIter is a 400
+// naming the cap; a 20,000,000 cap on the star once answered 200 after
+// about a second on a server whose MaxTimeout was 200 ms.
+func TestReputationMaxIterCapped(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	limit := reputation.DefaultMaxIter
+	for _, maxIter := range []int{limit + 1, 20_000_000} {
+		code, data := postJSON(t, ts.URL+"/v1/reputation", ReputationRequest{Trust: starTrust(), MaxIter: maxIter})
+		if code != http.StatusBadRequest || !strings.Contains(string(data), strconv.Itoa(limit)) {
+			t.Fatalf("max_iter %d: status %d: %s, want a 400 naming the cap %d", maxIter, code, data, limit)
+		}
+	}
+	code, data := postJSON(t, ts.URL+"/v1/reputation", ReputationRequest{Trust: starTrust(), MaxIter: limit})
+	if code != http.StatusOK {
+		t.Fatalf("max_iter at the cap: status %d: %s", code, data)
+	}
+	var resp ReputationResponse
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Converged || resp.Iterations != limit {
+		t.Fatalf("the star should run to the cap unconverged: %+v", resp)
 	}
 }
 

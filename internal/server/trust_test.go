@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
+	"gridvo/internal/reputation"
 	"gridvo/internal/trust"
 	"gridvo/internal/xrand"
 )
@@ -147,6 +149,37 @@ func TestTrustDeltaValidation(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/trust/stats", &st)
 	if st.N != 0 || st.Edges != 0 || st.Ops != 0 {
 		t.Fatalf("rejected batches mutated the store: %+v", st)
+	}
+}
+
+// TestTrustDeltaMaxIterCapped: a re-solve holds the store's lock for
+// every iteration, so max_iter above reputation.DefaultMaxIter is a 400
+// naming the cap, and the rejected batch leaves the store untouched.
+func TestTrustDeltaMaxIterCapped(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	star := deltaOps(starTrust())
+	limit := reputation.DefaultMaxIter
+	for _, maxIter := range []int{limit + 1, 20_000_000} {
+		code, data := postJSON(t, ts.URL+"/v1/trust/delta", TrustDeltaRequest{N: 3, Edges: star, Solve: true, MaxIter: maxIter})
+		if code != http.StatusBadRequest || !strings.Contains(string(data), strconv.Itoa(limit)) {
+			t.Fatalf("max_iter %d: status %d: %s, want a 400 naming the cap %d", maxIter, code, data, limit)
+		}
+	}
+	var st trust.StoreStats
+	getJSON(t, ts.URL+"/v1/trust/stats", &st)
+	if st.N != 0 || st.Version != 0 {
+		t.Fatalf("rejected batches mutated the store: %+v", st)
+	}
+	code, data := postJSON(t, ts.URL+"/v1/trust/delta", TrustDeltaRequest{N: 3, Edges: star, Solve: true, MaxIter: limit})
+	if code != http.StatusOK {
+		t.Fatalf("max_iter at the cap: status %d: %s", code, data)
+	}
+	var resp TrustDeltaResponse
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Solved || resp.Converged || resp.Iterations != limit {
+		t.Fatalf("the star should run to the cap unconverged: %+v", resp)
 	}
 }
 
