@@ -206,11 +206,12 @@ func TestRunChaosMode(t *testing.T) {
 // fingerprint folds every selection, payoff bit pattern and fault counter
 // of a sweep, so any change to the trust normalization or the power
 // iteration's arithmetic moves it. The dense Erdős–Rényi and the sparse
-// generator paths are pinned separately, and so is a sweep whose scenarios
-// a sybil ring rewrote after their feasibility check.
+// generator paths are pinned separately, and so are sweeps whose scenarios
+// a sybil ring or slanderers rewrote after their feasibility check, and one
+// whose runs face a churn schedule.
 func TestChaosFingerprintPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full chaos sweeps")
+		t.Skip("five chaos sweeps")
 	}
 	base := []string{"-chaos", "7,0.3", "-sizes", "32,64", "-reps", "2", "-seed", "5"}
 	for _, tc := range []struct {
@@ -221,6 +222,8 @@ func TestChaosFingerprintPinned(t *testing.T) {
 		{"erdos-renyi", base, "fingerprint: d4ba4afc262b6ec5"},
 		{"sparse degree 6", append(append([]string(nil), base...), "-trust-degree", "6"), "fingerprint: f5b7e07826220ef8"},
 		{"sybil ring of 3", append(append([]string(nil), base...), "-adversary", "sybil,3"), "fingerprint: d9379b20174f96b9"},
+		{"churn 0.25", append(append([]string(nil), base...), "-adversary", "churn,0.25"), "fingerprint: 1185cc5c5a86ad34"},
+		{"slander 0.3 on sparse degree 6", []string{"-chaos", "7,0.3", "-adversary", "slander,0.3", "-trust-degree", "6", "-sizes", "32", "-reps", "2", "-seed", "5"}, "fingerprint: 238e8e621e0c1009"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if out := runCLI(t, tc.args...); !strings.Contains(out, tc.want+"\n") {
