@@ -170,11 +170,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if *verbose {
 			progress = func(s string) { fmt.Fprintln(stderr, s) }
 		}
-		var ropts sim.RobustnessOptions
+		// Composition: with -chaos, the sweep's scenarios are generated
+		// through the adversary layer, then fault-injected as usual.
 		if *advSpec != "" {
-			var err error
-			ropts, err = parseAdversarySpec(*advSpec, cfg.NumGSPs)
-			if err != nil {
+			if err := parseAdversarySpec(*advSpec, &cfg); err != nil {
 				return err
 			}
 		}
@@ -184,15 +183,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 				return err
 			}
 			defer onExpiry()
-			// Composition: the chaos sweep's scenarios are generated
-			// through the adversary layer (empty ropts when -adversary is
-			// not given), then fault-injected as usual.
-			cfg.Adversary = ropts.Attack
-			cfg.Churn = ropts.Churn
 			return runChaos(ctx, cfg, fault.Config{Seed: fseed, Rate: rate}, stdout, stderr, progress)
 		}
 		defer onExpiry()
-		return runAdversary(ctx, cfg, ropts, stdout, *csv, progress)
+		return runAdversary(ctx, cfg, stdout, *csv, progress)
 	}
 
 	if *table1 {
@@ -399,15 +393,15 @@ func runChaos(ctx context.Context, cfg sim.Config, fcfg fault.Config, stdout, st
 // check (exit 1).
 var errAdversary = errors.New("adversary sweep failed")
 
-// parseAdversarySpec parses the -adversary argument "class,param". The
-// param is the attacker count for collusion/sybil/whitewash, the slander
-// rate (with an attacker count of numGSPs/8, at least 1), or the churn
-// leave rate (re-joins at half that rate).
-func parseAdversarySpec(spec string, numGSPs int) (sim.RobustnessOptions, error) {
-	var opts sim.RobustnessOptions
+// parseAdversarySpec parses the -adversary argument "class,param" into
+// cfg.Adversary or cfg.Churn. The param is the attacker count for
+// collusion/sybil/whitewash, the slander rate (with an attacker count of
+// cfg.NumGSPs/8, at least 1), or the churn leave rate (re-joins at half
+// that rate).
+func parseAdversarySpec(spec string, cfg *sim.Config) error {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
-		return opts, fmt.Errorf(`-adversary wants "class,param" (e.g. sybil,8 or slander,0.3 or churn,0.25), got %q`, spec)
+		return fmt.Errorf(`-adversary wants "class,param" (e.g. sybil,8 or slander,0.3 or churn,0.25), got %q`, spec)
 	}
 	class := strings.TrimSpace(parts[0])
 	param := strings.TrimSpace(parts[1])
@@ -415,41 +409,41 @@ func parseAdversarySpec(spec string, numGSPs int) (sim.RobustnessOptions, error)
 	case "churn":
 		rate, err := parseRate("churn", param)
 		if err != nil {
-			return opts, err
+			return err
 		}
-		opts.Churn = &adversary.ChurnSpec{LeaveRate: rate, JoinRate: rate / 2}
+		cfg.Churn = &adversary.ChurnSpec{LeaveRate: rate, JoinRate: rate / 2}
 	case adversary.ClassSlander:
 		rate, err := parseRate("slander", param)
 		if err != nil {
-			return opts, err
+			return err
 		}
-		size := numGSPs / 8
+		size := cfg.NumGSPs / 8
 		if size < 1 {
 			size = 1
 		}
-		opts.Attack = &adversary.Spec{Class: class, Size: size, Rate: rate}
+		cfg.Adversary = &adversary.Spec{Class: class, Size: size, Rate: rate}
 	case adversary.ClassCollusion, adversary.ClassSybil, adversary.ClassWhitewash:
 		size, err := strconv.Atoi(param)
 		if err != nil || size < 0 {
-			return opts, fmt.Errorf("bad %s size %q", class, param)
+			return fmt.Errorf("bad %s size %q", class, param)
 		}
-		opts.Attack = &adversary.Spec{Class: class, Size: size}
+		cfg.Adversary = &adversary.Spec{Class: class, Size: size}
 	default:
-		return opts, fmt.Errorf("unknown adversary class %q (want collusion, sybil, whitewash, slander, or churn)", class)
+		return fmt.Errorf("unknown adversary class %q (want collusion, sybil, whitewash, slander, or churn)", class)
 	}
-	return opts, nil
+	return nil
 }
 
 // runAdversary executes the robustness sweep twice with identical seeds:
 // the first pass measures honest-vs-adversarial degradation, the second
 // proves both worlds are bit-reproducible (identical fingerprints). A
 // fingerprint mismatch exits non-zero.
-func runAdversary(ctx context.Context, cfg sim.Config, opts sim.RobustnessOptions, stdout io.Writer, csv bool, progress func(string)) error {
-	first, err := sim.RobustnessSweep(ctx, cfg, opts, progress)
+func runAdversary(ctx context.Context, cfg sim.Config, stdout io.Writer, csv bool, progress func(string)) error {
+	first, err := sim.RobustnessSweep(ctx, cfg, progress)
 	if err != nil {
 		return err
 	}
-	second, err := sim.RobustnessSweep(ctx, cfg, opts, progress)
+	second, err := sim.RobustnessSweep(ctx, cfg, progress)
 	if err != nil {
 		return err
 	}

@@ -151,6 +151,24 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsAdversaryOutsideGrid: a spec the grid cannot hold fails
+// with the adversary's error in both modes that take -adversary.
+func TestRunRejectsAdversaryOutsideGrid(t *testing.T) {
+	for _, args := range [][]string{
+		{"-adversary", "collusion,100"},
+		{"-chaos", "7,0.3", "-adversary", "collusion,1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		if err == nil || !strings.HasPrefix(err.Error(), "adversary: collusion clique") {
+			t.Errorf("%v: error %v, want the collusion spec error", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v printed before failing:\n%s", args, stdout.String())
+		}
+	}
+}
+
 func TestParseChaosSpec(t *testing.T) {
 	seed, rate, err := parseChaosSpec("7, 0.3")
 	if err != nil || seed != 7 || rate != 0.3 {

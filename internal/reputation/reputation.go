@@ -1,6 +1,7 @@
 package reputation
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -82,7 +83,8 @@ var ErrEmptyGraph = errors.New("reputation: empty trust graph")
 // L1-normalized (it sums to 1 unless the graph has no trust mass at all).
 // A graph whose normalized matrix would store more than trust.MaxEntries
 // entries is rejected with trust.CheckEntries' error before anything is
-// allocated. Global is the graph half; GlobalMatrix does the rest.
+// allocated. Global is the graph half; GlobalMatrix does the rest, here
+// without a context: it runs to convergence or Options.MaxIter.
 func Global(g *trust.Graph, opts Options) ([]float64, Diagnostics, error) {
 	n := g.N()
 	if n == 0 {
@@ -92,7 +94,7 @@ func Global(g *trust.Graph, opts Options) ([]float64, Diagnostics, error) {
 		return nil, Diagnostics{}, err
 	}
 	a, dangling := g.Normalized(trust.NormalizeOptions{DanglingUniform: opts.DanglingUniform})
-	return GlobalMatrix(a, dangling, opts)
+	return GlobalMatrix(context.TODO(), a, dangling, opts)
 }
 
 // GlobalMatrix is the matrix half of Global: the power method of
@@ -100,8 +102,9 @@ func Global(g *trust.Graph, opts Options) ([]float64, Diagnostics, error) {
 // rows are listed in dangling (reported back in Diagnostics.Dangling). It
 // is how a trust.Store's own matrix is solved; the bound on its entries
 // is checked where it is built. opts.DanglingUniform is not read: the
-// completion is a's.
-func GlobalMatrix(a *matrix.CSR, dangling []int, opts Options) ([]float64, Diagnostics, error) {
+// completion is a's. The iteration polls ctx once per step and, once ctx
+// is done, returns its error and no vector.
+func GlobalMatrix(ctx context.Context, a *matrix.CSR, dangling []int, opts Options) ([]float64, Diagnostics, error) {
 	if a.Rows() == 0 {
 		return nil, Diagnostics{}, ErrEmptyGraph
 	}
@@ -110,25 +113,33 @@ func GlobalMatrix(a *matrix.CSR, dangling []int, opts Options) ([]float64, Diagn
 	if plan := opts.Inject.Visit(fault.PointReputation); plan.Class == fault.NonConverge {
 		opts.MaxIter = plan.MaxIter
 	}
-	x, diag := PowerIterate(a, opts)
+	x, diag, err := powerIterate(ctx, a, opts)
 	diag.Dangling = dangling
-	return x, diag, nil
+	return x, diag, err
 }
 
 // PowerIterate runs the power method x^{q+1} = Aᵀ x^q on an already
 // normalized matrix, renormalizing the iterate to unit L1 norm each step
 // (A may be substochastic when dangling rows were kept zero; without
 // renormalization the iterate would decay in magnitude while keeping the
-// same direction). The matrix must be square; each step is O(nnz).
-//
-//gridvolint:ignore ctxthread bounded by Options.MaxIter; cancellation is enforced per-solve by mechanism.Engine
+// same direction). The matrix must be square; each step is O(nnz). It
+// runs to convergence or Options.MaxIter; GlobalMatrix is the cancellable
+// form.
 func PowerIterate(a *matrix.CSR, opts Options) ([]float64, Diagnostics) {
+	x, diag, _ := powerIterate(context.TODO(), a, opts)
+	return x, diag
+}
+
+// powerIterate is PowerIterate polling ctx before every step: once ctx is
+// done it returns no vector, ctx's error and the diagnostics of the steps
+// taken so far.
+func powerIterate(ctx context.Context, a *matrix.CSR, opts Options) ([]float64, Diagnostics, error) {
 	if a.Rows() != a.Cols() {
 		panic(fmt.Sprintf("reputation: PowerIterate on %dx%d matrix", a.Rows(), a.Cols()))
 	}
 	n := a.Rows()
 	if n == 0 {
-		return nil, Diagnostics{Converged: true}
+		return nil, Diagnostics{Converged: true}, nil
 	}
 	eps := opts.Epsilon
 	if eps == 0 {
@@ -151,6 +162,9 @@ func PowerIterate(a *matrix.CSR, opts Options) ([]float64, Diagnostics) {
 	var diag Diagnostics
 	diag.Warm = warm
 	for q := 0; q < maxIter; q++ {
+		if err := ctx.Err(); err != nil {
+			return nil, diag, err
+		}
 		a.TMulVecTo(next, x)
 		if opts.Damping > 0 {
 			d := opts.Damping
@@ -169,7 +183,7 @@ func PowerIterate(a *matrix.CSR, opts Options) ([]float64, Diagnostics) {
 			break
 		}
 	}
-	return x, diag
+	return x, diag, nil
 }
 
 // startVector returns the power iteration's starting point: the L1

@@ -1,6 +1,7 @@
 package reputation
 
 import (
+	"context"
 	"runtime"
 	"strconv"
 	"testing"
@@ -87,7 +88,7 @@ func seededStore(tb testing.TB, n int) (*trust.Store, *trust.Graph, *xrand.RNG) 
 // storeSolve is the Store callback gridvod's trust-delta handler passes,
 // with the default options.
 func storeSolve(a *matrix.CSR, dangling []int, warm []float64) (trust.SolveResult, error) {
-	x, d, err := GlobalMatrix(a, dangling, Options{InitialVector: warm})
+	x, d, err := GlobalMatrix(context.Background(), a, dangling, Options{InitialVector: warm})
 	return trust.SolveResult{Scores: x, Iterations: d.Iterations, Converged: d.Converged, Warm: d.Warm}, err
 }
 
@@ -133,9 +134,12 @@ func deltaBatch(rng *xrand.RNG, g *trust.Graph, size int) []trust.DeltaOp {
 // TestStoreSteadyStateSolveAllocatesNoMatrix: once a fixed-size store has
 // patched its matrix, an apply plus warm re-solve allocates the iterate
 // vectors and no matrix. Rebuilding the 64k store's matrix per solve
-// allocated 17.9 MB; its two buffers are reused instead. The 2¹⁷-node
-// input is the narrowest at which TMulVecTo once built a 16 B-per-entry
-// transposed copy of the matrix on every solve.
+// allocated 17.9 MB; its two buffers are reused instead. The store keeps
+// the converged vector without copying it, so the 64k input allocates
+// the two iterate vectors, 1,051,232 B per apply and solve (1,575,520 B
+// with the copy). The 2¹⁷-node input is the narrowest at which TMulVecTo
+// once built a 16 B-per-entry transposed copy of the matrix on every
+// solve.
 func TestStoreSteadyStateSolveAllocatesNoMatrix(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc accounting is meaningless")

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -226,6 +227,10 @@ func (s *Server) handleTrustDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := TrustDeltaResponse{Stats: stats}
 	if req.Solve {
+		// The solve holds the store's lock, so it runs under the request's
+		// budget: a stopped solve books nothing, and the batch stays applied.
+		ctx, cancel := s.solveContext(r, 0)
+		defer cancel()
 		res, st, err := s.store.ResolveNormalized(func(a *matrix.CSR, dangling []int, warm []float64) (trust.SolveResult, error) {
 			opts := reputation.Options{
 				Epsilon:       req.Epsilon,
@@ -233,7 +238,7 @@ func (s *Server) handleTrustDelta(w http.ResponseWriter, r *http.Request) {
 				Damping:       req.Damping,
 				InitialVector: warm,
 			}
-			scores, diag, err := reputation.GlobalMatrix(a, dangling, opts)
+			scores, diag, err := reputation.GlobalMatrix(ctx, a, dangling, opts)
 			if err != nil {
 				return trust.SolveResult{}, err
 			}
@@ -244,6 +249,10 @@ func (s *Server) handleTrustDelta(w http.ResponseWriter, r *http.Request) {
 				Warm:       diag.Warm,
 			}, nil
 		})
+		if err != nil && errors.Is(err, ctx.Err()) {
+			writeError(w, http.StatusGatewayTimeout, fmt.Sprintf("batch applied (version %d), reputation solve stopped: %v", st.Version, err))
+			return
+		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"gridvo/internal/reputation"
 	"gridvo/internal/trust"
@@ -300,5 +301,60 @@ func TestTrustStatsDensity(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%d/%d", st.Edges, st.N); got != "10/10" {
 		t.Fatalf("shape %s", got)
+	}
+}
+
+// bipartiteTrust is a periodic trust graph: n nodes split unevenly into
+// halves, each node trusting deg random nodes of the other half. The power
+// iteration swings between the halves and never converges.
+func bipartiteTrust(n, deg int) *trust.Graph {
+	rng := xrand.New(9)
+	g := trust.NewGraph(n)
+	half := n / 3
+	for i := 0; i < n; i++ {
+		lo, size := half, n-half
+		if i >= half {
+			lo, size = 0, half
+		}
+		for k := 0; k < deg; k++ {
+			g.SetTrust(i, lo+rng.IntN(size), 1-rng.Float64())
+		}
+	}
+	return g
+}
+
+// TestTrustDeltaSolveStopsAtBudget: a re-solve holds the store's lock, so
+// it runs under the request budget. On a graph that never converges it
+// stops at the 20 ms default instead of running all DefaultMaxIter
+// iterations (seconds at this size), answers 504 saying the batch was
+// applied, and books no solve.
+func TestTrustDeltaSolveStopsAtBudget(t *testing.T) {
+	_, ts := newTestServer(t, Config{DefaultTimeout: 20 * time.Millisecond})
+	g := bipartiteTrust(4096, 40)
+	if code, data := postJSON(t, ts.URL+"/v1/trust/delta", TrustDeltaRequest{N: g.N(), Edges: deltaOps(g)}); code != http.StatusOK {
+		t.Fatalf("seed delta: status %d: %s", code, data)
+	}
+	start := time.Now()
+	code, data := postJSON(t, ts.URL+"/v1/trust/delta", TrustDeltaRequest{Edges: []trust.DeltaOp{{From: 0, To: 1, Weight: 0}}, Solve: true})
+	if took := time.Since(start); code != http.StatusGatewayTimeout || took > time.Second {
+		t.Fatalf("status %d after %v: %s, want 504 within 1s", code, took, data)
+	}
+	if !strings.Contains(string(data), "batch applied (version 2)") {
+		t.Fatalf("504 body %s does not say the batch was applied", data)
+	}
+	code, data = postJSON(t, ts.URL+"/v1/trust/delta", TrustDeltaRequest{Edges: []trust.DeltaOp{{From: 0, To: 2, Weight: 0}}})
+	if code != http.StatusOK {
+		t.Fatalf("following delta: status %d: %s", code, data)
+	}
+	var resp TrustDeltaResponse
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatal(err)
+	}
+	var st trust.StoreStats
+	getJSON(t, ts.URL+"/v1/trust/stats", &st)
+	for _, s := range []trust.StoreStats{resp.Stats, st} {
+		if s.Version != 3 || s.Solves != 0 || s.HasVector || s.LastIterations != 0 {
+			t.Fatalf("a stopped solve was booked: %+v", s)
+		}
 	}
 }

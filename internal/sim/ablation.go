@@ -67,14 +67,14 @@ func (e *Env) EvictionAblation(ctx context.Context, size int, rules []AblationRu
 		rows[i].Name = r.Name
 	}
 	for rep := 0; rep < e.Config.Repetitions; rep++ {
-		sc, _, _, err := e.buildScenario(size, 9000+rep)
+		c, err := e.buildScenario(size, 9000+rep)
 		if err != nil {
 			return nil, err
 		}
 		for ri, rule := range rules {
 			row := &rows[ri]
 			if rule.MergeSplit {
-				ms, err := mechanism.MergeSplitContext(ctx, sc, mechanism.MergeSplitOptions{Solver: e.Config.Solver})
+				ms, err := mechanism.MergeSplitContext(ctx, c.sc, mechanism.MergeSplitOptions{Solver: e.Config.Solver})
 				if err != nil {
 					return nil, err
 				}
@@ -90,7 +90,7 @@ func (e *Env) EvictionAblation(ctx context.Context, size int, rules []AblationRu
 			}
 			opts := e.Config.mechanismOptions(rule.Rule)
 			opts.Centrality = rule.Centrality
-			mres, err := mechanism.RunContext(ctx, sc, opts, e.rng.Split(fmt.Sprintf("abl-%s-%d-%d", rule.Name, size, rep)))
+			mres, err := mechanism.RunContext(ctx, c.sc, opts, e.rng.Split(fmt.Sprintf("abl-%s-%d-%d", rule.Name, size, rep)))
 			if err != nil {
 				return nil, err
 			}

@@ -55,11 +55,13 @@ type Config struct {
 	// capacity — sybil twins — or rewrite trust, so the grand coalition
 	// stays feasible). A nil or zero-Size spec leaves generation bitwise
 	// identical to the honest path. Composes with fault injection: the
-	// chaos sweep then runs on adversarial graphs.
+	// chaos sweep then runs on adversarial graphs. RobustnessSweep runs
+	// each cell in both worlds, before and after the rewrite.
 	Adversary *adversary.Spec
 	// Churn, when non-zero, draws one churn schedule per scenario cell
-	// and applies it to both mechanism runs: GSPs leave and re-join the
-	// forming VO between eviction rounds.
+	// and applies it to the cell's runs on the adversarial scenario
+	// (both of RunPairContext's; RobustnessSweep's adversarial world):
+	// GSPs leave and re-join the forming VO between eviction rounds.
 	Churn *adversary.ChurnSpec
 }
 
@@ -111,7 +113,7 @@ type Env struct {
 	// it to the cell's engine. A cell rebuilt replaces its entry, so the
 	// map never outgrows the cells built.
 	grandMu sync.Mutex
-	grand   map[[2]int]grandSolve
+	grand   map[[2]int]*grandSolve
 }
 
 // grandSolve is one cell's feasibility solve of the grand coalition of sc.
@@ -121,14 +123,37 @@ type grandSolve struct {
 	sol     assign.Solution
 }
 
-// NewEnv prepares the experiment environment: it generates (or adopts) the
-// trace and indexes the eligible jobs.
+// scenarioCell is one (size, rep) cell as generated: the honest scenario
+// with its grand-coalition feasibility solve, and the scenario the cell's
+// runs face, which is the honest one rewritten by Config.Adversary, or the
+// honest one itself when the attack is zero.
+type scenarioCell struct {
+	honest *mechanism.Scenario
+	grand  *grandSolve
+	sc     *mechanism.Scenario
+	attack *adversary.Report
+	meta   ScenarioMeta
+}
+
+// NewEnv prepares the experiment environment: it validates the adversary
+// and churn specs, then generates (or adopts) the trace and indexes the
+// eligible jobs.
 func NewEnv(cfg Config) (*Env, error) {
 	if cfg.NumGSPs <= 0 {
 		return nil, fmt.Errorf("sim: NumGSPs = %d", cfg.NumGSPs)
 	}
 	if cfg.Repetitions <= 0 {
 		return nil, fmt.Errorf("sim: Repetitions = %d", cfg.Repetitions)
+	}
+	if cfg.Adversary != nil {
+		if err := cfg.Adversary.ValidateFor(cfg.NumGSPs); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.Churn != nil {
+		if err := cfg.Churn.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	rng := xrand.New(cfg.Seed)
 	tr := cfg.Trace
@@ -145,7 +170,7 @@ func NewEnv(cfg Config) (*Env, error) {
 			return nil, fmt.Errorf("sim: trace has no eligible job with %d processors", size)
 		}
 	}
-	return &Env{Config: cfg, Catalog: cat, rng: rng, grand: map[[2]int]grandSolve{}}, nil
+	return &Env{Config: cfg, Catalog: cat, rng: rng, grand: map[[2]int]*grandSolve{}}, nil
 }
 
 // ScenarioMeta records how a scenario was generated.
@@ -165,25 +190,25 @@ type ScenarioMeta struct {
 // BuildScenario generates one complete scenario for a (program size,
 // repetition) pair: program from the catalog, GSPs, Braun cost matrix,
 // consistent time matrix, Erdős–Rényi trust graph, and Table I deadline /
-// payment resampled until the grand coalition is feasible.
+// payment resampled until the grand coalition is feasible, then rewritten
+// by Config.Adversary.
 //
 // The last feasibility check solved the grand coalition with the very
 // instance and solver options a fresh engine's first solve uses, so
 // BuildScenario keeps that solution for RunPairContext on the same
 // scenario, which then solves the grand coalition zero times instead of
-// once. Scenarios an adversary rewrote, and configs that hand nothing off
-// (see handsOffGrand), keep nothing.
+// once. Scenarios an adversary rewrote keep nothing.
 func (e *Env) BuildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, error) {
-	sc, meta, grand, err := e.buildScenario(size, rep)
+	c, err := e.buildScenario(size, rep)
 	if err != nil {
-		return nil, meta, err
+		return nil, c.meta, err
 	}
-	if grand != nil && e.Config.handsOffGrand() {
+	if c.sc == c.honest && e.Config.handsOffGrand() {
 		e.grandMu.Lock()
-		e.grand[[2]int{size, rep}] = *grand
+		e.grand[[2]int{size, rep}] = c.grand
 		e.grandMu.Unlock()
 	}
-	return sc, meta, nil
+	return c.sc, c.meta, nil
 }
 
 // injected reports whether the config installs a fault injector.
@@ -198,24 +223,44 @@ func (c *Config) handsOffGrand() bool {
 }
 
 // takeGrand removes and returns the grand-coalition solve BuildScenario
-// kept for the cell, if it was kept for sc.
-func (e *Env) takeGrand(sc *mechanism.Scenario, size, rep int) (grandSolve, bool) {
+// kept for the cell (nil when it kept none).
+func (e *Env) takeGrand(size, rep int) *grandSolve {
 	e.grandMu.Lock()
 	defer e.grandMu.Unlock()
-	g, ok := e.grand[[2]int{size, rep}]
+	g := e.grand[[2]int{size, rep}]
 	delete(e.grand, [2]int{size, rep})
-	return g, ok && g.sc == sc
+	return g
+}
+
+// newEngine returns a solve engine for sc that starts from the grand
+// coalition's feasibility solve g when g was for sc and the config hands
+// it off (see handsOffGrand). g may be nil.
+func (e *Env) newEngine(sc *mechanism.Scenario, g *grandSolve) *mechanism.Engine {
+	eng := mechanism.NewEngine(sc, e.Config.Solver)
+	if g != nil && g.sc == sc && e.Config.handsOffGrand() {
+		eng.Adopt(g.members, g.sol)
+	}
+	return eng
+}
+
+// churn draws the cell's churn schedule over m GSPs from its own stream,
+// or nil when Config.Churn is zero.
+func (e *Env) churn(size, rep, m int) ([]adversary.ChurnEvent, error) {
+	if e.Config.Churn.IsZero() {
+		return nil, nil
+	}
+	return e.Config.Churn.Schedule(e.rng.Split(fmt.Sprintf("churn-%d-%d", size, rep)), m)
 }
 
 // buildScenario is BuildScenario without keeping the grand-coalition
-// solve, which it returns instead (nil when the scenario it returns is
-// not the one that solve was for). Callers that never pair use it.
-func (e *Env) buildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, *grandSolve, error) {
+// solve: it returns the whole cell instead. Callers that never pair use
+// its sc.
+func (e *Env) buildScenario(size, rep int) (scenarioCell, error) {
 	cfg := e.Config
 	rng := e.rng.Split(fmt.Sprintf("scenario-%d-%d", size, rep))
 	prog, err := e.Catalog.Pick(rng.Split("prog"), size, fmt.Sprintf("n%d-r%d", size, rep))
 	if err != nil {
-		return nil, ScenarioMeta{}, nil, err
+		return scenarioCell{}, err
 	}
 	gsps := grid.GenerateGSPs(rng.Split("gsps"), cfg.NumGSPs)
 	cost := grid.CostMatrix(rng.Split("cost"), cfg.NumGSPs, prog)
@@ -263,7 +308,7 @@ func (e *Env) buildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, *
 	}); ok {
 		sc.Deadline, sc.Payment = deadlines[a], payments[a]
 		meta.FeasibilityRetries = a
-		return e.finishScenario(sc, meta, rng, grand, sol)
+		return finishScenario(sc, meta, rng, grand, sol, cfg.Adversary)
 	}
 	// The Table I band admits no feasible mapping (possible for program
 	// sizes below the paper's 256-task minimum): widen the deadline
@@ -282,9 +327,9 @@ func (e *Env) buildScenario(size, rep int) (*mechanism.Scenario, ScenarioMeta, *
 		sc.Deadline, sc.Payment = widened[i], pay
 		meta.FeasibilityRetries = maxFeasibilityRetries
 		meta.DeadlineEscalations = i + 1
-		return e.finishScenario(sc, meta, rng, grand, sol)
+		return finishScenario(sc, meta, rng, grand, sol, cfg.Adversary)
 	}
-	return nil, meta, nil, fmt.Errorf("sim: no feasible deadline/payment for n=%d rep=%d after %d retries and escalation",
+	return scenarioCell{meta: meta}, fmt.Errorf("sim: no feasible deadline/payment for n=%d rep=%d after %d retries and escalation",
 		size, rep, maxFeasibilityRetries)
 }
 
@@ -322,23 +367,23 @@ func firstFeasible(count int, speculate bool, solve func(ctx context.Context, a 
 	return 0, assign.Solution{}, false
 }
 
-// finishScenario applies the configured adversary to a freshly generated
-// scenario. The attack runs AFTER feasibility resampling, on the scenario
+// finishScenario makes the cell of a freshly generated honest scenario sc,
+// whose grand coalition's feasibility solve is sol, by applying the attack
+// sp to it. The attack runs AFTER feasibility resampling, on the scenario
 // stream's "adversary" child — which, because Split consumes no parent
 // randomness, is the same stream however many deadline/payment attempts
-// the honest generation needed. A zero spec returns the honest scenario
-// untouched, drawing nothing, so honest and zero-attack generation are
-// bitwise identical. grand and sol are the feasibility solve of the honest
-// scenario, returned only when that is the scenario returned.
-func (e *Env) finishScenario(sc *mechanism.Scenario, meta ScenarioMeta, rng *xrand.RNG, grand []int, sol assign.Solution) (*mechanism.Scenario, ScenarioMeta, *grandSolve, error) {
-	if e.Config.Adversary.IsZero() {
-		return sc, meta, &grandSolve{sc: sc, members: grand, sol: sol}, nil
-	}
-	adv, _, err := mechanism.ApplyAdversary(sc, e.Config.Adversary, rng.Split("adversary"))
+// the honest generation needed. A zero spec leaves the honest scenario as
+// the cell's sc, drawing nothing, so honest and zero-attack generation are
+// bitwise identical.
+func finishScenario(sc *mechanism.Scenario, meta ScenarioMeta, rng *xrand.RNG, grand []int, sol assign.Solution, sp *adversary.Spec) (scenarioCell, error) {
+	adv, attack, err := mechanism.ApplyAdversary(sc, sp, rng.Split("adversary"))
 	if err != nil {
-		return nil, meta, nil, err
+		return scenarioCell{meta: meta}, err
 	}
-	return adv, meta, nil, nil
+	return scenarioCell{
+		honest: sc, grand: &grandSolve{sc: sc, members: grand, sol: sol},
+		sc: adv, attack: attack, meta: meta,
+	}, nil
 }
 
 // RunPairContext executes TVOF and RVOF on the same scenario with split
@@ -350,25 +395,17 @@ func (e *Env) finishScenario(sc *mechanism.Scenario, meta ScenarioMeta, rng *xra
 // BuildScenario, the grand coalition it solved is handed to the engine,
 // so neither run solves it again.
 func (e *Env) RunPairContext(ctx context.Context, sc *mechanism.Scenario, size, rep int) (tvof, rvof *mechanism.Result, err error) {
-	cfg := e.Config
-	eng := mechanism.NewEngine(sc, cfg.Solver)
-	if g, ok := e.takeGrand(sc, size, rep); ok {
-		eng.Adopt(g.members, g.sol)
+	// One churn schedule per scenario cell, shared by both rules so they
+	// face the same membership dynamics.
+	events, err := e.churn(size, rep, sc.M())
+	if err != nil {
+		return nil, nil, err
 	}
-	optsT := cfg.mechanismOptions(mechanism.EvictLowestReputation)
-	optsT.Engine = eng
-	optsR := cfg.mechanismOptions(mechanism.EvictRandom)
-	optsR.Engine = eng
-	if !cfg.Churn.IsZero() {
-		// One schedule per scenario cell, shared by both rules so they
-		// face the same membership dynamics.
-		events, err := cfg.Churn.Schedule(e.rng.Split(fmt.Sprintf("churn-%d-%d", size, rep)), sc.M())
-		if err != nil {
-			return nil, nil, err
-		}
-		optsT.Churn = events
-		optsR.Churn = events
-	}
+	eng := e.newEngine(sc, e.takeGrand(size, rep))
+	optsT := e.Config.mechanismOptions(mechanism.EvictLowestReputation)
+	optsT.Engine, optsT.Churn = eng, events
+	optsR := e.Config.mechanismOptions(mechanism.EvictRandom)
+	optsR.Engine, optsR.Churn = eng, events
 	key := fmt.Sprintf("run-%d-%d", size, rep)
 	return mechanism.RunPairContext(ctx, sc, optsT, optsR, e.rng.Split(key+"-tvof"), e.rng.Split(key+"-rvof"))
 }

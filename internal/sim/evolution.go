@@ -114,12 +114,12 @@ func (e *Env) RunEvolution(ctx context.Context, cfg EvolutionConfig) (*Evolution
 		if err := hist.ApplyTo(cur); err != nil {
 			return nil, err
 		}
-		sc, _, _, err := e.buildScenario(cfg.ProgramSize, 5000+round)
+		c, err := e.buildScenario(cfg.ProgramSize, 5000+round)
 		if err != nil {
 			return nil, err
 		}
-		sc.Trust = cur.Clone()
-		mres, err := mechanism.RunContext(ctx, sc, e.Config.mechanismOptions(cfg.Rule), rng.Split(fmt.Sprintf("round-%d", round)))
+		c.sc.Trust = cur.Clone()
+		mres, err := mechanism.RunContext(ctx, c.sc, e.Config.mechanismOptions(cfg.Rule), rng.Split(fmt.Sprintf("round-%d", round)))
 		if err != nil {
 			return nil, err
 		}

@@ -68,11 +68,11 @@ func (r *Fig4Result) AgreementCount() int {
 func (e *Env) Fig4(ctx context.Context, size, count int) (*Fig4Result, error) {
 	out := &Fig4Result{}
 	for i := 0; i < count; i++ {
-		sc, _, _, err := e.buildScenario(size, 1000+i)
+		c, err := e.buildScenario(size, 1000+i)
 		if err != nil {
 			return nil, err
 		}
-		res, err := mechanism.RunContext(ctx, sc, e.Config.mechanismOptions(mechanism.EvictLowestReputation), e.rng.Split(fmt.Sprintf("fig4-%d-%d", size, i)))
+		res, err := mechanism.RunContext(ctx, c.sc, e.Config.mechanismOptions(mechanism.EvictLowestReputation), e.rng.Split(fmt.Sprintf("fig4-%d-%d", size, i)))
 		if err != nil {
 			return nil, err
 		}
@@ -112,11 +112,11 @@ func (e *Env) IterationTrace(ctx context.Context, size int, programTag string, r
 	for _, c := range programTag {
 		rep = rep*31 + int(c)
 	}
-	sc, _, _, err := e.buildScenario(size, rep)
+	c, err := e.buildScenario(size, rep)
 	if err != nil {
 		return nil, err
 	}
-	res, err := mechanism.RunContext(ctx, sc, e.Config.mechanismOptions(rule), e.rng.Split(fmt.Sprintf("trace-%s-%s", programTag, rule)))
+	res, err := mechanism.RunContext(ctx, c.sc, e.Config.mechanismOptions(rule), e.rng.Split(fmt.Sprintf("trace-%s-%s", programTag, rule)))
 	if err != nil {
 		return nil, err
 	}

@@ -19,31 +19,6 @@ import (
 // vectors, identical fingerprints. That identity is the sweep's anchor —
 // any measured degradation is attributable to the attack alone.
 
-// RobustnessOptions select the adversarial transform under test.
-type RobustnessOptions struct {
-	// Attack rewrites each scenario's trust graph (nil or zero-Size = no
-	// attack; see adversary.Spec).
-	Attack *adversary.Spec
-	// Churn schedules join/leave events between eviction rounds of the
-	// adversarial run (nil or zero rates = no churn).
-	Churn *adversary.ChurnSpec
-}
-
-// label names the transform for reports ("sybil", "churn", "sybil+churn",
-// or "none").
-func (o RobustnessOptions) label() string {
-	switch {
-	case !o.Attack.IsZero() && !o.Churn.IsZero():
-		return o.Attack.Class + "+churn"
-	case !o.Attack.IsZero():
-		return o.Attack.Class
-	case !o.Churn.IsZero():
-		return "churn"
-	default:
-		return "none"
-	}
-}
-
 // RobustnessCell is the honest-vs-adversarial comparison for one
 // (program size, repetition) scenario.
 type RobustnessCell struct {
@@ -97,23 +72,24 @@ type RobustnessReport struct {
 }
 
 // RobustnessSweep runs the experiment grid honest-vs-adversarial under the
-// given transform. The config's own Adversary/Churn fields are ignored —
-// the sweep owns the transform so the honest baseline inside it is always
-// truly honest. Scenario generation, attack application, and churn
-// scheduling reuse the exact stream derivations of the Config.Adversary /
-// Config.Churn pipeline, so a RobustnessSweep's adversarial world matches
-// what a ChaosSweep with those fields set would see.
-func RobustnessSweep(ctx context.Context, cfg Config, opts RobustnessOptions, progress func(string)) (*RobustnessReport, error) {
-	if err := validateRobustness(opts); err != nil {
-		return nil, err
-	}
-	cfg.Adversary = nil
-	cfg.Churn = nil
+// config's transform, Config.Adversary and Config.Churn. Each cell is
+// generated once: its honest world is the scenario before the attack, its
+// adversarial world the attacked scenario under the churn schedule, the
+// very scenario and schedule a ChaosSweep with the same config runs.
+func RobustnessSweep(ctx context.Context, cfg Config, progress func(string)) (*RobustnessReport, error) {
 	env, err := NewEnv(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rep := &RobustnessReport{Class: opts.label()}
+	rep := &RobustnessReport{Class: "none"}
+	switch {
+	case !cfg.Adversary.IsZero() && !cfg.Churn.IsZero():
+		rep.Class = cfg.Adversary.Class + "+churn"
+	case !cfg.Adversary.IsZero():
+		rep.Class = cfg.Adversary.Class
+	case !cfg.Churn.IsZero():
+		rep.Class = "churn"
+	}
 	fpH, fpA := newFingerprint(), newFingerprint()
 
 	for _, size := range cfg.ProgramSizes {
@@ -121,7 +97,7 @@ func RobustnessSweep(ctx context.Context, cfg Config, opts RobustnessOptions, pr
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			cell, err := env.robustnessCell(ctx, size, r, opts, fpH, fpA)
+			cell, err := env.robustnessCell(ctx, size, r, fpH, fpA)
 			if err != nil {
 				return nil, err
 			}
@@ -153,84 +129,44 @@ func RobustnessSweep(ctx context.Context, cfg Config, opts RobustnessOptions, pr
 	return rep, nil
 }
 
-// validateRobustness front-loads transform validation so a sweep fails
-// before any scenario work rather than on the first cell.
-func validateRobustness(opts RobustnessOptions) error {
-	if opts.Attack != nil {
-		if err := opts.Attack.Validate(); err != nil {
-			return err
-		}
-	}
-	if opts.Churn != nil {
-		if err := opts.Churn.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// robustnessCell runs one honest-vs-adversarial comparison. Stream
-// discipline is the whole game here:
-//
-//   - the adversary draws from the scenario stream's "adversary" child —
-//     the same derivation Config.Adversary uses in finishScenario;
-//   - the churn schedule draws from the "churn-size-rep" stream — the
-//     same derivation RunPairContext uses for Config.Churn;
-//   - both mechanism runs draw from streams split with the same
-//     "run-size-rep-tvof" label, which yields two independent RNG objects
-//     with identical states.
-//
-// Splitting consumes no parent randomness, so none of these derivations
-// perturb each other, and a zero transform leaves the adversarial run
-// consuming exactly the honest run's draw sequence.
-func (e *Env) robustnessCell(ctx context.Context, size, r int, opts RobustnessOptions, fpH, fpA *fingerprint) (*RobustnessCell, error) {
-	cfg := e.Config
-	sc, _, grand, err := e.buildScenario(size, r)
+// robustnessCell runs one honest-vs-adversarial comparison: TVOF on the
+// cell's honest scenario, whose engine starts from the feasibility check's
+// grand solve, and on its attacked scenario under the churn schedule.
+// Both runs draw from streams split with the same "run-size-rep-tvof"
+// label, which yields two independent RNG objects with identical states,
+// so a zero transform leaves the adversarial run consuming exactly the
+// honest run's draw sequence.
+func (e *Env) robustnessCell(ctx context.Context, size, r int, fpH, fpA *fingerprint) (*RobustnessCell, error) {
+	c, err := e.buildScenario(size, r)
 	if err != nil {
 		return nil, err
 	}
-	scRNG := e.rng.Split(fmt.Sprintf("scenario-%d-%d", size, r))
-	advSc, advRep, err := mechanism.ApplyAdversary(sc, opts.Attack, scRNG.Split("adversary"))
+	churn, err := e.churn(size, r, c.sc.M())
 	if err != nil {
 		return nil, err
 	}
-	var churn []adversary.ChurnEvent
-	if !opts.Churn.IsZero() {
-		churn, err = opts.Churn.Schedule(e.rng.Split(fmt.Sprintf("churn-%d-%d", size, r)), advSc.M())
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	runTVOF := func(sc *mechanism.Scenario, churn []adversary.ChurnEvent, eng *mechanism.Engine) (*mechanism.Result, error) {
-		mopts := cfg.mechanismOptions(mechanism.EvictLowestReputation)
-		mopts.Engine = eng
+	runTVOF := func(sc *mechanism.Scenario, churn []adversary.ChurnEvent, g *grandSolve) (*mechanism.Result, error) {
+		mopts := e.Config.mechanismOptions(mechanism.EvictLowestReputation)
+		mopts.Engine = e.newEngine(sc, g)
 		mopts.Churn = churn
 		return mechanism.RunContext(ctx, sc, mopts, e.rng.Split(fmt.Sprintf("run-%d-%d-tvof", size, r)))
-	}
-	// The honest run's engine starts from the grand coalition the
-	// feasibility check solved, as RunPairContext's does.
-	var honestEng *mechanism.Engine
-	if grand != nil && cfg.handsOffGrand() {
-		honestEng = mechanism.NewEngine(sc, cfg.Solver)
-		honestEng.Adopt(grand.members, grand.sol)
 	}
 	// The two worlds share no engine and no state, so they run at once,
 	// unless a shared fault injector would see their solves interleave.
 	var hres, ares *mechanism.Result
 	var herr, aerr error
-	if cfg.injected() {
-		hres, herr = runTVOF(sc, nil, honestEng)
+	if e.Config.injected() {
+		hres, herr = runTVOF(c.honest, nil, c.grand)
 		if herr == nil {
-			ares, aerr = runTVOF(advSc, churn, nil)
+			ares, aerr = runTVOF(c.sc, churn, nil)
 		}
 	} else {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			ares, aerr = runTVOF(advSc, churn, nil)
+			ares, aerr = runTVOF(c.sc, churn, nil)
 		}()
-		hres, herr = runTVOF(sc, nil, honestEng)
+		hres, herr = runTVOF(c.honest, nil, c.grand)
 		<-done
 	}
 	if herr != nil {
@@ -255,7 +191,7 @@ func (e *Env) robustnessCell(ctx context.Context, size, r int, opts RobustnessOp
 	if f := ares.Final(); f != nil {
 		cell.AdversarialValue = f.Value
 		isAttacker := map[int]bool{}
-		for _, a := range advRep.Attackers {
+		for _, a := range c.attack.Attackers {
 			isAttacker[a] = true
 		}
 		in := 0

@@ -45,7 +45,7 @@ func TestRobustnessFingerprintPinned(t *testing.T) {
 			meanDV: 0x405eb73e41784400, meanIn: 0x3fd334d34d34d34d, meanD: 0x3fc4000000000000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := RobustnessSweep(context.Background(), robustConfig(5), RobustnessOptions{Attack: tc.attack, Churn: tc.churn}, nil)
+			rep, err := RobustnessSweep(context.Background(), attacked(5, tc.attack, tc.churn), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,10 +3,12 @@ package sim
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gridvo/internal/adversary"
 	"gridvo/internal/fault"
+	"gridvo/internal/swf"
 )
 
 func robustConfig(seed uint64) Config {
@@ -20,14 +22,21 @@ func robustConfig(seed uint64) Config {
 	return cfg
 }
 
+// attacked returns robustConfig(seed) under the transform attack and churn.
+func attacked(seed uint64, attack *adversary.Spec, churn *adversary.ChurnSpec) Config {
+	cfg := robustConfig(seed)
+	cfg.Adversary, cfg.Churn = attack, churn
+	return cfg
+}
+
 // TestRobustnessZeroAttackerBitwiseIdentity pins the acceptance criterion:
 // a zero-Size adversarial scenario must be bitwise identical to the honest
 // baseline — selections, reputation vectors, and fingerprints all fold
 // into the two sums, so equality here is equality of all of them.
 func TestRobustnessZeroAttackerBitwiseIdentity(t *testing.T) {
 	for _, class := range adversary.Classes {
-		opts := RobustnessOptions{Attack: &adversary.Spec{Class: class, Rate: 0.5}}
-		rep, err := RobustnessSweep(context.Background(), robustConfig(7), opts, nil)
+		cfg := attacked(7, &adversary.Spec{Class: class, Rate: 0.5}, nil)
+		rep, err := RobustnessSweep(context.Background(), cfg, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", class, err)
 		}
@@ -42,7 +51,7 @@ func TestRobustnessZeroAttackerBitwiseIdentity(t *testing.T) {
 		}
 	}
 	// Same with no transform at all.
-	rep, err := RobustnessSweep(context.Background(), robustConfig(7), RobustnessOptions{}, nil)
+	rep, err := RobustnessSweep(context.Background(), robustConfig(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +65,13 @@ func TestRobustnessZeroAttackerBitwiseIdentity(t *testing.T) {
 // bit for bit, and a real attack moves the adversarial fingerprint away
 // from the honest one.
 func TestRobustnessSweepDeterministic(t *testing.T) {
-	opts := RobustnessOptions{
-		Attack: &adversary.Spec{Class: adversary.ClassSybil, Size: 4},
-		Churn:  &adversary.ChurnSpec{LeaveRate: 0.2, JoinRate: 0.1},
-	}
-	r1, err := RobustnessSweep(context.Background(), robustConfig(3), opts, nil)
+	cfg := attacked(3, &adversary.Spec{Class: adversary.ClassSybil, Size: 4},
+		&adversary.ChurnSpec{LeaveRate: 0.2, JoinRate: 0.1})
+	r1, err := RobustnessSweep(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RobustnessSweep(context.Background(), robustConfig(3), opts, nil)
+	r2, err := RobustnessSweep(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +93,8 @@ func TestRobustnessSweepDeterministic(t *testing.T) {
 // TestRobustnessChurnReformsWarm: churn triggers mid-formation membership
 // changes and the re-formed rounds still go through the warm-start path.
 func TestRobustnessChurnReformsWarm(t *testing.T) {
-	opts := RobustnessOptions{Churn: &adversary.ChurnSpec{LeaveRate: 0.35, JoinRate: 0.3}}
-	rep, err := RobustnessSweep(context.Background(), robustConfig(5), opts, nil)
+	cfg := attacked(5, nil, &adversary.ChurnSpec{LeaveRate: 0.35, JoinRate: 0.3})
+	rep, err := RobustnessSweep(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +114,8 @@ func TestRobustnessChurnReformsWarm(t *testing.T) {
 // and strictly positive at the top of the ladder — the BENCH_PR9 claim in
 // test form. Everything is deterministic, so this is a golden property.
 func TestRobustnessMonotoneDegradation(t *testing.T) {
-	metric := func(opts RobustnessOptions) float64 {
-		rep, err := RobustnessSweep(context.Background(), robustConfig(9), opts, nil)
+	metric := func(cfg Config) float64 {
+		rep, err := RobustnessSweep(context.Background(), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,39 +123,39 @@ func TestRobustnessMonotoneDegradation(t *testing.T) {
 		// VO (collusion cliques, sybil twins, whitewashed re-entries) are
 		// measured by infiltration; attacks that push honest members out
 		// (slander, churn) by displacement.
-		if !opts.Attack.IsZero() && opts.Attack.Class != adversary.ClassSlander {
+		if !cfg.Adversary.IsZero() && cfg.Adversary.Class != adversary.ClassSlander {
 			return rep.MeanInfiltration
 		}
 		return rep.MeanDisplacement
 	}
 	ladders := []struct {
 		name string
-		runs []RobustnessOptions
+		runs []Config
 	}{
-		{"collusion", []RobustnessOptions{
-			{Attack: &adversary.Spec{Class: adversary.ClassCollusion, Size: 0}},
-			{Attack: &adversary.Spec{Class: adversary.ClassCollusion, Size: 3}},
-			{Attack: &adversary.Spec{Class: adversary.ClassCollusion, Size: 6}},
+		{"collusion", []Config{
+			attacked(9, &adversary.Spec{Class: adversary.ClassCollusion, Size: 0}, nil),
+			attacked(9, &adversary.Spec{Class: adversary.ClassCollusion, Size: 3}, nil),
+			attacked(9, &adversary.Spec{Class: adversary.ClassCollusion, Size: 6}, nil),
 		}},
-		{"sybil", []RobustnessOptions{
-			{Attack: &adversary.Spec{Class: adversary.ClassSybil, Size: 0}},
-			{Attack: &adversary.Spec{Class: adversary.ClassSybil, Size: 3}},
-			{Attack: &adversary.Spec{Class: adversary.ClassSybil, Size: 6}},
+		{"sybil", []Config{
+			attacked(9, &adversary.Spec{Class: adversary.ClassSybil, Size: 0}, nil),
+			attacked(9, &adversary.Spec{Class: adversary.ClassSybil, Size: 3}, nil),
+			attacked(9, &adversary.Spec{Class: adversary.ClassSybil, Size: 6}, nil),
 		}},
-		{"whitewash", []RobustnessOptions{
-			{Attack: &adversary.Spec{Class: adversary.ClassWhitewash, Size: 0}},
-			{Attack: &adversary.Spec{Class: adversary.ClassWhitewash, Size: 3}},
-			{Attack: &adversary.Spec{Class: adversary.ClassWhitewash, Size: 6}},
+		{"whitewash", []Config{
+			attacked(9, &adversary.Spec{Class: adversary.ClassWhitewash, Size: 0}, nil),
+			attacked(9, &adversary.Spec{Class: adversary.ClassWhitewash, Size: 3}, nil),
+			attacked(9, &adversary.Spec{Class: adversary.ClassWhitewash, Size: 6}, nil),
 		}},
-		{"slander", []RobustnessOptions{
-			{Attack: &adversary.Spec{Class: adversary.ClassSlander, Size: 4, Rate: 0}},
-			{Attack: &adversary.Spec{Class: adversary.ClassSlander, Size: 4, Rate: 0.3}},
-			{Attack: &adversary.Spec{Class: adversary.ClassSlander, Size: 4, Rate: 0.8}},
+		{"slander", []Config{
+			attacked(9, &adversary.Spec{Class: adversary.ClassSlander, Size: 4, Rate: 0}, nil),
+			attacked(9, &adversary.Spec{Class: adversary.ClassSlander, Size: 4, Rate: 0.3}, nil),
+			attacked(9, &adversary.Spec{Class: adversary.ClassSlander, Size: 4, Rate: 0.8}, nil),
 		}},
-		{"churn", []RobustnessOptions{
-			{Churn: &adversary.ChurnSpec{LeaveRate: 0, JoinRate: 0.1}},
-			{Churn: &adversary.ChurnSpec{LeaveRate: 0.2, JoinRate: 0.1}},
-			{Churn: &adversary.ChurnSpec{LeaveRate: 0.35, JoinRate: 0.1}},
+		{"churn", []Config{
+			attacked(9, nil, &adversary.ChurnSpec{LeaveRate: 0, JoinRate: 0.1}),
+			attacked(9, nil, &adversary.ChurnSpec{LeaveRate: 0.2, JoinRate: 0.1}),
+			attacked(9, nil, &adversary.ChurnSpec{LeaveRate: 0.35, JoinRate: 0.1}),
 		}},
 	}
 	for _, lad := range ladders {
@@ -156,8 +163,8 @@ func TestRobustnessMonotoneDegradation(t *testing.T) {
 		t.Run(lad.name, func(t *testing.T) {
 			prev := -1.0
 			var last float64
-			for i, opts := range lad.runs {
-				m := metric(opts)
+			for i, cfg := range lad.runs {
+				m := metric(cfg)
 				if m < prev {
 					t.Fatalf("rung %d: metric %v < previous %v — degradation not monotone", i, m, prev)
 				}
@@ -210,5 +217,32 @@ func TestChaosComposesWithAdversary(t *testing.T) {
 	if z.Fingerprint != honest.Fingerprint {
 		t.Fatalf("zero-strength adversary changed the chaos fingerprint: %016x vs %016x",
 			z.Fingerprint, honest.Fingerprint)
+	}
+}
+
+// TestBadTransformFailsBeforeScenarios: NewEnv checks the adversary spec
+// against the configured GSP count and the churn spec before it reads the
+// trace, so both sweeps fail with the spec error, not at their first
+// cell. The empty trace would fail NewEnv on its own if it were read.
+func TestBadTransformFailsBeforeScenarios(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		attack *adversary.Spec
+		churn  *adversary.ChurnSpec
+		want   string
+	}{
+		{"clique larger than the grid", &adversary.Spec{Class: adversary.ClassCollusion, Size: 100}, nil, "exceeds 10 GSPs"},
+		{"clique of one", &adversary.Spec{Class: adversary.ClassCollusion, Size: 1}, nil, "at least 2 members"},
+		{"churn rate above 1", nil, &adversary.ChurnSpec{LeaveRate: 1.5}, "leave rate 1.5"},
+	} {
+		cfg := attacked(5, tc.attack, tc.churn)
+		cfg.Trace = &swf.Trace{}
+		_, rerr := RobustnessSweep(context.Background(), cfg, nil)
+		_, cerr := ChaosSweep(context.Background(), cfg, fault.Config{Seed: 7, Rate: 0.3}, nil)
+		for _, err := range []error{rerr, cerr} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+			}
+		}
 	}
 }

@@ -88,28 +88,30 @@ func TestBuildScenarioSpeculationMatchesSequential(t *testing.T) {
 		}
 		for _, size := range cfg.ProgramSizes {
 			for rep := 0; rep < cfg.Repetitions; rep++ {
-				sc, meta, grand, err := e.buildScenario(size, rep)
+				c, err := e.buildScenario(size, rep)
 				if err != nil {
 					t.Fatal(err)
 				}
+				sc, meta := c.sc, c.meta
 				d, p, wantMeta, wantSol := sequentialFeasibility(e, sc, size, rep, e.Config.Solver)
 				cell := fmt.Sprintf("seed=%d m=%d n=%d rep=%d", seed, g.gsps, size, rep)
 				if sc.Deadline != d || sc.Payment != p || meta != wantMeta {
 					t.Fatalf("%s: got d=%v P=%v %+v, sequential d=%v P=%v %+v",
 						cell, sc.Deadline, sc.Payment, meta, d, p, wantMeta)
 				}
-				if grand == nil || !reflect.DeepEqual(solveView(grand.sol), solveView(wantSol)) {
+				if !reflect.DeepEqual(solveView(c.grand.sol), solveView(wantSol)) {
 					t.Fatalf("%s: grand solve differs from the sequential one", cell)
 				}
-				isc, imeta, igrand, err := ie.buildScenario(size, rep)
+				ic, err := ie.buildScenario(size, rep)
 				if err != nil {
 					t.Fatal(err)
 				}
+				isc, imeta := ic.sc, ic.meta
 				if isc.Deadline != d || isc.Payment != p || imeta != wantMeta {
 					t.Fatalf("%s: under a solver injector got d=%v P=%v %+v, want d=%v P=%v %+v",
 						cell, isc.Deadline, isc.Payment, imeta, d, p, wantMeta)
 				}
-				if igrand == nil || !reflect.DeepEqual(solveView(igrand.sol), solveView(wantSol)) {
+				if !reflect.DeepEqual(solveView(ic.grand.sol), solveView(wantSol)) {
 					t.Fatalf("%s: under a solver injector the grand solve differs from the sequential one", cell)
 				}
 				if meta.FeasibilityRetries > 0 && meta.DeadlineEscalations == 0 {
@@ -163,23 +165,21 @@ func TestFirstFeasibleSpeculative(t *testing.T) {
 // selects that sequential path, since a shared injector must see the
 // runs' solves in order.
 func TestRobustnessConcurrentMatchesSequential(t *testing.T) {
-	specs := []RobustnessOptions{
-		{Attack: &adversary.Spec{Class: adversary.ClassCollusion, Size: 3}},
-		{Attack: &adversary.Spec{Class: adversary.ClassSybil, Size: 3}, Churn: &adversary.ChurnSpec{LeaveRate: 0.3, JoinRate: 0.15}},
-	}
-	for _, opts := range specs {
-		cfg := robustConfig(5)
-		got, err := RobustnessSweep(context.Background(), cfg, opts, nil)
+	for _, cfg := range []Config{
+		attacked(5, &adversary.Spec{Class: adversary.ClassCollusion, Size: 3}, nil),
+		attacked(5, &adversary.Spec{Class: adversary.ClassSybil, Size: 3}, &adversary.ChurnSpec{LeaveRate: 0.3, JoinRate: 0.15}),
+	} {
+		got, err := RobustnessSweep(context.Background(), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Solver.Inject = fault.New(fault.Config{Rate: 0})
-		want, err := RobustnessSweep(context.Background(), cfg, opts, nil)
+		want, err := RobustnessSweep(context.Background(), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: concurrent sweep %+v differs from sequential %+v", opts.label(), got, want)
+			t.Fatalf("%s: concurrent sweep %+v differs from sequential %+v", got.Class, got, want)
 		}
 	}
 }

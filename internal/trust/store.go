@@ -44,6 +44,8 @@ type StoreStats struct {
 // SolveResult is what a Store solve callback reports back: the converged
 // (or best-effort) reputation vector and how the iteration behaved. Warm
 // reports whether the solver actually consumed the supplied warm start.
+// The store keeps a converged Scores itself, not a copy, as the next warm
+// start: once returned, neither the callback nor the caller may modify it.
 type SolveResult struct {
 	Scores     []float64
 	Iterations int
@@ -313,7 +315,7 @@ func (s *Store) recordLocked(res SolveResult, err error) (SolveResult, StoreStat
 	s.lastIterations = res.Iterations
 	s.lastConverged = res.Converged
 	if res.Converged && len(res.Scores) == s.g.N() {
-		s.x = append([]float64(nil), res.Scores...)
+		s.x = res.Scores
 	}
 	return res, s.statsLocked(), nil
 }
